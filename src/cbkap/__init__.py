@@ -33,7 +33,6 @@ from .linalg import (
     algebra_closure,
     sample_invertible,
     solve_membership,
-    span_basis,
 )
 from .perm import NotInGroup, Perm, StabilizerChain, evaluate_genword, invert_genword
 from .protocol import (

@@ -37,8 +37,7 @@ from __future__ import annotations
 import random as _random
 import resource
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -105,17 +104,12 @@ class AttackConfig:
     stall: int = 4  # consecutive no-growth candidates before stopping
     filter_budget: int = 512  # consecutive order-filter rejections tolerated
     max_candidates: int = 4096  # hard safety cap per collection round
-    product_candidate_prob: float = 0.0  # chance to reuse products of found pure words
     enlargement_rounds: int = 3  # precomputation resumptions on failure
     sample_tries: int = 64  # invertible-sampling budget per attempt
-    shorten_rounds: int = 0  # optional chain-shortening passes (off by default)
-    threads: int = 1  # candidate evaluation workers
 
     def __post_init__(self):
         if self.stall < 1:
             raise ValueError("stall must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass
@@ -139,12 +133,12 @@ class AttackStats:
 
 @dataclass
 class PureBasis:
-    """The witnessed, product-closed basis V of pure-word images, plus
-    collection statistics."""
+    """The product-closed basis V of pure-word images, plus collection
+    statistics.  Every collected pure word is kept in the closure as the
+    witness of the generator it added."""
 
     closure: AlgebraClosure
     candidates: int = 0
-    pure_words: list[BraidWord] = dc_field(default_factory=list)
 
     @property
     def basis(self):
@@ -174,20 +168,11 @@ class AttackArtifacts:
     pure_coeffs: np.ndarray
 
 
-def _candidate_words(pub: InstancePublic, rng, config: AttackConfig, pure_words: list):
+def _candidate_words(pub: InstancePublic, rng, config: AttackConfig):
     """Yield an endless stream of candidate words over the A generators."""
     gens = pub.a_gens
     lo, hi = config.candidate_draws
     while True:
-        if (
-            config.product_candidate_prob > 0
-            and len(pure_words) >= 2
-            and rng.random() < config.product_candidate_prob
-        ):
-            i = rng.randrange(len(pure_words))
-            j = rng.randrange(len(pure_words))
-            yield pure_words[i] + pure_words[j]
-            continue
         parts = []
         for _ in range(rng.randint(lo, hi)):
             w = gens[rng.randrange(len(gens))]
@@ -207,54 +192,31 @@ def _collect_pure(
     params = pub.params
     n = params.n
     order_cap = config.order_cap if config.order_cap is not None else n
-    stream = _candidate_words(pub, rng, config, pure.pure_words)
-
-    def evaluate(word):
-        return word_eval_pair(word, params).mat
-
     cap = candidate_cap if candidate_cap is not None else config.max_candidates
-    pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
-    try:
-        consumed = 0
-        stall = 0
+    stream = _candidate_words(pub, rng, config)
+    consumed = 0
+    stall = 0
+    rejections = 0
+    while stall < config.stall and consumed < cap:
+        word = next(stream)
+        r = word_perm(word, n).order()
+        if r > order_cap:
+            rejections += 1
+            if rejections >= config.filter_budget:
+                raise PureElementSearchExhausted(
+                    f"{rejections} candidates in a row exceeded order {order_cap}"
+                )
+            continue
         rejections = 0
-        batch: list[tuple[BraidWord, object]] = []
-        while stall < config.stall:
-            if consumed >= cap:
-                break
-            if not batch:
-                # draw the next candidates that pass the order filter
-                want = 2 * config.threads if pool is not None else 1
-                words = []
-                while len(words) < want:
-                    word = next(stream)
-                    r = word_perm(word, n).order()
-                    if r > order_cap:
-                        rejections += 1
-                        if rejections >= config.filter_budget:
-                            raise PureElementSearchExhausted(
-                                f"{rejections} candidates in a row exceeded order {order_cap}"
-                            )
-                        continue
-                    rejections = 0
-                    words.append(word.power(r) if r > 1 else word)
-                if pool is not None:
-                    batch = [(w, pool.submit(evaluate, w)) for w in words]
-                else:
-                    batch = [(w, None) for w in words]
-            word, fut = batch.pop(0)
-            mat = fut.result() if fut is not None else evaluate(word)
-            consumed += 1
-            if pure.closure.add_generator(mat, word):
-                stall = 0
-                pure.pure_words.append(word)
-            else:
-                stall += 1
-        pure.candidates += consumed
-        return consumed
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        if r > 1:
+            word = word.power(r)
+        consumed += 1
+        if pure.closure.add_generator(word_eval_pair(word, params).mat, word):
+            stall = 0
+        else:
+            stall += 1
+    pure.candidates += consumed
+    return consumed
 
 
 def precompute_pure_basis(
@@ -266,15 +228,13 @@ def precompute_pure_basis(
     Candidates are short random products over the A generators; those
     whose permutation part has order above the cap (default n) are
     discarded, the rest are raised to that order to become pure words.
-    Products of previously found pure words may also be drawn as
-    candidates (their permutation part is already trivial), though with
-    eager closure they cannot grow the span.  Collection stops after the
-    configured number of consecutive candidates adds no dimension.
+    Collection stops after the configured number of consecutive
+    candidates adds no dimension.
     """
     config = config or AttackConfig()
     if not pub.a_gens:
         raise ValueError("instance has no A generators")
-    pure = PureBasis(AlgebraClosure(pub.params.field, pub.params.n, witnessed=True))
+    pure = PureBasis(AlgebraClosure(pub.params.field, pub.params.n))
     _collect_pure(pub, pure, rng, config, candidate_cap=None)
     return pure
 
@@ -293,8 +253,6 @@ def factor_permutation(
     pub: InstancePublic,
     msg: MatPerm,
     chain: StabilizerChain | None = None,
-    shorten_rounds: int = 0,
-    rng=None,
 ) -> tuple[BraidWord, np.ndarray]:
     """Express the message permutation over the A generators and peel the
     message matrix down to a residual with identity permutation part.
@@ -312,8 +270,6 @@ def factor_permutation(
     n = params.n
     if chain is None:
         chain = StabilizerChain([word_perm(w, n) for w in pub.a_gens], n)
-        if shorten_rounds:
-            chain.shorten(rng, shorten_rounds)
     try:
         gen_word = chain.factor(msg.perm)
     except NotInGroup as exc:
@@ -324,7 +280,8 @@ def factor_permutation(
     ]
     word = BraidWord.concat(*parts) if parts else BraidWord()
     ev = word_eval_pair(word, params)
-    assert ev.perm == msg.perm, "factored word does not reproduce the permutation"
+    if ev.perm != msg.perm:  # pragma: no cover - the chain factors exactly
+        raise GNotExpressible("factored word does not reproduce the permutation")
     fld = params.field
     residual = fld.mat_mul(msg.mat, fld.mat_inv(ev.mat))
     return word, residual
@@ -436,8 +393,8 @@ def attack_run(
     if transcript.bob_msg is None:
         raise AttackFailed("input", "transcript is missing Bob's message")
 
-    # independent child streams: candidate generation and solution
-    # sampling stay decoupled, so threading the former cannot shift the latter
+    # independent child streams: the number of candidates drawn cannot
+    # shift the solution sampling
     rng_candidates = _random.Random(rng.getrandbits(64))
     rng_samples = _random.Random(rng.getrandbits(64))
 
@@ -451,12 +408,7 @@ def attack_run(
 
     t0 = time.perf_counter()
     try:
-        perm_word, residual = factor_permutation(
-            pub,
-            transcript.alice_msg,
-            shorten_rounds=config.shorten_rounds,
-            rng=rng_candidates,
-        )
+        perm_word, residual = factor_permutation(pub, transcript.alice_msg)
     except GNotExpressible as exc:
         raise AttackFailed("factor", str(exc)) from exc
     stats.factor_letters = len(perm_word)

@@ -29,6 +29,7 @@ map over Laurent polynomials, kept for small n as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -191,6 +192,15 @@ class EvalParams:
         if any(not 0 < t < self.field.order for t in self.tau):
             raise ValueError("tau values must be nonzero field elements")
 
+    @cached_property
+    def scale_rows(self) -> np.ndarray:
+        """Multiplication table of the substituted values, shape (2n, 2^m):
+        row k multiplies by ``tau[k]`` and row n+k by ``1/tau[k]``."""
+        fld = self.field
+        scalars = list(self.tau) + [fld.inv(t) for t in self.tau]
+        values = np.arange(fld.order, dtype=fld.dtype)
+        return fld.mul_arr(np.array(scalars, dtype=fld.dtype)[:, None], values[None, :])
+
 
 class MatPerm:
     """A matrix-permutation pair: the state E-multiplication acts on.
@@ -248,33 +258,24 @@ def e_multiply(start: MatPerm, word: BraidWord, params: EvalParams) -> MatPerm:
     S = start.mat.astype(fld.dtype, copy=True)
     g = list(start.perm.images)
     ginv = list(start.perm.inverse().images)
-    tau = params.tau
-    log = fld._log
-    inv = fld._inv
-    lg, ex = fld._log_np, fld._exp_np
+    rows = params.scale_rows
     for letter in word.letters():
         i = abs(letter)
         if not 1 <= i <= n - 1:
             raise ValueError(f"letter {letter} out of range for n={n}")
         r = i - 1
-        old = S[:, r].copy()
-        zero = old == 0
+        old = S[:, r]  # read before column r is overwritten below
         if letter > 0:
-            t = tau[ginv[r]]
-            prod = ex[lg[old] + log[t]]
-            prod[zero] = 0
+            prod = rows[ginv[r]].take(old)
             if r > 0:
                 S[:, r - 1] ^= prod
             S[:, r + 1] ^= old
-            S[:, r] = prod
         else:
-            t = inv[tau[ginv[r + 1]]]
-            prod = ex[lg[old] + log[t]]
-            prod[zero] = 0
+            prod = rows[n + ginv[r + 1]].take(old)
             if r > 0:
                 S[:, r - 1] ^= old
             S[:, r + 1] ^= prod
-            S[:, r] = prod
+        S[:, r] = prod
         j1, j2 = ginv[r], ginv[r + 1]
         g[j1], g[j2] = r + 1, r
         ginv[r], ginv[r + 1] = j2, j1

@@ -116,7 +116,7 @@ def cmd_attack(args) -> int:
         print("error: transcript has no message from Bob", file=sys.stderr)
         return EXIT_USAGE
     rng = random.Random(_resolve_seed(args.seed))
-    config = AttackConfig(stall=args.stall, threads=args.threads)
+    config = AttackConfig(stall=args.stall)
     try:
         key, stats = attack_run(pub, transcript, rng, config)
     except AttackFailed as exc:
@@ -196,8 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
     p.add_argument("--stall", type=int, default=4,
                    help="no-growth candidates before the collection stops (default 4)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="candidate evaluation workers (default 1)")
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("verify", help="compare two key files")

@@ -99,9 +99,10 @@ class GF2m:
     """The field GF(2^m) for a fixed irreducible modulus.
 
     Scalar operations use one log/antilog table pair over a primitive
-    element; vector and matrix operations use the numpy copies of the
-    same tables.  Construction is O(2^m), so the degree is capped at 16
-    (the protocol sizes of interest are m <= 8).
+    element; every vector and matrix product goes through :meth:`mul_arr`,
+    which uses the numpy copies of the same tables.  Construction is
+    O(2^m), so the degree is capped at 16 (the protocol sizes of interest
+    are m <= 8).
     """
 
     def __init__(self, degree: int, modulus: int | None = None):
@@ -148,12 +149,17 @@ class GF2m:
             exp[i + q - 1] = cur
             log[cur] = i
             cur = self._mul_slow(cur, gen)
-        assert cur == 1, "element used for the tables is not primitive"
+        if cur != 1:  # pragma: no cover - the search above picks a primitive element
+            raise RuntimeError("element used for the tables is not primitive")
         self._exp = exp
         self._log = log
         self._inv = [0] + [exp[(q - 1 - log[a]) % (q - 1)] for a in range(1, q)]
-        self._exp_np = np.array(exp, dtype=self.dtype)
-        self._log_np = np.array(log, dtype=np.int32)
+        # numpy copies for mul_arr: the log of zero, 2(q-1), lies past every
+        # sum of two nonzero logs, and every antilog entry from there on is
+        # zero, so a product with a zero factor looks up zero with no mask
+        self._exp_np = np.zeros(4 * q - 3, dtype=self.dtype)
+        self._exp_np[: 2 * (q - 1)] = exp
+        self._log_np = np.array([2 * (q - 1)] + log[1:], dtype=np.int32)
 
     # -- scalar operations -------------------------------------------------
 
@@ -190,15 +196,14 @@ class GF2m:
 
     # -- vector and matrix operations --------------------------------------
 
+    def mul_arr(self, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
+        """Elementwise product of two broadcastable arrays (or an array and
+        a scalar) of field elements, by log/antilog lookup."""
+        return self._exp_np[self._log_np[a] + self._log_np[b]]
+
     def mul_vec(self, v: np.ndarray, s: int) -> np.ndarray:
         """Scale a vector (or matrix) of field elements by the scalar s."""
-        if s == 0:
-            return np.zeros_like(v)
-        if s == 1:
-            return v.copy()
-        out = self._exp_np[self._log_np[v] + self._log[s]]
-        out[v == 0] = 0
-        return out
+        return self.mul_arr(v, s)
 
     def identity(self, n: int) -> np.ndarray:
         return np.eye(n, dtype=self.dtype)
@@ -207,23 +212,10 @@ class GF2m:
         return np.zeros((n, m if m is not None else n), dtype=self.dtype)
 
     def mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact matrix product; accumulation is XOR over outer products."""
+        """Exact matrix product; accumulation is XOR over the inner index."""
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ValueError("matrix dimension mismatch")
-        lg, ex = self._log_np, self._exp_np
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=self.dtype)
-        for t in range(a.shape[1]):
-            col = a[:, t]
-            row = b[t, :]
-            zc = col == 0
-            zr = row == 0
-            if zc.all() or zr.all():
-                continue
-            prod = ex[lg[col][:, None] + lg[row][None, :]]
-            prod[zc, :] = 0
-            prod[:, zr] = 0
-            out ^= prod
-        return out
+        return np.bitwise_xor.reduce(self.mul_arr(a[:, :, None], b[None]), axis=1)
 
     def mat_inv(self, a: np.ndarray) -> np.ndarray:
         """Inverse by Gauss-Jordan elimination, pivoting on the first
@@ -231,7 +223,6 @@ class GF2m:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
         n = a.shape[0]
-        lg, ex = self._log_np, self._exp_np
         aug = np.concatenate([a.astype(self.dtype), self.identity(n)], axis=1)
         for col in range(n):
             rows = np.nonzero(aug[col:, col])[0]
@@ -247,9 +238,7 @@ class GF2m:
             factors[col] = 0
             nz = factors != 0
             if nz.any():
-                prod = ex[lg[aug[col]][None, :] + lg[factors[nz]][:, None]]
-                prod[:, aug[col] == 0] = 0
-                aug[nz] ^= prod
+                aug[nz] ^= self.mul_arr(factors[nz][:, None], aug[col][None, :])
         return aug[:, n:]
 
     def is_invertible(self, a: np.ndarray) -> bool:

@@ -1,21 +1,21 @@
 """Exact linear algebra over GF(2^m) on vectorized n x n matrices.
 
-Provides spans, multiplicative algebra closure with witness words,
-membership-constrained linear solving, and invertible-solution sampling.
-Matrices are vectorized row-major to length n^2; every computation is
-exact Gaussian elimination over the field.
+Provides spans, multiplicative algebra closure that records how each
+basis element was formed, membership-constrained linear solving, and
+invertible-solution sampling.  Matrices are vectorized row-major to
+length n^2; every computation is exact Gaussian elimination over the
+field.
 
-A witnessed basis keeps each basis matrix together with the braid word
-that evaluates to it (all witnesses are pure words: their permutation
-part is the identity).  Internally it maintains a row-reduced echelon
-copy plus the change-of-basis transform, so membership tests and
-coefficient extraction stay O(dim * n^2) while the raw matrices and
-their witnesses are preserved verbatim.
+A basis keeps its raw matrices verbatim next to a row-reduced echelon
+copy and the change-of-basis transform, so membership tests and
+coefficient extraction stay O(dim * n^2).  The closure keeps the braid
+word of each generator plus one recipe per basis element; together they
+give a pure word for every basis element without storing it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "NoSolution",
     "InvertibleSampleFailed",
     "WitnessedBasis",
-    "span_basis",
     "AlgebraClosure",
     "algebra_closure",
     "SolutionSpace",
@@ -50,14 +49,18 @@ class InvertibleSampleFailed(RuntimeError):
 
 
 class WitnessedBasis:
-    """Linearly independent matrices, each optionally carrying a witness
-    braid word that evaluates to it with identity permutation part."""
+    """Linearly independent matrices, kept in insertion order.
+
+    Stores no witness words: :class:`AlgebraClosure` keeps the generator
+    words and recipes that give one for each element.  The name is kept
+    because the benchmark (``perfbench/spans.py``) wraps this class by
+    name.
+    """
 
     def __init__(self, field: GF2m, n: int):
         self.field = field
         self.n = n
         self.mats: list[np.ndarray] = []
-        self.witnesses: list[BraidWord | None] = []
         self._rows: list[np.ndarray] = []  # echelon rows, pivot normalized to 1
         self._pivots: list[int] = []
         self._tf: list[np.ndarray] = []  # echelon row i = sum_j tf[i][j] * raw vec j
@@ -78,7 +81,7 @@ class WitnessedBasis:
                 combo[j] = a
         return v, combo
 
-    def add(self, mat: np.ndarray, witness: BraidWord | None = None) -> bool:
+    def add(self, mat: np.ndarray) -> bool:
         """Sift a matrix in; returns True when the dimension grew."""
         fld = self.field
         vec = mat.reshape(-1).astype(fld.dtype)
@@ -103,7 +106,6 @@ class WitnessedBasis:
         self._rows.append(fld.mul_vec(residual, inv_piv))
         self._pivots.append(piv)
         self.mats.append(mat.astype(fld.dtype))
-        self.witnesses.append(witness)
         return True
 
     def __contains__(self, mat: np.ndarray) -> bool:
@@ -135,43 +137,31 @@ class WitnessedBasis:
         return out
 
 
-def span_basis(mats: Iterable[np.ndarray], field: GF2m) -> tuple[list[np.ndarray], int]:
-    """Maximal linearly independent sublist in first-seen order, and its size."""
-    basis = None
-    kept = []
-    for m in mats:
-        if basis is None:
-            basis = WitnessedBasis(field, m.shape[0])
-        if basis.add(m):
-            kept.append(m)
-    return kept, len(kept)
-
-
 class AlgebraClosure:
-    """A witnessed basis kept closed under products with its generators.
+    """A basis kept closed under products with its generators.
 
-    Contains the identity (empty witness) and every added generator, and
-    multiplies each basis element by each productive generator on both
-    sides until no product leaves the span.  Products of pure witnesses
-    concatenate, so closure preserves pure witnesses.  Generators already
-    inside the span contribute nothing new and are skipped.
+    Contains the identity and every added generator, and multiplies each
+    basis element by each productive generator on both sides until no
+    product leaves the span.  Generators already inside the span
+    contribute nothing new and are skipped.
 
-    Each basis element also records how it was formed (identity, a
-    generator, or a one-sided product of a generator with an earlier
-    element).  Evaluating a pure word under a permuted variable
-    assignment is multiplicative over concatenation, so these recipes let
-    callers rebuild every basis matrix under a twisted assignment from
-    the twisted generator images alone, without re-streaming the
-    concatenated witness words.
+    Each basis element records how it was formed (identity, a generator,
+    or a one-sided product of a generator with an earlier element).  With
+    pure witness words for the generators, concatenating along the
+    recipes gives a pure witness word for every basis element.
+    Evaluating a pure word under a permuted variable assignment is
+    multiplicative over concatenation, so the recipes also let callers
+    rebuild every basis matrix under a twisted assignment from the
+    twisted generator images alone, without streaming those words.
     """
 
-    def __init__(self, field: GF2m, n: int, witnessed: bool = True):
+    def __init__(self, field: GF2m, n: int):
         self.basis = WitnessedBasis(field, n)
         self.generators: list[tuple[np.ndarray, BraidWord | None]] = []
         # per basis element: ("one",) | ("gen", gi) | ("gb", gi, bi) | ("bg", bi, gi)
         self.recipes: list[tuple] = []
         self._done: list[int] = []  # per generator: basis size already multiplied
-        self.basis.add(field.identity(n), BraidWord() if witnessed else None)
+        self.basis.add(field.identity(n))
         self.recipes.append(("one",))
 
     @property
@@ -179,8 +169,9 @@ class AlgebraClosure:
         return self.basis.dim
 
     def add_generator(self, mat: np.ndarray, witness: BraidWord | None = None) -> bool:
-        """Add a generator and restore closure; True if the span grew."""
-        if not self.basis.add(mat, witness):
+        """Add a generator, with its optional witness word, and restore
+        closure; True if the span grew."""
+        if not self.basis.add(mat):
             return False
         self.generators.append((mat, witness))
         self.recipes.append(("gen", len(self.generators) - 1))
@@ -193,7 +184,7 @@ class AlgebraClosure:
         progress = True
         while progress:
             progress = False
-            for gi, (gmat, gwit) in enumerate(self.generators):
+            for gi, (gmat, _) in enumerate(self.generators):
                 start = self._done[gi]
                 size = self.basis.dim
                 if start >= size:
@@ -201,14 +192,9 @@ class AlgebraClosure:
                 progress = True
                 for bi in range(start, size):
                     bmat = self.basis.mats[bi]
-                    bwit = self.basis.witnesses[bi]
-                    lwit = rwit = None
-                    if gwit is not None and bwit is not None:
-                        lwit = gwit + bwit
-                        rwit = bwit + gwit
-                    if self.basis.add(fld.mat_mul(gmat, bmat), lwit):
+                    if self.basis.add(fld.mat_mul(gmat, bmat)):
                         self.recipes.append(("gb", gi, bi))
-                    if self.basis.add(fld.mat_mul(bmat, gmat), rwit):
+                    if self.basis.add(fld.mat_mul(bmat, gmat)):
                         self.recipes.append(("bg", bi, gi))
                 self._done[gi] = size
 
@@ -233,45 +219,26 @@ class AlgebraClosure:
         return out
 
 
-def algebra_closure(
-    gens: Iterable[np.ndarray | tuple[np.ndarray, BraidWord | None]], field: GF2m
-) -> WitnessedBasis:
+def algebra_closure(gens: Iterable[np.ndarray], field: GF2m) -> WitnessedBasis:
     """Basis of the smallest subspace containing the identity and the
-    generators that is closed under matrix multiplication.
-
-    Generators may be bare matrices or (matrix, witness word) pairs; with
-    witnesses present, every basis element carries a concatenated witness
-    (the identity gets the empty word).
-    """
-    items = []
-    for g in gens:
-        if isinstance(g, tuple):
-            items.append(g)
-        else:
-            items.append((g, None))
-    if not items:
+    generators that is closed under matrix multiplication."""
+    gens = list(gens)
+    if not gens:
         raise ValueError("need at least one generator")
-    witnessed = all(w is not None for _, w in items)
-    n = items[0][0].shape[0]
-    closure = AlgebraClosure(field, n, witnessed=witnessed)
-    for mat, wit in items:
-        closure.add_generator(mat, wit if witnessed else None)
+    closure = AlgebraClosure(field, gens[0].shape[0])
+    for mat in gens:
+        closure.add_generator(mat)
     return closure.basis
 
 
 @dataclass
 class SolutionSpace:
-    """An affine coefficient space: particular + span(homogeneous)."""
+    """A linear coefficient space: the span of the homogeneous vectors."""
 
-    particular: np.ndarray
-    homogeneous: list[np.ndarray] = dc_field(default_factory=list)
-
-    @property
-    def r(self) -> int:
-        return len(self.particular)
+    homogeneous: list[np.ndarray]
 
     def sample(self, field: GF2m, rng) -> np.ndarray:
-        x = self.particular.copy()
+        x = np.zeros_like(self.homogeneous[0])
         for h in self.homogeneous:
             c = rng.randrange(field.order)
             if c:
@@ -289,7 +256,7 @@ def solve_membership(
 
     The constraint is linear: reducing each gamma_inv * kappa_i against
     V's echelon rows leaves a residual, and x must combine the residuals
-    to zero.  Returns the zero particular plus a kernel basis; raises
+    to zero.  Returns a basis of that kernel; raises
     NoSolution when the kernel is trivial (the span of V is too small, so
     callers should enlarge it and retry).
     """
@@ -324,7 +291,7 @@ def solve_membership(
             combos.append(fld.mul_vec(t, inv_piv))
     if not kernel:
         raise NoSolution("no nonzero combination of the kappa basis lands in span(V)")
-    return SolutionSpace(particular=np.zeros(r, dtype=fld.dtype), homogeneous=kernel)
+    return SolutionSpace(kernel)
 
 
 def sample_invertible(

@@ -9,7 +9,10 @@ The stabilizer chain keeps, for every transversal element and strong
 generator, a witness word over the original labeled generators, so that
 any group element can be factored into an exact product of the declared
 generators.  Factored words can be long; correctness, not length, is the
-contract (an optional randomized shortening pass is available).
+contract.  Transversals use shortest words (Dijkstra over the orbit
+graph).  Randomized transversal shortening (Kalka-Teicher-Tsaban) is not
+applied: at the benchmark sizes it roughly halves the factored words,
+but the attack as a whole gets slower.
 """
 
 from __future__ import annotations
@@ -350,39 +353,6 @@ class StabilizerChain:
         for uw in reversed(used):
             out = out + uw
         return out
-
-    def shorten(self, rng, rounds: int = 200) -> None:
-        """Randomized transversal shortening (off by default in callers).
-
-        Sifts random short products of the declared generators through the
-        chain and swaps them in wherever their accumulated word is shorter
-        than a stored transversal word.  Orbits and membership are
-        unchanged; only factor-word lengths can improve.
-        """
-        # materialize every transversal word first: replacements below must
-        # not feed into other entries' lazy parent walks
-        for lvl in self._levels:
-            for point in lvl.transversal:
-                lvl.word(point)
-        labels = range(len(self.generators))
-        for _ in range(rounds):
-            w: GenWord = tuple(
-                (rng.choice(labels), rng.choice((1, -1)))
-                for _ in range(rng.randint(1, 4))
-            )
-            p = evaluate_genword(w, self.generators, self.n)
-            for lvl in self._levels:
-                if p.is_identity():
-                    break
-                beta = p(lvl.point)
-                entry = lvl.transversal.get(beta)
-                if entry is None:  # pragma: no cover - w is in the group
-                    break
-                uw = lvl.word(beta)
-                if len(w) < len(uw):
-                    lvl.transversal[beta] = (p, len(w), None, w)
-                    lvl._words[beta] = w
-                p, w = p * entry[0].inverse(), w + invert_genword(uw)
 
     @property
     def levels(self):

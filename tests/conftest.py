@@ -2,11 +2,34 @@ import random
 
 import pytest
 
+from cbkap.braid import BraidWord
 from cbkap.field import GF2m
 from cbkap.protocol import alice_round, bob_round, derive_key_alice, ttp_generate
 
 SMALL = dict(n=8, gen_count=8, word_len=100)
 FULL = dict(n=16, gen_count=8, word_len=650)
+
+
+def expand_recipes(closure):
+    """A witness word for every basis element of an AlgebraClosure, in
+    basis order, from its recipes and the generator witness words."""
+    words = []
+    for recipe in closure.recipes:
+        kind = recipe[0]
+        if kind == "one":
+            words.append(BraidWord())
+        elif kind == "gen":
+            words.append(closure.generators[recipe[1]][1])
+        elif kind == "gb":
+            words.append(closure.generators[recipe[1]][1] + words[recipe[2]])
+        else:
+            words.append(words[recipe[1]] + closure.generators[recipe[2]][1])
+    return words
+
+
+@pytest.fixture(scope="session")
+def basis_words():
+    return expand_recipes
 
 
 @pytest.fixture(scope="session")

@@ -197,20 +197,20 @@ def test_braid_relations_symbolic(n):
 
 
 def test_evaluated_matches_symbolic_oracle():
-    fld = GF2m(8)
     rng = random.Random(7)
-    for trial in range(60):
-        n = rng.randint(3, 5)
-        params = params_for(fld, n, rng)
-        w = random_word(n, rng.randrange(26), rng)
-        h = Perm.random(n, rng)
-        s0 = fld.random_matrix(rng, n)
-        got = e_multiply(MatPerm(s0, h), w, params)
-        sym, g = colored_burau(w, n, fld)
-        twisted = sym.evaluate(params.tau, perm=h)
-        assert np.array_equal(got.mat, fld.mat_mul(s0, twisted)), trial
-        assert got.perm == h * g, trial
-        assert word_perm(w, n) == g, trial
+    for fld in (GF2m(8), GF2m(16)):
+        for trial in range(60):
+            n = rng.randint(3, 5)
+            params = params_for(fld, n, rng)
+            w = random_word(n, rng.randrange(26), rng)
+            h = Perm.random(n, rng)
+            s0 = fld.random_matrix(rng, n)
+            got = e_multiply(MatPerm(s0, h), w, params)
+            sym, g = colored_burau(w, n, fld)
+            twisted = sym.evaluate(params.tau, perm=h)
+            assert np.array_equal(got.mat, fld.mat_mul(s0, twisted)), (fld, trial)
+            assert got.perm == h * g, (fld, trial)
+            assert word_perm(w, n) == g, (fld, trial)
 
 
 def test_word_eval_invertible_on_long_words():

@@ -119,19 +119,20 @@ def test_mat_mul_identity_and_inverse():
 
 
 def test_mat_mul_against_triple_loop():
-    fld = GF2m(2)
     rng = random.Random(4)
-    for _ in range(20):
-        a = fld.random_matrix(rng, 3)
-        b = fld.random_matrix(rng, 3)
-        want = fld.zeros(3)
-        for i in range(3):
-            for j in range(3):
-                acc = 0
-                for k in range(3):
-                    acc ^= fld.mul(int(a[i, k]), int(b[k, j]))
-                want[i, j] = acc
-        assert np.array_equal(fld.mat_mul(a, b), want)
+    for degree in (2, 8, 16):
+        fld = GF2m(degree)
+        for _ in range(20):
+            a = fld.random_matrix(rng, 3)
+            b = fld.random_matrix(rng, 3)
+            want = fld.zeros(3)
+            for i in range(3):
+                for j in range(3):
+                    acc = 0
+                    for k in range(3):
+                        acc ^= fld.mul(int(a[i, k]), int(b[k, j]))
+                    want[i, j] = acc
+            assert np.array_equal(fld.mat_mul(a, b), want), degree
 
 
 def test_mat_mul_shape_mismatch():
@@ -141,16 +142,17 @@ def test_mat_mul_shape_mismatch():
 
 
 def test_mat_inv():
-    fld = GF2m(4)
     rng = random.Random(5)
-    assert np.array_equal(fld.mat_inv(fld.identity(4)), fld.identity(4))
-    with pytest.raises(SingularMatrix):
-        fld.mat_inv(fld.zeros(3))
-    for _ in range(20):
-        m = fld.random_invertible(rng, 4)
-        inv = fld.mat_inv(m)
-        assert np.array_equal(fld.mat_mul(m, inv), fld.identity(4))
-        assert np.array_equal(fld.mat_inv(inv), m)
+    for degree in (4, 16):
+        fld = GF2m(degree)
+        assert np.array_equal(fld.mat_inv(fld.identity(4)), fld.identity(4))
+        with pytest.raises(SingularMatrix):
+            fld.mat_inv(fld.zeros(3))
+        for _ in range(20):
+            m = fld.random_invertible(rng, 4)
+            inv = fld.mat_inv(m)
+            assert np.array_equal(fld.mat_mul(m, inv), fld.identity(4)), degree
+            assert np.array_equal(fld.mat_inv(inv), m), degree
 
 
 def test_det_multiplicative_via_cofactor_oracle():

@@ -15,7 +15,6 @@ from cbkap.linalg import (
     algebra_closure,
     sample_invertible,
     solve_membership,
-    span_basis,
 )
 from cbkap.perm import Perm
 
@@ -60,15 +59,20 @@ def brute_force_algebra_dim(field, gens):
 
 
 def test_span_basis():
+    # the basis keeps a maximal independent sublist, in first-seen order
     fld = GF2m(2)
     rng = random.Random(0)
-    assert span_basis([fld.identity(3)], fld)[1] == 1
+    basis = WitnessedBasis(fld, 3)
+    assert basis.add(fld.identity(3)) and basis.dim == 1
+    basis = WitnessedBasis(fld, 3)
     m = fld.random_matrix(rng, 3)
-    kept, dim = span_basis([m, m], fld)
-    assert dim == 1 and np.array_equal(kept[0], m)
+    assert basis.add(m) and not basis.add(m)
+    assert basis.dim == 1 and np.array_equal(basis.mats[0], m)
     mats = [fld.random_matrix(rng, 3) for _ in range(5)]
-    _, dim = span_basis(mats, fld)
-    assert dim == rank_oracle(fld, [m.reshape(-1) for m in mats])
+    basis = WitnessedBasis(fld, 3)
+    kept = [m for m in mats if basis.add(m)]
+    assert basis.dim == len(kept) == rank_oracle(fld, [m.reshape(-1) for m in mats])
+    assert all(np.array_equal(a, b) for a, b in zip(basis.mats, kept))
 
 
 def test_witnessed_basis_express():
@@ -149,7 +153,7 @@ def test_algebra_closure_is_multiplicatively_closed():
 def make_pure_closure(field, n, rng, gen_count=4, word_len=12):
     """Closure of images of pure braid words, with witnesses."""
     params = EvalParams(field, n, tuple(rng.randrange(2, field.order) for _ in range(n)))
-    closure = AlgebraClosure(field, n, witnessed=True)
+    closure = AlgebraClosure(field, n)
     for _ in range(gen_count):
         w = random_word(n, word_len, rng)
         r = word_perm(w, n).order()
@@ -158,19 +162,21 @@ def make_pure_closure(field, n, rng, gen_count=4, word_len=12):
     return params, closure
 
 
-def test_witness_soundness_through_closure():
+def test_witness_soundness_through_closure(basis_words):
     fld = GF2m(5)
     rng = random.Random(5)
     params, closure = make_pure_closure(fld, 6, rng)
     basis = closure.basis
     assert basis.dim >= 3
-    for mat, witness in zip(basis.mats, basis.witnesses):
+    witnesses = basis_words(closure)
+    assert len(witnesses) == basis.dim
+    for mat, witness in zip(basis.mats, witnesses):
         got = word_eval_pair(witness, params)
         assert got.perm.is_identity()
         assert np.array_equal(got.mat, mat)
 
 
-def test_closure_rebuild_matches_direct_twisted_evaluation():
+def test_closure_rebuild_matches_direct_twisted_evaluation(basis_words):
     fld = GF2m(5)
     rng = random.Random(6)
     params, closure = make_pure_closure(fld, 6, rng)
@@ -179,7 +185,7 @@ def test_closure_rebuild_matches_direct_twisted_evaluation():
     gen_images = [e_multiply(seed, wit, params).mat for _, wit in closure.generators]
     rebuilt = closure.rebuild(gen_images)
     assert len(rebuilt) == closure.dim
-    for mat, witness in zip(rebuilt, closure.basis.witnesses):
+    for mat, witness in zip(rebuilt, basis_words(closure)):
         assert np.array_equal(mat, e_multiply(seed, witness, params).mat)
 
 
@@ -228,10 +234,9 @@ def test_solve_membership_planted_and_sound():
         for xi, k in zip(x, kappas):
             combo ^= fld.mul_vec(k, int(xi))
         assert fld.mat_mul(gamma_inv, combo) in v_span
-    # completeness: the planted solution lies in the affine span
-    residual = planted_x ^ space.particular
+    # completeness: the planted solution lies in the solution span
     rows = [h.copy() for h in space.homogeneous]
-    assert rank_oracle(fld, rows) == rank_oracle(fld, rows + [residual])
+    assert rank_oracle(fld, rows) == rank_oracle(fld, rows + [planted_x])
 
 
 def test_solve_membership_no_solution():
@@ -247,11 +252,12 @@ def test_solve_membership_no_solution():
 
 def test_sample_invertible_singleton():
     fld = GF2m(4)
-    space = SolutionSpace(particular=np.array([1], dtype=fld.dtype), homogeneous=[])
+    space = SolutionSpace(homogeneous=[np.array([1], dtype=fld.dtype)])
     c, x, tries = sample_invertible(space, [fld.identity(3)], fld, random.Random(0))
+    # the first draw from Random(0) over GF(2^4) is 12: nonzero, so invertible
     assert tries == 1
-    assert np.array_equal(c, fld.identity(3))
-    assert list(x) == [1]
+    assert list(x) == [12]
+    assert np.array_equal(c, fld.mul_vec(fld.identity(3), 12))
 
 
 def test_sample_invertible_all_singular():
@@ -264,8 +270,7 @@ def test_sample_invertible_all_singular():
             m[i, j] = 1
             uppers.append(m)
     space = SolutionSpace(
-        particular=np.zeros(len(uppers), dtype=fld.dtype),
-        homogeneous=[np.eye(len(uppers), dtype=fld.dtype)[k] for k in range(len(uppers))],
+        homogeneous=[np.eye(len(uppers), dtype=fld.dtype)[k] for k in range(len(uppers))]
     )
     with pytest.raises(InvertibleSampleFailed):
         sample_invertible(space, uppers, fld, random.Random(1), max_tries=32)

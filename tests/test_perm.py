@@ -185,21 +185,3 @@ def test_invert_genword():
     fwd = evaluate_genword(word, gens, 7)
     back = evaluate_genword(invert_genword(word), gens, 7)
     assert (fwd * back).is_identity()
-
-
-def test_shorten_preserves_factoring():
-    rng = random.Random(6)
-    gens = [Perm.random(12, rng) for _ in range(4)]
-    chain = StabilizerChain(gens, 12)
-    targets = []
-    for _ in range(10):
-        g = Perm.identity(12)
-        for _ in range(15):
-            pick = gens[rng.randrange(len(gens))]
-            g = g * (pick if rng.random() < 0.5 else pick.inverse())
-        targets.append((g, len(chain.factor(g))))
-    chain.shorten(random.Random(7), rounds=300)
-    for g, before in targets:
-        word = chain.factor(g)
-        assert evaluate_genword(word, gens, 12) == g
-        assert len(word) <= before
