@@ -52,6 +52,14 @@ print(f"evaluating from (I, {h!r}) permutes the variables first:")
 print(twisted.mat)
 assert np.array_equal(twisted.mat, symbolic.evaluate(params.tau, perm=h))
 
+print("\n== one stream, many twists ==")
+twists = [Perm.random(n, rng) for _ in range(4)]
+stack = e_multiply([MatPerm(field.identity(n), t) for t in twists], word, params)
+for t, state in zip(twists, stack):
+    assert np.array_equal(state.mat, symbolic.evaluate(params.tau, perm=t))
+    assert state.perm == t * perm
+print(f"a stack of {len(twists)} states, each with its own twist, streamed the word once")
+
 print("\n== long words stream in constant memory ==")
 long_word = random_word(16, 200_000, rng)
 big = EvalParams(field, 16, tuple(rng.randrange(2, 256) for _ in range(16)))

@@ -7,12 +7,15 @@ shared key exactly, without recovering either party's secret:
 * precompute: collect pure words (products over the A generator words
   whose permutation part is the identity) by powering short random
   products with small permutation order, and keep their matrix images
-  as a witnessed basis V closed under products.  Collection stops when
-  a run of candidates in a row adds no dimension.
+  as a witnessed basis V closed under products; the image of w^r comes
+  from one stream of w over the twists g^k (g the permutation of w).
+  Collection stops when a run of candidates in a row adds no dimension.
 * step 1: factor the permutation of Alice's message through the
   permutation images of the A generators with a stabilizer chain, expand
   the factorization to a braid word, and peel the message matrix down to
-  a residual matrix ("gamma") with identity permutation part.
+  a residual matrix ("gamma") with identity permutation part.  The same
+  stream evaluates the word from (I, h), h the permutation of Bob's
+  message.
 * step 2: solve the linear system for coefficients over the C algebra
   basis whose combination both lands in span(V) after normalizing by
   gamma^-1 and is invertible (random solutions are invertible with
@@ -22,10 +25,10 @@ shared key exactly, without recovering either party's secret:
   pure component, E-multiplied by the factored word, must reproduce
   Alice's message exactly.
 * assembly: re-evaluate every used witness word from the state
-  ``(I, h)`` (h = the permutation of Bob's message), combine with the
-  expression coefficients, and push the result through Bob's message and
-  the factored word.  Whenever the pipeline completes on an honest
-  transcript, the output equals the shared key exactly.
+  ``(I, h)``, one stream per body, combine with the expression
+  coefficients, and multiply by Bob's message matrix and the factored
+  word's image from (I, h).  Whenever the pipeline completes on an
+  honest transcript, the output equals the shared key exactly.
 
 When the linear step finds no solution (the collected V was too small),
 the pipeline resumes the precomputation with a larger candidate budget
@@ -34,15 +37,16 @@ and retries, up to a configured number of enlargements.
 
 from __future__ import annotations
 
+import functools
 import random as _random
 import resource
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .braid import BraidWord, MatPerm, e_multiply, word_eval_pair, word_perm
+from .braid import BraidWord, EvalParams, MatPerm, e_multiply
 from .field import GF2m
 from .linalg import (
     AlgebraClosure,
@@ -53,7 +57,7 @@ from .linalg import (
     sample_invertible,
     solve_membership,
 )
-from .perm import NotInGroup, Perm, StabilizerChain
+from .perm import NotInGroup, Perm, StabilizerChain, evaluate_genword
 from .protocol import InstancePublic, Transcript
 
 __all__ = [
@@ -123,6 +127,7 @@ class AttackStats:
     factor_seconds: float = 0.0
     scale_seconds: float = 0.0
     split_seconds: float = 0.0
+    audit_seconds: float = 0.0
     recover_seconds: float = 0.0
     total_seconds: float = 0.0
     peak_rss_mb: float = 0.0
@@ -134,11 +139,13 @@ class AttackStats:
 @dataclass
 class PureBasis:
     """The product-closed basis V of pure-word images, plus collection
-    statistics.  Every collected pure word is kept in the closure as the
-    witness of the generator it added."""
+    statistics.  Every collected pure word w^r is kept in the closure as
+    the witness of the generator it added; ``powers`` holds its (w,
+    perm(w)), r being the order of perm(w)."""
 
     closure: AlgebraClosure
     candidates: int = 0
+    powers: list[tuple[BraidWord, Perm]] = field(default_factory=list)
 
     @property
     def basis(self):
@@ -157,7 +164,8 @@ class AttackArtifacts:
     transcript permutation; ``residual`` the peeled message matrix;
     ``scale`` the invertible C-algebra element with its coefficients;
     ``pure_part`` equals scale^-1 * residual and ``pure_coeffs`` express
-    it over the pure basis.
+    it over the pure basis; ``twisted_word`` is perm_word's matrix from
+    (I, h), h the permutation of Bob's message.
     """
 
     perm_word: BraidWord
@@ -166,18 +174,36 @@ class AttackArtifacts:
     scale_coeffs: np.ndarray
     pure_part: np.ndarray
     pure_coeffs: np.ndarray
+    twisted_word: np.ndarray
+
+
+def _expand(pub: InstancePublic, gen_word) -> BraidWord:
+    """The braid word of a word over the A generators."""
+    gens = pub.a_gens
+    return BraidWord.concat(*(gens[k] if e > 0 else gens[k].inverse() for k, e in gen_word))
 
 
 def _candidate_words(pub: InstancePublic, rng, config: AttackConfig):
-    """Yield an endless stream of candidate words over the A generators."""
-    gens = pub.a_gens
+    """Yield an endless stream of candidate words over the A generators,
+    each with its permutation, composed from the generators' own."""
     lo, hi = config.candidate_draws
     while True:
-        parts = []
-        for _ in range(rng.randint(lo, hi)):
-            w = gens[rng.randrange(len(gens))]
-            parts.append(w if rng.random() < 0.5 else w.inverse())
-        yield BraidWord.concat(*parts)
+        gen_word = [
+            (rng.randrange(len(pub.a_gens)), 1 if rng.random() < 0.5 else -1)
+            for _ in range(rng.randint(lo, hi))
+        ]
+        yield _expand(pub, gen_word), evaluate_genword(gen_word, pub.a_perms, pub.params.n)
+
+
+def _power_image(params: EvalParams, w: BraidWord, g: Perm, h: Perm) -> np.ndarray:
+    """The matrix of w^r from (I, h), g = perm(w) of order r: the product
+    of w's matrices from the twists h g^k, k < r, all from one stream."""
+    fld = params.field
+    twists = [h]
+    for _ in range(g.order() - 1):
+        twists.append(twists[-1] * g)
+    images = e_multiply([MatPerm(fld.identity(params.n), t) for t in twists], w, params)
+    return functools.reduce(fld.mat_mul, [image.mat for image in images])
 
 
 def _collect_pure(
@@ -198,8 +224,8 @@ def _collect_pure(
     stall = 0
     rejections = 0
     while stall < config.stall and consumed < cap:
-        word = next(stream)
-        r = word_perm(word, n).order()
+        word, g = next(stream)
+        r = g.order()
         if r > order_cap:
             rejections += 1
             if rejections >= config.filter_budget:
@@ -208,10 +234,10 @@ def _collect_pure(
                 )
             continue
         rejections = 0
-        if r > 1:
-            word = word.power(r)
         consumed += 1
-        if pure.closure.add_generator(word_eval_pair(word, params).mat, word):
+        mat = _power_image(params, word, g, Perm.identity(n))
+        if pure.closure.add_generator(mat, word.power(r)):
+            pure.powers.append((word, g))
             stall = 0
         else:
             stall += 1
@@ -252,8 +278,8 @@ def extend_pure_basis(
 def factor_permutation(
     pub: InstancePublic,
     msg: MatPerm,
-    chain: StabilizerChain | None = None,
-) -> tuple[BraidWord, np.ndarray]:
+    twist: Perm | None = None,
+) -> tuple[BraidWord, np.ndarray, np.ndarray]:
     """Express the message permutation over the A generators and peel the
     message matrix down to a residual with identity permutation part.
 
@@ -262,29 +288,25 @@ def factor_permutation(
     a braid word (inverse labels become reversed-inverted generator
     words).  The residual is the message matrix times the inverse of the
     word's evaluated matrix, which is exactly the message E-multiplied by
-    the inverse pair.  Raises GNotExpressible when the permutation is
-    outside the generated group (the instance is then outside the
-    attackable family).
+    the inverse pair.  The third result is the word's matrix from (I,
+    twist), twist defaulting to the identity, from the same stream.
+    Raises GNotExpressible when the permutation is outside the generated
+    group (the instance is then outside the attackable family).
     """
     params = pub.params
     n = params.n
-    if chain is None:
-        chain = StabilizerChain([word_perm(w, n) for w in pub.a_gens], n)
     try:
-        gen_word = chain.factor(msg.perm)
+        gen_word = StabilizerChain(pub.a_perms, n).factor(msg.perm)
     except NotInGroup as exc:
         raise GNotExpressible(str(exc)) from exc
-    parts = [
-        pub.a_gens[label] if exp > 0 else pub.a_gens[label].inverse()
-        for label, exp in gen_word
-    ]
-    word = BraidWord.concat(*parts) if parts else BraidWord()
-    ev = word_eval_pair(word, params)
+    word = _expand(pub, gen_word)
+    fld = params.field
+    starts = [MatPerm(fld.identity(n), t) for t in (Perm.identity(n), twist) if t is not None]
+    ev, *twisted = e_multiply(starts, word, params)
     if ev.perm != msg.perm:  # pragma: no cover - the chain factors exactly
         raise GNotExpressible("factored word does not reproduce the permutation")
-    fld = params.field
     residual = fld.mat_mul(msg.mat, fld.mat_inv(ev.mat))
-    return word, residual
+    return word, residual, (twisted or [ev])[0].mat
 
 
 def solve_scale(
@@ -350,7 +372,8 @@ def recover_key(
     concatenation, so only the collected generator words are re-streamed
     and the closure recipes rebuild the rest by matrix products.  The
     twisted combination then rides through Bob's message and the factored
-    word under the recovered scale.
+    word's twisted image under the recovered scale; the permutation part
+    is h times that of Alice's message, which the factored word matches.
     """
     params = pub.params
     fld = params.field
@@ -359,18 +382,14 @@ def recover_key(
         raise ValueError("transcript is missing Bob's message")
     h = transcript.bob_msg.perm
     q = transcript.bob_msg.mat
-    seed = MatPerm(fld.identity(n), h)
-    gen_images = [
-        e_multiply(seed, witness, params).mat for _, witness in pure.closure.generators
-    ]
+    gen_images = [_power_image(params, w, g, h) for w, g in pure.powers]
     twisted_basis = pure.closure.rebuild(gen_images)
     twisted = fld.zeros(n)
     for coeff, mat in zip(artifacts.pure_coeffs, twisted_basis):
         if coeff:
             twisted ^= fld.mul_vec(mat, int(coeff))
-    state = MatPerm(fld.mat_mul(q, twisted), h)
-    t = e_multiply(state, artifacts.perm_word, params)
-    return MatPerm(fld.mat_mul(artifacts.scale, t.mat), t.perm)
+    mat = fld.mat_mul(fld.mat_mul(q, twisted), artifacts.twisted_word)
+    return MatPerm(fld.mat_mul(artifacts.scale, mat), h * transcript.alice_msg.perm)
 
 
 def attack_run(
@@ -408,7 +427,9 @@ def attack_run(
 
     t0 = time.perf_counter()
     try:
-        perm_word, residual = factor_permutation(pub, transcript.alice_msg)
+        perm_word, residual, twisted_word = factor_permutation(
+            pub, transcript.alice_msg, twist=transcript.bob_msg.perm
+        )
     except GNotExpressible as exc:
         raise AttackFailed("factor", str(exc)) from exc
     stats.factor_letters = len(perm_word)
@@ -427,7 +448,7 @@ def attack_run(
             pure_part, pure_coeffs = split_pure_part(scale, residual, pure, fld)
             stats.split_seconds += time.perf_counter() - t0
             artifacts = AttackArtifacts(
-                perm_word, residual, scale, scale_coeffs, pure_part, pure_coeffs
+                perm_word, residual, scale, scale_coeffs, pure_part, pure_coeffs, twisted_word
             )
             break
         except (NoSolution, InvertibleSampleFailed, AlphaPrimeOutsideV) as exc:
@@ -441,8 +462,10 @@ def attack_run(
             )
             stats.precompute_seconds += time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     if not verify_reconstruction(pub, transcript.alice_msg, artifacts):
         raise AttackFailed("audit", "reconstruction identity does not hold")
+    stats.audit_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     key = recover_key(pub, transcript, pure, artifacts)

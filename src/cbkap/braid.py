@@ -20,7 +20,9 @@ substituting the fixed nonzero field values ``tau_i`` for ``t_i``.  It is
 computed letter by letter; each letter touches at most three columns of
 the state matrix, so the cost is O(n) field operations per letter and
 words of hundreds of thousands of letters stream in seconds.  Words with
-repetition structure are streamed without expansion.
+repetition structure are streamed without expansion.  ``e_multiply``
+also streams one word over a stack of states, each with its own starting
+permutation (twist), for the price of about one stream.
 
 ``colored_burau`` is the symbolic reference implementation of the pair
 map over Laurent polynomials, kept for small n as an independent oracle.
@@ -154,17 +156,30 @@ def free_reduce(word: BraidWord) -> BraidWord:
 
 def word_perm(word: BraidWord, n: int) -> Perm:
     """The permutation part of the pair image: the product of the
-    transpositions (i, i+1) in word order; letter signs are irrelevant."""
-    img = list(range(n))
-    inv = list(range(n))
-    for letter in word.letters():
-        i = abs(letter) - 1
-        if i >= n - 1:
-            raise ValueError(f"letter {letter} out of range for n={n}")
-        j1, j2 = inv[i], inv[i + 1]
-        img[j1], img[j2] = i + 1, i
-        inv[i], inv[i + 1] = j2, j1
-    return Perm(img)
+    transpositions (i, i+1) in word order; letter signs are irrelevant.
+
+    Computed from the tree: a repetition contributes its body's
+    permutation raised to the count by square-and-multiply, so the cost
+    follows the nodes and leaf letters, not the length."""
+    inv = list(range(n))  # images of the inverse of the prefix's permutation
+    for part in word._parts:
+        if isinstance(part, int):
+            i = abs(part) - 1
+            if i >= n - 1:
+                raise ValueError(f"letter {part} out of range for n={n}")
+            inv[i], inv[i + 1] = inv[i + 1], inv[i]
+            continue
+        if isinstance(part, _Repeat):
+            base, p, k = _word_perm(part.body, n), Perm.identity(n), part.count
+            while k:
+                p, base, k = (p * base if k & 1 else p), base * base, k >> 1
+        else:
+            p = _word_perm(part, n)
+        inv = list((p.inverse() * Perm(inv)).images)
+    return Perm(inv).inverse()
+
+
+_word_perm = word_perm  # the recursion, unseen by wrappers of the public name
 
 
 def random_word(n: int, length: int, rng, strands: Iterable[int] | None = None) -> BraidWord:
@@ -237,8 +252,11 @@ def left_mul(field: GF2m, x: np.ndarray, omega: MatPerm) -> MatPerm:
     return MatPerm(field.mat_mul(x, omega.mat), omega.perm)
 
 
-def e_multiply(start: MatPerm, word: BraidWord, params: EvalParams) -> MatPerm:
-    """Right-multiply a state by the pair image of a braid word.
+def e_multiply(
+    start: MatPerm | Iterable[MatPerm], word: BraidWord, params: EvalParams
+) -> MatPerm | list[MatPerm]:
+    """Right-multiply a state, or each state of a sequence, by the pair
+    image of a braid word; returns a state or a list of states.
 
     At state (S, g), letter +-i right-multiplies S by the evaluated
     generator matrix with the indeterminates permuted by the current g
@@ -248,38 +266,53 @@ def e_multiply(start: MatPerm, word: BraidWord, params: EvalParams) -> MatPerm:
     change, costing O(n) field operations per letter.
 
     Evaluating from ``(I, h)`` yields the matrix of the word with its
-    variables permuted by h before evaluation, which is how twisted
-    images are computed without symbolic algebra.
+    variables permuted by h before evaluation (twisted by h), which is
+    how twisted images are computed without symbolic algebra.  A stack
+    of states (S_b, h_b) streams the word once: after a prefix with
+    permutation p, state b multiplies by ``tau[h_b^-1(p^-1(i))]``.
     """
+    single = isinstance(start, MatPerm)
+    states = [start] if single else list(start)
+    if not states:
+        return []
     fld = params.field
     n = params.n
-    if start.perm.n != n:
+    if any(s.perm.n != n for s in states):
         raise ValueError("state size does not match params")
-    S = start.mat.astype(fld.dtype, copy=True)
-    g = list(start.perm.images)
-    ginv = list(start.perm.inverse().images)
+    # row j holds column j of every state, one state after another
+    T = np.concatenate([s.mat.T for s in states], axis=1).astype(fld.dtype, copy=False)
+    hinv = [sorted(range(n), key=s.perm.images.__getitem__) for s in states]
     rows = params.scale_rows
+    if all(s.perm == states[0].perm for s in states):  # gather from one twist's rows
+        tables = [rows[k] for k in hinv[0]] + [rows[n + k] for k in hinv[0]]
+        offsets = None
+    else:  # per-state row offsets into the flattened table
+        offsets = np.repeat(np.array(hinv) * fld.order, n, axis=0).T
+        offsets = list(offsets) + list(offsets + n * fld.order)
+        flat = rows.reshape(-1)
+    cols = list(T)  # letter 1 adds into a scratch column instead of column -1
+    steps = list(zip(range(n - 1), [np.zeros_like(cols[0])] + cols[:-2], cols[:-1], cols[1:]))
+    plan = dict(zip(range(1, n), steps))
+    plan.update(zip(range(-1, -n, -1), steps))
+    inv = list(range(n))  # images of the inverse of the prefix's permutation p
     for letter in word.letters():
-        i = abs(letter)
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"letter {letter} out of range for n={n}")
-        r = i - 1
-        old = S[:, r]  # read before column r is overwritten below
+        try:
+            r, left, old, right = plan[letter]
+        except KeyError:
+            raise ValueError(f"letter {letter} out of range for n={n}") from None
+        k = inv[r] if letter > 0 else n + inv[r + 1]
+        prod = tables[k].take(old) if offsets is None else flat.take(offsets[k] + old)
         if letter > 0:
-            prod = rows[ginv[r]].take(old)
-            if r > 0:
-                S[:, r - 1] ^= prod
-            S[:, r + 1] ^= old
+            left ^= prod
+            right ^= old
         else:
-            prod = rows[n + ginv[r + 1]].take(old)
-            if r > 0:
-                S[:, r - 1] ^= old
-            S[:, r + 1] ^= prod
-        S[:, r] = prod
-        j1, j2 = ginv[r], ginv[r + 1]
-        g[j1], g[j2] = r + 1, r
-        ginv[r], ginv[r + 1] = j2, j1
-    return MatPerm(S, Perm(g))
+            left ^= old
+            right ^= prod
+        old[...] = prod  # column r, read above before this overwrite
+        inv[r], inv[r + 1] = inv[r + 1], inv[r]
+    p = Perm(inv).inverse()
+    out = [MatPerm(T[:, b * n:(b + 1) * n].T.copy(), s.perm * p) for b, s in enumerate(states)]
+    return out[0] if single else out
 
 
 def word_eval_pair(word: BraidWord, params: EvalParams) -> MatPerm:

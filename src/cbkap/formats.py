@@ -107,21 +107,28 @@ def word_to_json(word: BraidWord):
 
 
 def word_from_json(obj) -> BraidWord:
+    """The inverse of word_to_json: letters, nested arrays (shared
+    subwords) and repetition objects become the parts of one node."""
     if not isinstance(obj, list):
         raise FormatError("braid word must be an array")
     parts = []
+    length = 0
     for item in obj:
-        if isinstance(item, bool):
-            raise FormatError("braid letters must be integers")
-        if isinstance(item, int):
-            parts.append(BraidWord([item]))
+        if type(item) is int and item:
+            parts.append(item)
+            length += 1
         elif isinstance(item, list):
             parts.append(word_from_json(item))
+            length += len(parts[-1])
         elif isinstance(item, dict) and set(item) == {"body", "count"}:
-            parts.append(word_from_json(item["body"]).power(int(item["count"])))
+            count = item["count"]
+            if type(count) is not int or count < 1:
+                raise FormatError(f"bad repetition count: {count!r}")
+            parts.append(_Repeat(word_from_json(item["body"]), count))
+            length += count * len(parts[-1].body)
         else:
             raise FormatError(f"bad braid word element: {item!r}")
-    return BraidWord.concat(*parts) if parts else BraidWord()
+    return BraidWord._from_parts(tuple(parts), length)
 
 
 def matrix_to_json(mat: np.ndarray) -> list[int]:

@@ -61,16 +61,16 @@ __all__ = [
 @dataclass
 class InstancePublic:
     """What Alice (and the adversary) sees: evaluation parameters, the A
-    generator braid words, and the C generator matrices."""
+    generator braid words, and the C generator matrices.  ``a_perms``
+    holds the generators' permutation parts, computed once here, which
+    also checks their letter ranges."""
 
     params: EvalParams
     a_gens: list[BraidWord]
     c_gens: list[np.ndarray]
 
     def __post_init__(self):
-        n = self.params.n
-        for w in self.a_gens:
-            word_perm(w, n)  # validates letter ranges
+        self.a_perms = [word_perm(w, self.params.n) for w in self.a_gens]
         fld = self.params.field
         for c in self.c_gens:
             if not fld.is_invertible(c):

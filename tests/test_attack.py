@@ -118,13 +118,20 @@ def test_attack_with_multiple_c_generators(small_instance, small_field):
 def test_factor_permutation_contract(small_instance):
     pub, priv, _ = small_instance
     _, transcript, _ = fresh_exchange(pub, priv, 5)
-    word, residual = factor_permutation(pub, transcript.alice_msg)
+    h = transcript.bob_msg.perm
+    word, residual, twisted = factor_permutation(pub, transcript.alice_msg, twist=h)
     params = pub.params
     assert word_perm(word, params.n) == transcript.alice_msg.perm
     # (residual, e) equals the message E-multiplied by the inverse pair
     peeled = e_multiply(transcript.alice_msg, word.inverse(), params)
     assert peeled.perm.is_identity()
     assert np.array_equal(peeled.mat, residual)
+    # the twisted image is the word evaluated on its own from (I, h)
+    seed = MatPerm(params.field.identity(params.n), h)
+    assert np.array_equal(twisted, e_multiply(seed, word, params).mat)
+    # without a twist it is the word's plain image
+    _, _, plain = factor_permutation(pub, transcript.alice_msg)
+    assert np.array_equal(plain, word_eval_pair(word, params).mat)
 
 
 def test_factor_pure_message_gives_message_matrix(small_instance):
@@ -135,7 +142,7 @@ def test_factor_pure_message_gives_message_matrix(small_instance):
     r = word_perm(w, pub.params.n).order()
     pure_word = w.power(r) if r > 1 else w
     msg = word_eval_pair(pure_word, pub.params)
-    word, residual = factor_permutation(pub, msg)
+    word, residual, _ = factor_permutation(pub, msg)
     assert len(word) == 0
     assert np.array_equal(residual, msg.mat)
 
@@ -162,7 +169,7 @@ def test_residual_normalizes_secret_into_span(small_instance, small_field):
     for seed in range(20):
         asec, transcript, _ = fresh_exchange(pub, priv, 50 + seed)
         pure = precompute_pure_basis(pub, random.Random(900 + seed))
-        _, residual = factor_permutation(pub, transcript.alice_msg)
+        _, residual, _ = factor_permutation(pub, transcript.alice_msg)
         probe = small_field.mat_mul(small_field.mat_inv(residual), asec.matrix)
         hits += probe in pure.basis
     assert hits >= 19
@@ -172,7 +179,7 @@ def test_solve_scale_postconditions(small_instance, small_field):
     pub, priv, _ = small_instance
     _, transcript, _ = fresh_exchange(pub, priv, 7)
     pure = precompute_pure_basis(pub, random.Random(8))
-    _, residual = factor_permutation(pub, transcript.alice_msg)
+    _, residual, _ = factor_permutation(pub, transcript.alice_msg)
     scale, coeffs, tries = solve_scale(residual, pub.c_gens, pure, small_field, random.Random(9))
     assert tries <= 16
     assert small_field.is_invertible(scale)
@@ -185,14 +192,14 @@ def test_split_pure_part_and_reconstruction(small_instance, small_field):
     pub, priv, _ = small_instance
     _, transcript, _ = fresh_exchange(pub, priv, 10)
     pure = precompute_pure_basis(pub, random.Random(11))
-    word, residual = factor_permutation(pub, transcript.alice_msg)
+    word, residual, twisted = factor_permutation(pub, transcript.alice_msg)
     scale, scoeffs, _ = solve_scale(residual, pub.c_gens, pure, small_field, random.Random(12))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
     assert np.array_equal(
         part, small_field.mat_mul(small_field.mat_inv(scale), residual)
     )
     assert np.array_equal(pure.basis.combine(pcoeffs), part)
-    artifacts = AttackArtifacts(word, residual, scale, scoeffs, part, pcoeffs)
+    artifacts = AttackArtifacts(word, residual, scale, scoeffs, part, pcoeffs, twisted)
     assert verify_reconstruction(pub, transcript.alice_msg, artifacts)
     # degenerate split: scale = residual makes the pure part the identity
     ident, icoeffs = split_pure_part(residual, residual, pure, small_field)
@@ -208,6 +215,53 @@ def test_attack_recovers_exact_key(small_instance):
         assert recovered == key.key
         assert stats.dim_v >= 2
         assert stats.total_seconds < 60
+        stages = ("precompute", "factor", "scale", "split", "audit", "recover")
+        seconds = [getattr(stats, f"{stage}_seconds") for stage in stages]
+        assert all(t > 0 for t in seconds)
+        assert sum(seconds) <= stats.total_seconds
+
+
+def test_power_images_match_streamed_powers(small_instance):
+    # one stream of w over the twists h g^k gives the image of w^r from (I, h)
+    pub, _, _ = small_instance
+    params = pub.params
+    pure = precompute_pure_basis(pub, random.Random(212))
+    assert len(pure.powers) == len(pure.closure.generators)
+    rng = random.Random(213)
+    for (mat, witness), (w, g) in zip(pure.closure.generators, pure.powers):
+        r = g.order()
+        assert g == word_perm(w, params.n)
+        assert list(witness.letters()) == list(w.power(r).letters())
+        assert np.array_equal(mat, word_eval_pair(w.power(r), params).mat)
+        h = Perm.random(params.n, rng)
+        seed = MatPerm(params.field.identity(params.n), h)
+        assert np.array_equal(
+            attack_mod._power_image(params, w, g, h), e_multiply(seed, w.power(r), params).mat
+        )
+
+
+def test_recover_key_matches_single_state_assembly(small_instance, small_field):
+    # the stacked assembly against the single-state one: every witness
+    # streamed whole from (I, h), then Bob's message E-multiplied by the
+    # factored word
+    pub, priv, _ = small_instance
+    _, transcript, key = fresh_exchange(pub, priv, 214)
+    pure = precompute_pure_basis(pub, random.Random(215))
+    h = transcript.bob_msg.perm
+    word, residual, twisted_word = factor_permutation(pub, transcript.alice_msg, twist=h)
+    scale, scoeffs, _ = solve_scale(residual, pub.c_gens, pure, small_field, random.Random(216))
+    part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
+    artifacts = AttackArtifacts(word, residual, scale, scoeffs, part, pcoeffs, twisted_word)
+    n = pub.params.n
+    seed = MatPerm(small_field.identity(n), h)
+    images = [e_multiply(seed, w, pub.params).mat for _, w in pure.closure.generators]
+    twisted = small_field.zeros(n)
+    for c, m in zip(pcoeffs, pure.closure.rebuild(images)):
+        twisted ^= small_field.mul_vec(m, int(c))
+    state = MatPerm(small_field.mat_mul(transcript.bob_msg.mat, twisted), h)
+    t = e_multiply(state, word, pub.params)
+    single = MatPerm(small_field.mat_mul(scale, t.mat), t.perm)
+    assert recover_key(pub, transcript, pure, artifacts) == single == key.key
 
 
 def test_attack_is_deterministic(small_instance):
@@ -291,10 +345,12 @@ def test_extension_grows_small_basis(small_instance, small_field):
     assert pure.dim == small + grown
     assert grown >= 0
     _, transcript, key = fresh_exchange(pub, priv, 26)
-    word, residual = factor_permutation(pub, transcript.alice_msg)
+    word, residual, twisted = factor_permutation(
+        pub, transcript.alice_msg, twist=transcript.bob_msg.perm
+    )
     scale, scoeffs, _ = solve_scale(residual, pub.c_gens, pure, small_field, random.Random(27))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
-    artifacts = AttackArtifacts(word, residual, scale, scoeffs, part, pcoeffs)
+    artifacts = AttackArtifacts(word, residual, scale, scoeffs, part, pcoeffs, twisted)
     assert recover_key(pub, transcript, pure, artifacts) == key.key
 
 

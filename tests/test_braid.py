@@ -17,6 +17,7 @@ from cbkap.braid import (
 )
 from cbkap.field import GF2m
 from cbkap.perm import Perm
+from cbkap.protocol import InstancePublic
 
 
 def params_for(field, n, rng):
@@ -60,6 +61,21 @@ def test_repetition_streams_without_expansion():
     assert letters(w.power(3)) == letters(w) * 3
 
 
+def random_tree(n, rng, depth):
+    """A random word mixing letters, shared subwords, repetitions and
+    inverses."""
+    w = random_word(n, rng.randrange(5), rng)
+    for _ in range(rng.randrange(4) if depth else 0):
+        sub = random_tree(n, rng, depth - 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            sub = sub.power(rng.randint(1, 5))
+        elif kind == 1:
+            sub = sub.inverse()
+        w = w + sub if rng.random() < 0.5 else sub + w
+    return w
+
+
 def test_word_perm():
     n = 6
     assert word_perm(BraidWord(), n).is_identity()
@@ -73,6 +89,24 @@ def test_word_perm():
     assert word_perm(BraidWord(range(1, n)), n) == expect
     with pytest.raises(ValueError):
         word_perm(BraidWord([n]), n)
+    # nested trees against the letter-streamed oracle
+    rng = random.Random(11)
+    for n in (2, 5, 8):
+        for _ in range(60):
+            w = random_tree(n, rng, 3)
+            expect = Perm.identity(n)
+            for x in w.letters():
+                expect = expect * Perm.transposition(n, abs(x) - 1)
+            assert word_perm(w, n) == expect
+    # a repetition is never expanded, and its body is still range-checked
+    huge = BraidWord([1]).power(10**12)
+    assert word_perm(huge, 3).is_identity()
+    assert word_perm(huge + BraidWord([1]).power(10**12 + 1), 3) == Perm.transposition(3, 0)
+    fld = GF2m(4)
+    pub = InstancePublic(params_for(fld, 3, rng), [huge], [fld.identity(3)])
+    assert pub.a_perms == [Perm.identity(3)]
+    with pytest.raises(ValueError):
+        word_perm(BraidWord([1, 3]).power(10**12), 3)
 
 
 def test_eval_params_validation():
@@ -92,6 +126,12 @@ def test_e_multiply_empty_and_inverse():
     for _ in range(25):
         w = random_word(8, rng.randrange(31), rng)
         assert e_multiply(e_multiply(omega, w, params), w.inverse(), params) == omega
+    # stacks: the empty word keeps every state, an empty stack stays empty
+    states = [MatPerm(fld.random_matrix(rng, 8), Perm.random(8, rng)) for _ in range(3)]
+    assert e_multiply(states, BraidWord(), params) == states
+    assert e_multiply([], random_word(8, 10, rng), params) == []
+    one = e_multiply(states[0], BraidWord([1]), params)
+    assert e_multiply(states[:1], BraidWord([1]), params) == [one]
 
 
 def test_e_multiply_letter_range():
@@ -99,6 +139,36 @@ def test_e_multiply_letter_range():
     params = params_for(fld, 4, random.Random(2))
     with pytest.raises(ValueError):
         word_eval_pair(BraidWord([5]), params)
+    states = [MatPerm(fld.identity(4), Perm.random(4, random.Random(3))) for _ in range(2)]
+    with pytest.raises(ValueError):
+        e_multiply(states, BraidWord([1, -4]), params)
+    with pytest.raises(ValueError):
+        e_multiply(states + [MatPerm.identity(fld, 3)], BraidWord([1]), params)
+
+
+def test_stacked_e_multiply_matches_single_states():
+    rng = random.Random(12)
+    for fld in (GF2m(2), GF2m(8), GF2m(16)):
+        for n in (3, 5, 8):
+            params = params_for(fld, n, rng)
+            for size in (1, 2, 5):
+                for distinct in (False, True):
+                    h = Perm.random(n, rng)
+                    states = [
+                        MatPerm(fld.random_matrix(rng, n), Perm.random(n, rng) if distinct else h)
+                        for _ in range(size)
+                    ]
+                    kept = [MatPerm(s.mat.copy(), s.perm) for s in states]
+                    w = random_word(n, rng.randrange(1, 30), rng)
+                    got = e_multiply(states, w, params)
+                    assert states == kept  # the inputs are not modified
+                    assert got == [e_multiply(s, w, params) for s in states]
+                    # the symbolic oracle: S_b times the word twisted by h_b
+                    sym, g = colored_burau(w, n, fld)
+                    for s, out in zip(states, got):
+                        assert out.perm == s.perm * g
+                        want = fld.mat_mul(s.mat, sym.evaluate(params.tau, perm=s.perm))
+                        assert np.array_equal(out.mat, want)
 
 
 def test_right_action_law():

@@ -36,6 +36,16 @@ def test_word_json_round_trip():
         formats.word_from_json([1, "x"])
     with pytest.raises(FormatError):
         formats.word_from_json({"body": [1], "count": 2})
+    # each load/save cycle returns the same array: letters stay in one node
+    for j in (
+        [1, -2, 3, {"body": [2, 1], "count": 3}],
+        [[1, [2, {"body": [[3], -1], "count": 2}]], 4, {"body": [], "count": 1}],
+    ):
+        assert formats.word_to_json(formats.word_from_json(j)) == j
+    assert len(formats.word_from_json([{"body": [1], "count": 10**12}])) == 10**12
+    for bad in ([0], [{"body": [1], "count": 0}], [{"body": [1], "count": "2"}]):
+        with pytest.raises(FormatError):
+            formats.word_from_json(bad)
 
 
 def test_instance_round_trip(tmp_path, small_instance):
