@@ -377,17 +377,13 @@ def recover_key(
     """
     params = pub.params
     fld = params.field
-    n = params.n
     if transcript.bob_msg is None:
         raise ValueError("transcript is missing Bob's message")
     h = transcript.bob_msg.perm
     q = transcript.bob_msg.mat
     gen_images = [_power_image(params, w, g, h) for w, g in pure.powers]
     twisted_basis = pure.closure.rebuild(gen_images)
-    twisted = fld.zeros(n)
-    for coeff, mat in zip(artifacts.pure_coeffs, twisted_basis):
-        if coeff:
-            twisted ^= fld.mul_vec(mat, int(coeff))
+    twisted = fld.dot(artifacts.pure_coeffs, np.stack(twisted_basis))
     mat = fld.mat_mul(fld.mat_mul(q, twisted), artifacts.twisted_word)
     return MatPerm(fld.mat_mul(artifacts.scale, mat), h * transcript.alice_msg.perm)
 

@@ -120,12 +120,13 @@ class BraidWord:
         return BraidWord._from_parts(tuple(parts), self._length)
 
     def letters(self) -> Iterator[int]:
-        """Stream the letters without expanding the tree."""
+        """Stream the letters without expanding the tree.  A repetition of
+        an empty body is skipped, so its count costs nothing."""
         for part in self._parts:
             if isinstance(part, int):
                 yield part
             elif isinstance(part, _Repeat):
-                for _ in range(part.count):
+                for _ in range(part.count if part.body._length else 0):
                     yield from part.body.letters()
             else:
                 yield from part.letters()

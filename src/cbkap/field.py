@@ -198,8 +198,9 @@ class GF2m:
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
         """Elementwise product of two broadcastable arrays (or an array and
-        a scalar) of field elements, by log/antilog lookup."""
-        return self._exp_np[self._log_np[a] + self._log_np[b]]
+        a scalar) of field elements, by log/antilog lookup.  ``take`` is
+        the same gather as indexing, at about half the cost here."""
+        return self._exp_np.take(self._log_np.take(a) + self._log_np.take(b))
 
     def mul_vec(self, v: np.ndarray, s: int) -> np.ndarray:
         """Scale a vector (or matrix) of field elements by the scalar s."""
@@ -211,11 +212,20 @@ class GF2m:
     def zeros(self, n: int, m: int | None = None) -> np.ndarray:
         return np.zeros((n, m if m is not None else n), dtype=self.dtype)
 
+    def dot(self, a, b: np.ndarray) -> np.ndarray:
+        """Sum over the last axis of a against the first axis of b, XOR
+        accumulated: coefficients against a stack give their linear
+        combination, and a matrix against a matrix gives the product."""
+        a = np.asarray(a, dtype=self.dtype)
+        return np.bitwise_xor.reduce(
+            self.mul_arr(a.reshape(a.shape + (1,) * (b.ndim - 1)), b), axis=a.ndim - 1
+        )
+
     def mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact matrix product; accumulation is XOR over the inner index."""
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ValueError("matrix dimension mismatch")
-        return np.bitwise_xor.reduce(self.mul_arr(a[:, :, None], b[None]), axis=1)
+        return self.dot(a, b)
 
     def mat_inv(self, a: np.ndarray) -> np.ndarray:
         """Inverse by Gauss-Jordan elimination, pivoting on the first

@@ -29,6 +29,8 @@ __all__ = [
     "FORMAT_VERSION",
     "KINDS",
     "FormatError",
+    "MAX_WORD_DEPTH",
+    "MAX_WORD_LETTERS",
     "save_envelope",
     "load_envelope",
     "word_to_json",
@@ -56,6 +58,13 @@ class FormatError(ValueError):
     """A file failed to parse or carried the wrong kind/version."""
 
 
+# Caps on a decoded braid word, far above generated words (one array deep,
+# 650 letters at the tests' full size): a hostile file must not exhaust the
+# stack or make every later stream of the word unbounded.
+MAX_WORD_DEPTH = 64
+MAX_WORD_LETTERS = 1 << 17
+
+
 def save_envelope(path, kind: str, payload: dict) -> None:
     if kind not in KINDS:
         raise FormatError(f"unknown envelope kind {kind!r}")
@@ -66,7 +75,7 @@ def save_envelope(path, kind: str, payload: dict) -> None:
 def load_envelope(path, expect_kind: str | None = None) -> tuple[str, dict]:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"format_version", "kind", "payload"}:
         raise FormatError(f"{path}: not an envelope")
@@ -108,27 +117,43 @@ def word_to_json(word: BraidWord):
 
 def word_from_json(obj) -> BraidWord:
     """The inverse of word_to_json: letters, nested arrays (shared
-    subwords) and repetition objects become the parts of one node."""
+    subwords) and repetition objects become the parts of one node.
+    Decoded without recursion; raises FormatError beyond MAX_WORD_DEPTH
+    nested arrays or MAX_WORD_LETTERS letters (counted, not streamed)."""
     if not isinstance(obj, list):
         raise FormatError("braid word must be an array")
-    parts = []
-    length = 0
-    for item in obj:
-        if type(item) is int and item:
-            parts.append(item)
-            length += 1
-        elif isinstance(item, list):
-            parts.append(word_from_json(item))
-            length += len(parts[-1])
-        elif isinstance(item, dict) and set(item) == {"body", "count"}:
-            count = item["count"]
-            if type(count) is not int or count < 1:
-                raise FormatError(f"bad repetition count: {count!r}")
-            parts.append(_Repeat(word_from_json(item["body"]), count))
-            length += count * len(parts[-1].body)
+    # one frame per open array: [remaining items, parts, letters, repetition count]
+    stack = [[iter(obj), [], 0, None]]
+    while True:
+        frame = stack[-1]
+        for item in frame[0]:
+            if type(item) is int and item:
+                frame[1].append(item)
+                frame[2] += 1
+                continue
+            if isinstance(item, list):
+                body, count = item, None
+            elif isinstance(item, dict) and set(item) == {"body", "count"}:
+                body, count = item["body"], item["count"]
+                if type(count) is not int or count < 1:
+                    raise FormatError(f"bad repetition count: {count!r}")
+                if not isinstance(body, list):
+                    raise FormatError("braid word must be an array")
+            else:
+                raise FormatError(f"bad braid word element: {item!r}")
+            if len(stack) >= MAX_WORD_DEPTH:
+                raise FormatError(f"braid word nested more than {MAX_WORD_DEPTH} arrays deep")
+            stack.append([iter(body), [], 0, count])
+            break
         else:
-            raise FormatError(f"bad braid word element: {item!r}")
-    return BraidWord._from_parts(tuple(parts), length)
+            _, parts, length, count = stack.pop()
+            if length > MAX_WORD_LETTERS:
+                raise FormatError(f"braid word longer than {MAX_WORD_LETTERS} letters")
+            word = BraidWord._from_parts(tuple(parts), length)
+            if not stack:
+                return word
+            stack[-1][1].append(word if count is None else _Repeat(word, count))
+            stack[-1][2] += length * (count or 1)
 
 
 def matrix_to_json(mat: np.ndarray) -> list[int]:

@@ -6,9 +6,12 @@ invertible-solution sampling.  Matrices are vectorized row-major to
 length n^2; every computation is exact Gaussian elimination over the
 field.
 
-A basis keeps its raw matrices verbatim next to a row-reduced echelon
-copy and the change-of-basis transform, so membership tests and
-coefficient extraction stay O(dim * n^2).  The closure keeps the braid
+A basis keeps its raw matrices verbatim next to their span in reduced
+row-echelon form, stacked in one (dim, n^2) array, and the (dim, dim)
+change-of-basis transform.  Sifting, membership, coefficient extraction
+and insertion are each a fixed number of whole-array field operations
+(``GF2m.dot``), O(dim * n^2) work with no per-row loop; the membership
+solver sifts through the same echelon code.  The closure keeps the braid
 word of each generator plus one recipe per basis element; together they
 give a pure word for every basis element without storing it.
 """
@@ -51,6 +54,15 @@ class InvertibleSampleFailed(RuntimeError):
 class WitnessedBasis:
     """Linearly independent matrices, kept in insertion order.
 
+    Next to the raw matrices it keeps their span in reduced row-echelon
+    form: one (dim, n^2) array whose pivot columns are unit columns, and
+    the (dim, dim) transform with echelon rows = transform . raw vectors.
+    A vector's pivot entries are then its coordinates over the echelon
+    rows, so sifting, expressing and inserting are each a fixed number of
+    whole-array operations.  The residual of a sift is the one vector of
+    the coset that is zero on every pivot column, so pivots, basis order
+    and coefficients do not depend on how the echelon is stored.
+
     Stores no witness words: :class:`AlgebraClosure` keeps the generator
     words and recipes that give one for each element.  The name is kept
     because the benchmark (``perfbench/spans.py``) wraps this class by
@@ -61,55 +73,49 @@ class WitnessedBasis:
         self.field = field
         self.n = n
         self.mats: list[np.ndarray] = []
-        self._rows: list[np.ndarray] = []  # echelon rows, pivot normalized to 1
-        self._pivots: list[int] = []
-        self._tf: list[np.ndarray] = []  # echelon row i = sum_j tf[i][j] * raw vec j
+        self._rows = np.zeros((0, n * n), dtype=field.dtype)
+        self._pivots = np.zeros(0, dtype=np.intp)
+        self._tf = np.zeros((0, 0), dtype=field.dtype)
 
     @property
     def dim(self) -> int:
-        return len(self.mats)
+        return len(self._pivots)
 
-    def _reduce(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Reduce vec against the echelon rows; returns (residual, combo)."""
+    def _sift(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(residual, combo) with vec = residual + combo . echelon rows."""
+        combo = vec[self._pivots]
+        return vec ^ self.field.dot(combo, self._rows), combo
+
+    def _grow(self, residual: np.ndarray, combo: np.ndarray) -> bool:
+        """Insert a sifted vector; returns False when its residual is zero."""
+        nz = np.flatnonzero(residual)
+        if nz.size == 0:
+            return False
         fld = self.field
-        v = vec.copy()
-        combo = np.zeros(len(self._rows), dtype=fld.dtype)
-        for j, (row, piv) in enumerate(zip(self._rows, self._pivots)):
-            a = int(v[piv])
-            if a:
-                v ^= fld.mul_vec(row, a)
-                combo[j] = a
-        return v, combo
+        piv = nz[0]
+        inv_piv = fld.inv(int(residual[piv]))
+        # residual = raw_new + (combo . tf) . raw_old in characteristic 2,
+        # which gives the new row's transform row
+        row = fld.mul_arr(residual, inv_piv)
+        tf_row = fld.mul_arr(np.append(fld.dot(combo, self._tf), 1), inv_piv)
+        # clear the new pivot column from the old rows
+        col = self._rows[:, piv, None]
+        self._rows = np.vstack([self._rows ^ fld.mul_arr(col, row), row])
+        tf = np.pad(self._tf, ((0, 0), (0, 1)))
+        self._tf = np.vstack([tf ^ fld.mul_arr(col, tf_row), tf_row])
+        self._pivots = np.append(self._pivots, piv)
+        return True
 
     def add(self, mat: np.ndarray) -> bool:
         """Sift a matrix in; returns True when the dimension grew."""
-        fld = self.field
-        vec = mat.reshape(-1).astype(fld.dtype)
-        residual, combo = self._reduce(vec)
-        nz = np.nonzero(residual)[0]
-        if nz.size == 0:
+        mat = mat.astype(self.field.dtype)
+        if not self._grow(*self._sift(mat.reshape(-1))):
             return False
-        piv = int(nz[0])
-        inv_piv = fld.inv(int(residual[piv]))
-        k = len(self._rows)
-        # new echelon row = inv_piv * (raw_new - combo . echelon rows)
-        tf_row = np.zeros(k + 1, dtype=fld.dtype)
-        tf_row[k] = inv_piv
-        if k:
-            back = np.zeros(k, dtype=fld.dtype)
-            for j, c in enumerate(combo):
-                if c:
-                    back ^= fld.mul_vec(self._tf[j], int(c))
-            tf_row[:k] = fld.mul_vec(back, inv_piv)
-        self._tf = [np.concatenate([row, np.zeros(1, dtype=fld.dtype)]) for row in self._tf]
-        self._tf.append(tf_row)
-        self._rows.append(fld.mul_vec(residual, inv_piv))
-        self._pivots.append(piv)
-        self.mats.append(mat.astype(fld.dtype))
+        self.mats.append(mat)
         return True
 
     def __contains__(self, mat: np.ndarray) -> bool:
-        residual, _ = self._reduce(mat.reshape(-1).astype(self.field.dtype))
+        residual, _ = self._sift(mat.reshape(-1).astype(self.field.dtype))
         return not residual.any()
 
     def express(self, mat: np.ndarray) -> np.ndarray:
@@ -117,24 +123,15 @@ class WitnessedBasis:
 
         Raises NotInSpan when the matrix lies outside the span.
         """
-        fld = self.field
-        residual, combo = self._reduce(mat.reshape(-1).astype(fld.dtype))
+        residual, combo = self._sift(mat.reshape(-1).astype(self.field.dtype))
         if residual.any():
             raise NotInSpan("matrix is outside the span of the basis")
-        out = np.zeros(self.dim, dtype=fld.dtype)
-        for j, c in enumerate(combo):
-            if c:
-                out ^= fld.mul_vec(self._tf[j], int(c))
-        return out
+        return self.field.dot(combo, self._tf)
 
     def combine(self, coeffs: Sequence[int]) -> np.ndarray:
         """The matrix sum of coeff_i * basis_i."""
-        fld = self.field
-        out = fld.zeros(self.n)
-        for c, m in zip(coeffs, self.mats):
-            if c:
-                out ^= fld.mul_vec(m, int(c))
-        return out
+        stack = np.array(self.mats, dtype=self.field.dtype).reshape(-1, self.n, self.n)
+        return self.field.dot(coeffs, stack)
 
 
 class AlgebraClosure:
@@ -238,12 +235,8 @@ class SolutionSpace:
     homogeneous: list[np.ndarray]
 
     def sample(self, field: GF2m, rng) -> np.ndarray:
-        x = np.zeros_like(self.homogeneous[0])
-        for h in self.homogeneous:
-            c = rng.randrange(field.order)
-            if c:
-                x ^= field.mul_vec(h, c)
-        return x
+        coeffs = [rng.randrange(field.order) for _ in self.homogeneous]
+        return field.dot(coeffs, np.stack(self.homogeneous))
 
 
 def solve_membership(
@@ -254,41 +247,27 @@ def solve_membership(
 ) -> SolutionSpace:
     """Parametrize {x : gamma_inv . sum(x_i kappa_i) lies in span(V)}.
 
-    The constraint is linear: reducing each gamma_inv * kappa_i against
-    V's echelon rows leaves a residual, and x must combine the residuals
-    to zero.  Returns a basis of that kernel; raises
-    NoSolution when the kernel is trivial (the span of V is too small, so
-    callers should enlarge it and retry).
+    The constraint is linear: sifting each gamma_inv * kappa_i through
+    V's echelon leaves a residual, and x must combine the residuals to
+    zero.  Sifting the residuals in order through a second echelon, each
+    one that adds nothing gives the kernel vector e_i minus its
+    coordinates over the earlier independent residuals.  Returns that
+    kernel basis; raises NoSolution when the kernel is trivial (the span
+    of V is too small, so callers should enlarge it and retry).
     """
-    fld = field
-    residuals = []
-    for k in kappas:
-        res, _ = V._reduce(fld.mat_mul(gamma_inv, k).reshape(-1))
-        residuals.append(res)
-    # left kernel of the residual stack, with row-combination tracking
-    rows: list[np.ndarray] = []
-    pivots: list[int] = []
-    combos: list[np.ndarray] = []
+    rest = WitnessedBasis(field, V.n)  # the independent residuals so far
+    kept: list[int] = []
     kernel: list[np.ndarray] = []
-    r = len(kappas)
-    for i, res in enumerate(residuals):
-        v = res.copy()
-        t = np.zeros(r, dtype=fld.dtype)
+    for i, k in enumerate(kappas):
+        residual, _ = V._sift(field.mat_mul(gamma_inv, k).reshape(-1))
+        residual, combo = rest._sift(residual)
+        if rest._grow(residual, combo):
+            kept.append(i)
+            continue
+        t = np.zeros(len(kappas), dtype=field.dtype)
         t[i] = 1
-        for row, piv, comb in zip(rows, pivots, combos):
-            a = int(v[piv])
-            if a:
-                v ^= fld.mul_vec(row, a)
-                t ^= fld.mul_vec(comb, a)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            kernel.append(t)
-        else:
-            piv = int(nz[0])
-            inv_piv = fld.inv(int(v[piv]))
-            rows.append(fld.mul_vec(v, inv_piv))
-            pivots.append(piv)
-            combos.append(fld.mul_vec(t, inv_piv))
+        t[kept] = field.dot(combo, rest._tf)
+        kernel.append(t)
     if not kernel:
         raise NoSolution("no nonzero combination of the kappa basis lands in span(V)")
     return SolutionSpace(kernel)
@@ -309,14 +288,10 @@ def sample_invertible(
     tries is near 1 for the protocol sizes.  Raises
     InvertibleSampleFailed after max_tries draws.
     """
-    fld = field
-    n = kappas[0].shape[0]
+    stack = np.stack(kappas)
     for tries in range(1, max_tries + 1):
-        x = space.sample(fld, rng)
-        c = fld.zeros(n)
-        for xi, k in zip(x, kappas):
-            if xi:
-                c ^= fld.mul_vec(k, int(xi))
-        if fld.is_invertible(c):
+        x = space.sample(field, rng)
+        c = field.dot(x, stack)
+        if field.is_invertible(c):
             return c, x, tries
     raise InvertibleSampleFailed(f"no invertible combination in {max_tries} tries")

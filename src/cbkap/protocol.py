@@ -185,16 +185,7 @@ def ttp_generate(
         if field.is_invertible(kappa) and _min_poly_degree(field, kappa) >= 3:
             break
     c_gens = [kappa]
-    if d_polynomial:
-        powers = algebra_closure([kappa], field)
-        while True:
-            coeffs = [rng.randrange(field.order) for _ in range(powers.dim)]
-            d0 = powers.combine(coeffs)
-            if field.is_invertible(d0):
-                break
-        d_gens = [d0]
-    else:
-        d_gens = [kappa]
+    d_gens = [_sample_scale(field, [kappa], rng) if d_polynomial else kappa]
 
     pub = InstancePublic(params, a_gens, c_gens)
     priv = InstancePrivate(b_gens, d_gens)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from cbkap.braid import BraidWord
@@ -27,9 +28,116 @@ def expand_recipes(closure):
     return words
 
 
+class SequentialBasis:
+    """Reference for WitnessedBasis: sequential sifting, one echelon row
+    and one field-scalar multiply at a time.
+
+    Echelon rows are normalized at their pivot and reduced against the
+    earlier rows only (not reduced row-echelon form); tf[i] expresses row
+    i over the raw vectors.
+    """
+
+    def __init__(self, field, n):
+        self.field = field
+        self.n = n
+        self.mats = []
+        self.rows = []
+        self.pivots = []
+        self.tf = []
+
+    @property
+    def dim(self):
+        return len(self.mats)
+
+    def reduce(self, vec):
+        fld = self.field
+        v = vec.copy()
+        combo = np.zeros(len(self.rows), dtype=fld.dtype)
+        for j, (row, piv) in enumerate(zip(self.rows, self.pivots)):
+            a = int(v[piv])
+            if a:
+                v ^= fld.mul_vec(row, a)
+                combo[j] = a
+        return v, combo
+
+    def _back(self, combo):
+        out = np.zeros(len(self.rows), dtype=self.field.dtype)
+        for j, c in enumerate(combo):
+            if c:
+                out ^= self.field.mul_vec(self.tf[j], int(c))
+        return out
+
+    def add(self, mat):
+        fld = self.field
+        residual, combo = self.reduce(mat.reshape(-1).astype(fld.dtype))
+        nz = np.nonzero(residual)[0]
+        if nz.size == 0:
+            return False
+        piv = int(nz[0])
+        inv_piv = fld.inv(int(residual[piv]))
+        tf_row = np.append(fld.mul_vec(self._back(combo), inv_piv), inv_piv).astype(fld.dtype)
+        self.tf = [np.append(row, 0).astype(fld.dtype) for row in self.tf] + [tf_row]
+        self.rows.append(fld.mul_vec(residual, inv_piv))
+        self.pivots.append(piv)
+        self.mats.append(mat.astype(fld.dtype))
+        return True
+
+    def __contains__(self, mat):
+        return not self.reduce(mat.reshape(-1).astype(self.field.dtype))[0].any()
+
+    def express(self, mat):
+        residual, combo = self.reduce(mat.reshape(-1).astype(self.field.dtype))
+        if residual.any():
+            raise ValueError("outside the span")
+        return self._back(combo)
+
+    def combine(self, coeffs):
+        out = self.field.zeros(self.n)
+        for c, m in zip(coeffs, self.mats):
+            if c:
+                out ^= self.field.mul_vec(m, int(c))
+        return out
+
+
+def sequential_kernel(residuals, field):
+    """Reference left kernel of a stack of vectors, by sequential sifting
+    with row-combination tracking: one vector e_i - (coordinates over the
+    earlier independent vectors) per dependent vector i."""
+    rows, pivots, combos, kernel = [], [], [], []
+    r = len(residuals)
+    for i, res in enumerate(residuals):
+        v = res.copy()
+        t = np.zeros(r, dtype=field.dtype)
+        t[i] = 1
+        for row, piv, comb in zip(rows, pivots, combos):
+            a = int(v[piv])
+            if a:
+                v ^= field.mul_vec(row, a)
+                t ^= field.mul_vec(comb, a)
+        nz = np.nonzero(v)[0]
+        if nz.size == 0:
+            kernel.append(t)
+        else:
+            inv_piv = field.inv(int(v[nz[0]]))
+            rows.append(field.mul_vec(v, inv_piv))
+            pivots.append(int(nz[0]))
+            combos.append(field.mul_vec(t, inv_piv))
+    return kernel
+
+
 @pytest.fixture(scope="session")
 def basis_words():
     return expand_recipes
+
+
+@pytest.fixture(scope="session")
+def sequential_basis():
+    return SequentialBasis
+
+
+@pytest.fixture(scope="session")
+def kernel_reference():
+    return sequential_kernel
 
 
 @pytest.fixture(scope="session")

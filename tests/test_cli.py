@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cbkap
 from cbkap import formats
 from cbkap.braid import BraidWord
 from cbkap.cli import main
@@ -42,8 +45,22 @@ def test_word_json_round_trip():
         [[1, [2, {"body": [[3], -1], "count": 2}]], 4, {"body": [], "count": 1}],
     ):
         assert formats.word_to_json(formats.word_from_json(j)) == j
-    assert len(formats.word_from_json([{"body": [1], "count": 10**12}])) == 10**12
-    for bad in ([0], [{"body": [1], "count": 0}], [{"body": [1], "count": "2"}]):
+    # the length comes from the counts, not from streaming; above the cap
+    # the word is refused
+    cap = formats.MAX_WORD_LETTERS
+    assert len(formats.word_from_json([{"body": [1], "count": cap}])) == cap
+    nested = [1]
+    for _ in range(formats.MAX_WORD_DEPTH - 1):
+        nested = [nested]
+    assert len(formats.word_from_json(nested)) == 1
+    for bad in (
+        [0],
+        [{"body": [1], "count": 0}],
+        [{"body": [1], "count": "2"}],
+        [{"body": [1], "count": 10**12}],
+        [{"body": [{"body": [1, 2], "count": 2**16}], "count": 2}],
+        [nested],
+    ):
         with pytest.raises(FormatError):
             formats.word_from_json(bad)
 
@@ -192,6 +209,60 @@ def test_attack_refuses_private_material(tmp_path):
         "attack", "--public", pub_file, "--transcript", priv_file,
         "--seed", 1, "--out-dir", tmp_path,
     ) == 2
+
+
+def hostile_public(tmp_path, a_gen_json):
+    """A small instance, its transcript, and a copy of the public file
+    whose first A generator is replaced by the given JSON text."""
+    pub_file, priv_file = gen_small(tmp_path)
+    assert run(
+        "protocol", "--public", pub_file, "--private", priv_file,
+        "--seed", 21, "--out-dir", tmp_path,
+    ) == 0
+    doc = json.loads(pub_file.read_text())
+    doc["payload"]["a_gens"][0] = "HOLE"
+    bad = tmp_path / "hostile_public.json"
+    bad.write_text(json.dumps(doc).replace('"HOLE"', a_gen_json))
+    return bad, tmp_path / "transcript.json"
+
+
+def test_attack_rejects_deeply_nested_word(tmp_path):
+    # 3000 arrays deep overflows the JSON decoder's recursion; 100 parses
+    # and exceeds the word decoder's depth cap.  Both are format errors.
+    for depth in (3000, 100):
+        bad, transcript = hostile_public(tmp_path, "[" * depth + "1" + "]" * depth)
+        assert run(
+            "attack", "--public", bad, "--transcript", transcript,
+            "--seed", 1, "--out-dir", tmp_path,
+        ) == 2
+
+
+def test_attack_rejects_word_above_letter_cap(tmp_path):
+    # uncapped, every attack candidate would stream 10^12 letters; the
+    # child process bounds the wall time if the cap ever regresses
+    bad, transcript = hostile_public(tmp_path, '[{"body": [1], "count": 1000000000000}]')
+    env = dict(os.environ, PYTHONPATH=str(Path(cbkap.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; from cbkap.cli import main; sys.exit(main())",
+         "attack", "--public", str(bad), "--transcript", str(transcript),
+         "--seed", "1", "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert out.returncode == 2, out.stderr
+    assert "longer than" in out.stderr
+    # an empty body repeated 10^12 times has no letters and streams none
+    out = subprocess.run(
+        [sys.executable, "-c", "from cbkap.formats import word_from_json as f; "
+         "print(list(f([1, {'body': [], 'count': 10**12}]).letters()))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert out.stdout == "[1]\n", out.stderr
 
 
 def test_eraser_seed_env_fallback(tmp_path, monkeypatch):

@@ -106,6 +106,112 @@ def test_witnessed_basis_express():
     assert raised
 
 
+def random_inputs(field, n, rng, count):
+    """Matrices with repeats: fresh random ones, duplicates, the zero
+    matrix, scalar multiples and combinations of earlier inputs, so that
+    most sets are rank-deficient."""
+    out = []
+    for _ in range(count):
+        kind = rng.randrange(5) if out else 0
+        if kind == 0:
+            m = field.random_matrix(rng, n)
+        elif kind == 1:
+            m = rng.choice(out).copy()
+        elif kind == 2:
+            m = field.zeros(n)
+        elif kind == 3:
+            m = field.mul_vec(rng.choice(out), rng.randrange(field.order))
+        else:
+            m = field.zeros(n)
+            for a in rng.sample(out, min(3, len(out))):
+                m ^= field.mul_vec(a, rng.randrange(field.order))
+        out.append(m)
+    return out
+
+
+def scalar_combination(field, coeffs, vectors):
+    """sum coeffs[j] * vectors[j] with scalar field operations only."""
+    out = [0] * len(vectors[0])
+    for c, vec in zip(coeffs, vectors):
+        for k, x in enumerate(vec):
+            out[k] ^= field.mul(int(c), int(x))
+    return out
+
+
+def test_stacked_basis_matches_sequential_reference(sequential_basis):
+    for degree in (1, 8, 16):
+        fld = GF2m(degree)
+        rng = random.Random(100 + degree)
+        empty = WitnessedBasis(fld, 3)
+        assert not empty.add(fld.zeros(3)) and empty.dim == 0
+        assert fld.zeros(3) in empty and fld.identity(3) not in empty
+        assert empty.express(fld.zeros(3)).shape == (0,)
+        assert np.array_equal(empty.combine([]), fld.zeros(3))
+        for _ in range(12):
+            n = rng.choice((2, 3))
+            basis, ref = WitnessedBasis(fld, n), sequential_basis(fld, n)
+            for m in random_inputs(fld, n, rng, rng.randrange(1, 4 * n * n)):
+                assert basis.add(m) == ref.add(m)
+                assert basis.dim == ref.dim
+                assert list(basis._pivots) == ref.pivots
+            assert all(np.array_equal(a, b) for a, b in zip(basis.mats, ref.mats))
+            # reduced echelon: every pivot column is a unit column
+            rows = basis._rows
+            assert rows.shape == (basis.dim, n * n)
+            assert np.array_equal(rows[:, basis._pivots], np.eye(basis.dim, dtype=fld.dtype))
+            # the transform times the raw vectors gives the echelon rows
+            raw = [m.reshape(-1) for m in basis.mats]
+            for row, tf_row in zip(rows, basis._tf):
+                assert [int(x) for x in row] == scalar_combination(fld, tf_row, raw)
+            probes = [fld.zeros(n), fld.random_matrix(rng, n)]
+            probes += [ref.combine([rng.randrange(fld.order) for _ in range(ref.dim)])
+                       for _ in range(4)]
+            for p in probes:
+                assert (p in basis) == (p in ref)
+                if p in ref:
+                    assert np.array_equal(basis.express(p), ref.express(p))
+                else:
+                    with pytest.raises(NotInSpan):
+                        basis.express(p)
+            for _ in range(4):
+                coeffs = [rng.randrange(fld.order) for _ in range(basis.dim)]
+                assert np.array_equal(basis.combine(coeffs), ref.combine(coeffs))
+
+
+def test_solve_membership_matches_sequential_kernel(sequential_basis, kernel_reference):
+    for degree in (1, 8, 16):
+        fld = GF2m(degree)
+        rng = random.Random(200 + degree)
+        for trial in range(10):
+            n = rng.choice((2, 3))
+            V, ref = WitnessedBasis(fld, n), sequential_basis(fld, n)
+            for m in random_inputs(fld, n, rng, rng.randrange(1, n * n)):
+                V.add(m)
+                ref.add(m)
+            kappas = random_inputs(fld, n, rng, rng.randrange(1, n * n + 3))
+            gamma_inv = fld.random_invertible(rng, n)
+            residuals = [ref.reduce(fld.mat_mul(gamma_inv, k).reshape(-1))[0] for k in kappas]
+            want = kernel_reference(residuals, fld)
+            if not want:
+                with pytest.raises(NoSolution):
+                    solve_membership(gamma_inv, kappas, V, fld)
+                continue
+            space = solve_membership(gamma_inv, kappas, V, fld)
+            assert len(space.homogeneous) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(space.homogeneous, want))
+            # sampling keeps the draw order: one draw per homogeneous vector
+            draws = random.Random(trial)
+            coeffs = [draws.randrange(fld.order) for _ in want]
+            x = space.sample(fld, random.Random(trial))
+            assert [int(v) for v in x] == scalar_combination(fld, coeffs, want)
+            try:
+                c, x, _ = sample_invertible(space, kappas, fld, random.Random(trial))
+            except InvertibleSampleFailed:
+                continue
+            flat = [k.reshape(-1) for k in kappas]
+            assert [int(v) for v in c.reshape(-1)] == scalar_combination(fld, x, flat)
+
+
 def test_algebra_closure_identity_only():
     fld = GF2m(3)
     basis = algebra_closure([fld.identity(5)], fld)
