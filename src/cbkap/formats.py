@@ -178,6 +178,8 @@ def perm_to_json(perm: Perm) -> list[int]:
 def perm_from_json(obj, n: int) -> Perm:
     if not isinstance(obj, list) or len(obj) != n:
         raise FormatError(f"permutation must be a 1-based image array of length {n}")
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in obj):
+        raise FormatError(f"permutation images must be integers: {obj!r}")
     try:
         return Perm.from_one_line(obj)
     except (TypeError, ValueError) as exc:

@@ -13,12 +13,17 @@ contract.  Transversals use shortest words (Dijkstra over the orbit
 graph).  Randomized transversal shortening (Kalka-Teicher-Tsaban) is not
 applied: at the benchmark sizes it roughly halves the factored words,
 but the attack as a whole gets slower.
+
+Only the public constructor (so ``from_one_line`` and the file loaders)
+validates: products and inverses are bijections by construction and are
+built unchecked, and the chain works on bare image tuples.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 __all__ = ["Perm", "NotInGroup", "GenWord", "evaluate_genword", "invert_genword", "StabilizerChain"]
@@ -26,6 +31,12 @@ __all__ = ["Perm", "NotInGroup", "GenWord", "evaluate_genword", "invert_genword"
 
 class NotInGroup(ValueError):
     """The permutation is not in the group spanned by the chain."""
+
+
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Images of a then b, ``b[a[x]]`` for every x, in one C-level gather
+    (itemgetter with a single index returns a bare value)."""
+    return itemgetter(*a)(b) if len(a) > 1 else tuple(b[v] for v in a)
 
 
 class Perm:
@@ -38,6 +49,13 @@ class Perm:
         if sorted(img) != list(range(len(img))):
             raise ValueError("images are not a bijection of 0..n-1")
         object.__setattr__(self, "images", img)
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
+        """Wrap images already known to be a bijection, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Perm is immutable")
@@ -69,17 +87,16 @@ class Perm:
     def __mul__(self, other: "Perm") -> "Perm":
         if other.n != self.n:
             raise ValueError("permutation size mismatch")
-        o = other.images
-        return Perm(o[v] for v in self.images)
+        return Perm._trusted(_compose(self.images, other.images))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.n
         for i, v in enumerate(self.images):
             inv[v] = i
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen = set()
@@ -154,16 +171,18 @@ def genword_from_signed_labels(labels: Sequence[int]) -> GenWord:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "_words")
+    __slots__ = ("point", "gens", "transversal", "inv", "_words")
 
-    def __init__(self, point: int):
+    def __init__(self, point: int, ident: tuple[int, ...]):
         self.point = point
         # strong generators assigned to this level: list of (Perm, GenWord)
         self.gens: list[tuple[Perm, GenWord]] = []
-        # orbit point -> (u, word length, parent point | None, edge word);
-        # u maps the base point to the orbit point.  Words are materialized
-        # lazily so orbit rebuilds never concatenate long words.
-        self.transversal: dict[int, tuple[Perm, int, int | None, GenWord | None]] = {}
+        # orbit point -> (images of u, word length, parent point | None,
+        # edge word); u maps the base point to the orbit point.  Words are
+        # materialized lazily so orbit rebuilds never concatenate long words.
+        self.transversal: dict[int, tuple] = {point: (ident, 0, None, None)}
+        # orbit point -> images of u^-1, for sifting
+        self.inv: dict[int, tuple[int, ...]] = {point: ident}
         self._words: dict[int, GenWord] = {}
 
     def word(self, point: int) -> GenWord:
@@ -186,7 +205,8 @@ class StabilizerChain:
     points 0..i-1 and describing the orbit of point i.  Built by the
     deterministic Schreier-Sims procedure: every Schreier generator is
     sifted until a full pass adds nothing, which makes membership testing
-    and factoring exact.
+    and factoring exact.  Construction and sifting work on image tuples;
+    a residue becomes a Perm only when it is kept as a strong generator.
     """
 
     def __init__(self, generators: Sequence[Perm], n: int | None = None):
@@ -196,11 +216,10 @@ class StabilizerChain:
         if any(g.n != self.n for g in generators):
             raise ValueError("generators act on different point counts")
         self.generators = list(generators)
-        self._levels = [_Level(i) for i in range(self.n)]
-        for lvl in self._levels:
-            lvl.transversal[lvl.point] = (Perm.identity(self.n), 0, None, None)
+        self._ident = tuple(range(self.n))
+        self._levels = [_Level(i, self._ident) for i in range(self.n)]
         for label, g in enumerate(self.generators):
-            self._insert(g, ((label, 1),))
+            self._insert(g.images, ((label, 1),))
         self._complete()
 
     # -- construction ------------------------------------------------------
@@ -215,63 +234,62 @@ class StabilizerChain:
         # Shortest-word transversal: Dijkstra over the orbit graph with
         # edge weight = generator word length, walking generators both
         # ways.  Keeps factored words short; membership is unaffected.
+        # A point's u and u^-1 are composed once, when it is settled.
         lvl = self._levels[i]
         edges = []
         for g, gw in self._level_gens(i):
-            edges.append((g, gw))
-            edges.append((g.inverse(), invert_genword(gw)))
-        lvl.transversal = {lvl.point: (Perm.identity(self.n), 0, None, None)}
+            g_inv = g.inverse().images
+            edges.append((g.images, g_inv, gw))
+            edges.append((g_inv, g.images, invert_genword(gw)))
+        ident = self._ident
+        trans = lvl.transversal = {}
+        inv = lvl.inv = {}
         lvl._words.clear()
+        # tentative point -> (length, parent, edge images, their inverse, edge word)
+        best = {lvl.point: (0, None, ident, ident, None)}
         heap = [(0, lvl.point)]
-        settled: set[int] = set()
         while heap:
             dist, beta = heapq.heappop(heap)
-            if beta in settled:
+            if beta in inv:
                 continue
-            settled.add(beta)
-            u = lvl.transversal[beta][0]
-            for g, gw in edges:
-                delta = g(beta)
-                if delta in settled:
+            _, parent, g, g_inv, gw = best[beta]
+            if parent is None:
+                trans[beta], inv[beta] = (ident, 0, None, None), ident
+            else:
+                trans[beta] = (_compose(trans[parent][0], g), dist, parent, gw)
+                inv[beta] = _compose(g_inv, inv[parent])
+            for g, g_inv, gw in edges:
+                delta = g[beta]
+                if delta in inv:
                     continue
                 cand = dist + len(gw)
-                known = lvl.transversal.get(delta)
-                if known is None or cand < known[1]:
-                    lvl.transversal[delta] = (u * g, cand, beta, gw)
+                known = best.get(delta)
+                if known is None or cand < known[0]:
+                    best[delta] = (cand, beta, g, g_inv, gw)
                     heapq.heappush(heap, (cand, delta))
 
-    def _sift(self, p: Perm, w: GenWord, start: int = 0):
-        """Reduce p through the chain; None if it reaches the identity,
-        else the residue, its word, and the level where it got stuck."""
-        for i in range(start, self.n):
-            if p.is_identity():
-                return None
-            lvl = self._levels[i]
-            beta = p(lvl.point)
-            entry = lvl.transversal.get(beta)
-            if entry is None:
+    def _sift(self, p: tuple[int, ...], w: GenWord | None = None):
+        """Reduce the images p through the chain, skipping levels whose
+        point p fixes.  Returns the residue, its word (tracked only if w
+        is given, so membership checks never build long words), and the
+        level where it got stuck, or None there if it reached the identity."""
+        for i, lvl in enumerate(self._levels):
+            beta = p[lvl.point]
+            if beta == lvl.point:
+                continue
+            u_inv = lvl.inv.get(beta)
+            if u_inv is None:
                 return p, w, i
-            p = p * entry[0].inverse()
-            w = w + invert_genword(lvl.word(beta))
-        return None  # fixing every point forces the identity
+            p = _compose(p, u_inv)
+            if w is not None:
+                w = w + invert_genword(lvl.word(beta))
+        return p, w, None  # fixing every point forces the identity
 
-    def _reduces_to_identity(self, p: Perm) -> bool:
-        """Word-free membership pre-check (avoids building long words)."""
-        for lvl in self._levels:
-            if p.is_identity():
-                return True
-            entry = lvl.transversal.get(p(lvl.point))
-            if entry is None:
-                return False
-            p = p * entry[0].inverse()
-        return True
-
-    def _insert(self, p: Perm, w: GenWord) -> bool:
-        res = self._sift(p, w)
-        if res is None:
+    def _insert(self, p: tuple[int, ...], w: GenWord) -> bool:
+        q, qw, i = self._sift(p, w)
+        if i is None:
             return False
-        q, qw, i = res
-        self._levels[i].gens.append((q, qw))
+        self._levels[i].gens.append((Perm._trusted(q), qw))
         for j in range(i + 1):
             self._rebuild_orbit(j)
         return True
@@ -281,34 +299,32 @@ class StabilizerChain:
         # levels; every insertion strictly grows the recognized group, so
         # this terminates.  Candidates are processed shortest word first,
         # which keeps the strong-generator words (and therefore factored
-        # words) short.
+        # words) short.  The Schreier generator u g u2^-1 is the identity
+        # exactly when u g == u2.
         changed = True
         while changed:
             changed = False
             work = []
-            for i in range(self.n):
-                lvl = self._levels[i]
-                gens = self._level_gens(i)
-                for beta in sorted(lvl.transversal):
-                    u = lvl.transversal[beta][0]
+            for i, lvl in enumerate(self._levels):
+                trans = lvl.transversal
+                gens = [(g.images, gw) for g, gw in self._level_gens(i)]
+                for beta in sorted(trans):
+                    u, ulen = trans[beta][:2]
                     for g, gw in gens:
-                        delta = g(beta)
-                        u2 = lvl.transversal[delta][0]
-                        schreier = u * g * u2.inverse()
-                        if schreier.is_identity():
-                            continue
-                        wlen = lvl.transversal[beta][1] + len(gw) + lvl.transversal[delta][1]
-                        work.append((wlen, len(work), i, beta, g, gw))
+                        u2, u2len = trans[g[beta]][:2]
+                        if _compose(u, g) != u2:
+                            work.append((ulen + len(gw) + u2len, len(work), i, beta, g, gw))
             work.sort(key=lambda item: (item[0], item[1]))
             for _, _, i, beta, g, gw in work:
                 # insertions rebuild orbits mid-pass, so re-derive the
                 # Schreier element from the current transversal entries
                 lvl = self._levels[i]
-                u = lvl.transversal[beta][0]
-                delta = g(beta)
-                u2 = lvl.transversal[delta][0]
-                schreier = u * g * u2.inverse()
-                if schreier.is_identity() or self._reduces_to_identity(schreier):
+                delta = g[beta]
+                ug = _compose(lvl.transversal[beta][0], g)
+                if ug == lvl.transversal[delta][0]:
+                    continue
+                schreier = _compose(ug, lvl.inv[delta])
+                if self._sift(schreier)[2] is None:
                     continue
                 sw = lvl.word(beta) + gw + invert_genword(lvl.word(delta))
                 if self._insert(schreier, sw):
@@ -323,9 +339,7 @@ class StabilizerChain:
         return out
 
     def __contains__(self, p: Perm) -> bool:
-        if p.n != self.n:
-            return False
-        return self._sift(p, ()) is None
+        return p.n == self.n and self._sift(p.images)[2] is None
 
     def factor(self, g: Perm) -> GenWord:
         """Express g as a product of the declared generators.
@@ -336,29 +350,17 @@ class StabilizerChain:
         """
         if g.n != self.n:
             raise NotInGroup("permutation size mismatch")
-        used: list[GenWord] = []
-        p = g
-        for lvl in self._levels:
-            if p.is_identity():
-                break
-            beta = p(lvl.point)
-            entry = lvl.transversal.get(beta)
-            if entry is None:
-                raise NotInGroup(f"{g!r} is not in the group spanned by the chain")
-            used.append(lvl.word(beta))
-            p = p * entry[0].inverse()
-        if not p.is_identity():  # pragma: no cover - full base forces identity
+        _, w, stuck = self._sift(g.images, ())
+        if stuck is not None:
             raise NotInGroup(f"{g!r} is not in the group spanned by the chain")
-        out: GenWord = ()
-        for uw in reversed(used):
-            out = out + uw
-        return out
+        # g times the sifted word is the identity
+        return invert_genword(w)
 
     @property
     def levels(self):
         """Read access for inspection: list of (base point, {orbit point:
         (permutation, witness word)})."""
         return [
-            (lvl.point, {pt: (lvl.transversal[pt][0], lvl.word(pt)) for pt in lvl.transversal})
+            (lvl.point, {pt: (Perm._trusted(u), lvl.word(pt)) for pt, (u, *_) in lvl.transversal.items()})
             for lvl in self._levels
         ]

@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from cbkap.braid import BraidWord
 from cbkap.field import GF2m
+from cbkap.perm import NotInGroup, Perm, invert_genword
 from cbkap.protocol import alice_round, bob_round, derive_key_alice, ttp_generate
 
 SMALL = dict(n=8, gen_count=8, word_len=100)
@@ -125,6 +127,162 @@ def sequential_kernel(residuals, field):
     return kernel
 
 
+class _ReferenceLevel:
+    def __init__(self, point, n):
+        self.point = point
+        self.gens = []
+        self.transversal = {point: (Perm.identity(n), 0, None, None)}
+        self._words = {}
+
+    def word(self, point):
+        cached = self._words.get(point)
+        if cached is not None:
+            return cached
+        _, _, parent, edge = self.transversal[point]
+        if parent is None:
+            out = edge if edge is not None else ()
+        else:
+            out = self.word(parent) + edge
+        self._words[point] = out
+        return out
+
+
+class ReferenceChain:
+    """Reference for StabilizerChain: the same deterministic Schreier-Sims
+    procedure written over Perm objects, inverting every transversal
+    element where it is used and sifting through every level."""
+
+    def __init__(self, generators, n):
+        self.n = n
+        self.generators = list(generators)
+        self._levels = [_ReferenceLevel(i, n) for i in range(n)]
+        for label, g in enumerate(self.generators):
+            self._insert(g, ((label, 1),))
+        self._complete()
+
+    def _level_gens(self, i):
+        return [pair for lvl in self._levels[i:] for pair in lvl.gens]
+
+    def _rebuild_orbit(self, i):
+        lvl = self._levels[i]
+        edges = []
+        for g, gw in self._level_gens(i):
+            edges.append((g, gw))
+            edges.append((g.inverse(), invert_genword(gw)))
+        lvl.transversal = {lvl.point: (Perm.identity(self.n), 0, None, None)}
+        lvl._words.clear()
+        heap = [(0, lvl.point)]
+        settled = set()
+        while heap:
+            dist, beta = heapq.heappop(heap)
+            if beta in settled:
+                continue
+            settled.add(beta)
+            u = lvl.transversal[beta][0]
+            for g, gw in edges:
+                delta = g(beta)
+                if delta in settled:
+                    continue
+                cand = dist + len(gw)
+                known = lvl.transversal.get(delta)
+                if known is None or cand < known[1]:
+                    lvl.transversal[delta] = (u * g, cand, beta, gw)
+                    heapq.heappush(heap, (cand, delta))
+
+    def _sift(self, p, w):
+        for i in range(self.n):
+            if p.is_identity():
+                return None
+            lvl = self._levels[i]
+            beta = p(lvl.point)
+            entry = lvl.transversal.get(beta)
+            if entry is None:
+                return p, w, i
+            p = p * entry[0].inverse()
+            w = w + invert_genword(lvl.word(beta))
+        return None
+
+    def _reduces_to_identity(self, p):
+        for lvl in self._levels:
+            if p.is_identity():
+                return True
+            entry = lvl.transversal.get(p(lvl.point))
+            if entry is None:
+                return False
+            p = p * entry[0].inverse()
+        return True
+
+    def _insert(self, p, w):
+        res = self._sift(p, w)
+        if res is None:
+            return False
+        q, qw, i = res
+        self._levels[i].gens.append((q, qw))
+        for j in range(i + 1):
+            self._rebuild_orbit(j)
+        return True
+
+    def _complete(self):
+        changed = True
+        while changed:
+            changed = False
+            work = []
+            for i in range(self.n):
+                lvl = self._levels[i]
+                for beta in sorted(lvl.transversal):
+                    u = lvl.transversal[beta][0]
+                    for g, gw in self._level_gens(i):
+                        delta = g(beta)
+                        if (u * g * lvl.transversal[delta][0].inverse()).is_identity():
+                            continue
+                        wlen = lvl.transversal[beta][1] + len(gw) + lvl.transversal[delta][1]
+                        work.append((wlen, len(work), i, beta, g, gw))
+            work.sort(key=lambda item: (item[0], item[1]))
+            for _, _, i, beta, g, gw in work:
+                lvl = self._levels[i]
+                delta = g(beta)
+                schreier = lvl.transversal[beta][0] * g * lvl.transversal[delta][0].inverse()
+                if schreier.is_identity() or self._reduces_to_identity(schreier):
+                    continue
+                sw = lvl.word(beta) + gw + invert_genword(lvl.word(delta))
+                if self._insert(schreier, sw):
+                    changed = True
+
+    def order(self):
+        out = 1
+        for lvl in self._levels:
+            out *= len(lvl.transversal)
+        return out
+
+    def factor(self, g):
+        used = []
+        p = g
+        for lvl in self._levels:
+            if p.is_identity():
+                break
+            beta = p(lvl.point)
+            entry = lvl.transversal.get(beta)
+            if entry is None:
+                raise NotInGroup(repr(g))
+            used.append(lvl.word(beta))
+            p = p * entry[0].inverse()
+        out = ()
+        for uw in reversed(used):
+            out = out + uw
+        return out
+
+    @property
+    def strong_generators(self):
+        return [lvl.gens for lvl in self._levels]
+
+    @property
+    def levels(self):
+        return [
+            (lvl.point, {pt: (lvl.transversal[pt][0], lvl.word(pt)) for pt in lvl.transversal})
+            for lvl in self._levels
+        ]
+
+
 @pytest.fixture(scope="session")
 def basis_words():
     return expand_recipes
@@ -138,6 +296,11 @@ def sequential_basis():
 @pytest.fixture(scope="session")
 def kernel_reference():
     return sequential_kernel
+
+
+@pytest.fixture(scope="session")
+def reference_chain():
+    return ReferenceChain
 
 
 @pytest.fixture(scope="session")

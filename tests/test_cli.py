@@ -1,18 +1,23 @@
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cbkap
 from cbkap import formats
 from cbkap.braid import BraidWord
 from cbkap.cli import main
+from cbkap.field import GF2m
 from cbkap.formats import FormatError
-from cbkap.protocol import Transcript
+from cbkap.protocol import Transcript, alice_round, bob_round, derive_key_alice, ttp_generate
 
 
 def run(*argv):
@@ -111,6 +116,116 @@ def test_envelope_kind_and_version_checks(tmp_path, small_instance, small_exchan
     p.write_text(json.dumps(doc))
     with pytest.raises(FormatError):
         formats.load_envelope(p)
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory):
+    """A valid public instance, transcript and key small enough that a
+    random node of each is often a structural one (n, field, tau, an
+    image array) rather than a braid letter or matrix entry."""
+    rng = random.Random(0xF022)
+    pub, priv, _ = ttp_generate(4, GF2m(3), 2, 6, rng=rng)
+    alice_secret, alice_msg = alice_round(pub, rng)
+    _, bob_msg = bob_round(pub, priv, rng)
+    key = derive_key_alice(alice_secret, bob_msg, pub)
+    out = tmp_path_factory.mktemp("valid")
+    formats.save_instance_public(out / "public.json", pub)
+    formats.save_transcript(out / "transcript.json", Transcript(alice_msg, bob_msg), pub.params)
+    formats.save_key(out / "key.json", key, pub.params)
+    docs = {name: json.loads((out / f"{name}.json").read_text()) for name in ("public", "transcript", "key")}
+    return pub.params, docs, tmp_path_factory.mktemp("fuzz")
+
+
+def json_paths(node, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+def mutations(node, at_root):
+    """The edits that apply to a node: type swaps for integers, null,
+    deletion and duplication (wrong lengths, missing keys) and one more
+    level of nesting."""
+    out = ["null", "nest"]
+    if type(node) is int:
+        out += ["float", "half", "bool", "str"]
+    if not at_root:
+        out += ["delete", "duplicate"]
+    return out
+
+
+# replacements for a node, by mutation name; deletion and duplication
+# edit the parent instead
+REPLACE = {
+    "null": lambda v: None,
+    "nest": lambda v: [v],
+    "float": float,
+    "half": lambda v: v + 0.5,
+    "bool": lambda v: bool(v % 2),
+    "str": str,
+}
+
+
+def mutate(doc, path, how):
+    holder = [copy.deepcopy(doc)]
+    parent, key = holder, 0
+    for step in path:
+        parent, key = parent[key], step
+    node = parent[key]
+    if how == "delete":
+        del parent[key]
+    elif how != "duplicate":
+        parent[key] = REPLACE[how](node)
+    elif isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(node))
+    else:
+        parent[key] = [node, copy.deepcopy(node)]
+    return holder[0]
+
+
+def integers_only(obj):
+    if isinstance(obj, dict):
+        return all(integers_only(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(integers_only(v) for v in obj)
+    return obj is None or (isinstance(obj, int) and not isinstance(obj, bool))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_loaders_raise_only_format_errors(tiny_files, data):
+    # Every load of a mutated file either raises FormatError or returns
+    # objects that save back as integers only and load again.
+    params, docs, work = tiny_files
+    name = data.draw(st.sampled_from(sorted(docs)))
+    doc = docs[name]
+    for _ in range(data.draw(st.integers(1, 2))):
+        paths = list(json_paths(doc))
+        path = data.draw(st.sampled_from(paths))
+        node = doc
+        for step in path:
+            node = node[step]
+        doc = mutate(doc, path, data.draw(st.sampled_from(mutations(node, not path))))
+    src = work / "mutated.json"
+    src.write_text(json.dumps(doc))
+    load, save = {
+        "public": (formats.load_instance_public, formats.save_instance_public),
+        "transcript": (
+            lambda p: formats.load_transcript(p, params),
+            lambda p, obj: formats.save_transcript(p, obj, params),
+        ),
+        "key": (formats.load_key, lambda p, obj: formats.save_key(p, obj, params)),
+    }[name]
+    try:
+        loaded = load(src)
+    except FormatError:
+        return
+    again = work / "again.json"
+    save(again, loaded)
+    assert integers_only(json.loads(again.read_text())["payload"])
+    load(again)
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -263,6 +378,28 @@ def test_attack_rejects_word_above_letter_cap(tmp_path):
         env=env,
     )
     assert out.stdout == "[1]\n", out.stderr
+
+
+def test_attack_rejects_float_permutation(tmp_path):
+    # float images that equal integers once used to load, and the attack
+    # then died with a TypeError and exit code 1 ("keys differ")
+    pub_file, priv_file = gen_small(tmp_path)
+    assert run(
+        "protocol", "--public", pub_file, "--private", priv_file,
+        "--seed", 21, "--out-dir", tmp_path,
+    ) == 0
+    doc = json.loads((tmp_path / "transcript.json").read_text())
+    doc["payload"]["bob"]["perm"] = [float(v) for v in doc["payload"]["bob"]["perm"]]
+    bad = tmp_path / "float_transcript.json"
+    bad.write_text(json.dumps(doc))
+    assert run(
+        "attack", "--public", pub_file, "--transcript", bad,
+        "--seed", 1, "--out-dir", tmp_path,
+    ) == 2
+    with pytest.raises(FormatError):
+        formats.perm_from_json([2, 1, 3.0], 3)
+    with pytest.raises(FormatError):
+        formats.perm_from_json([True, 2, 3], 3)
 
 
 def test_eraser_seed_env_fallback(tmp_path, monkeypatch):

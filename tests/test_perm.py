@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cbkap.field import GF2m
 from cbkap.perm import (
     NotInGroup,
     Perm,
@@ -12,6 +15,7 @@ from cbkap.perm import (
     genword_to_signed_labels,
     invert_genword,
 )
+from cbkap.protocol import ttp_generate
 
 
 def compose_pointwise(a, b):
@@ -185,3 +189,134 @@ def test_invert_genword():
     fwd = evaluate_genword(word, gens, 7)
     back = evaluate_genword(invert_genword(word), gens, 7)
     assert (fwd * back).is_identity()
+
+
+def test_constructor_rejects_non_bijections():
+    for bad in ([0, 0, 1], [1, 2], [0, 2], [-1, 0]):
+        with pytest.raises(ValueError):
+            Perm(bad)
+    for bad in ([1, 1, 2], [2, 3], [0, 1]):
+        with pytest.raises(ValueError):
+            Perm.from_one_line(bad)
+
+
+@st.composite
+def perm_pairs(draw):
+    n = draw(st.integers(0, 12))
+    a, b = (Perm(draw(st.permutations(range(n)))) for _ in range(2))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(perm_pairs())
+def test_products_and_inverses_are_bijections(pair):
+    # products and inverses skip validation; rebuilding them through the
+    # checking constructor must accept them unchanged
+    a, b = pair
+    for p in (a * b, b * a, a.inverse(), a * b.inverse()):
+        assert type(p.images) is tuple and all(type(v) is int for v in p.images)
+        assert Perm(p.images) == p
+    assert a * b == compose_pointwise(a, b)
+    assert (a * a.inverse()).is_identity() and (a.inverse() * a).is_identity()
+
+
+def test_compose_smallest_sizes():
+    e0, e1 = Perm.identity(0), Perm.identity(1)
+    assert (e0 * e0).images == () and e0.inverse() == e0 and e0.is_identity()
+    assert (e1 * e1).images == (0,) and e1.inverse().images == (0,) and e1.is_identity()
+    swap, e2 = Perm([1, 0]), Perm.identity(2)
+    assert (swap * e2).images == (1, 0) and (e2 * swap).images == (1, 0)
+    assert (swap * swap).images == (0, 1) and swap.inverse() == swap
+    assert not swap.is_identity()
+
+
+def conjugate(gens, n, rng):
+    z = Perm.random(n, rng)
+    return [z.inverse() * g * z for g in gens]
+
+
+def shuffled_on(n, points, rng):
+    img = list(range(n))
+    moved = list(points)
+    rng.shuffle(moved)
+    for src, dst in zip(points, moved):
+        img[src] = dst
+    return Perm(img)
+
+
+def seeded_group(kind, n, rng):
+    """Generators of a seeded group of the given kind on n points."""
+    if kind == "trivial":
+        return [Perm.identity(n)]
+    if kind == "symmetric":
+        return [Perm.transposition(n, 0), Perm(list(range(1, n)) + [0])] if n > 1 else [Perm.identity(n)]
+    if kind == "random":
+        return [Perm.random(n, rng) for _ in range(3)]
+    if kind == "intransitive":
+        half = max(1, n // 2)
+        gens = [shuffled_on(n, range(half), rng), shuffled_on(n, range(half, n), rng)]
+        gens += [shuffled_on(n, range(half), rng)] if half > 1 else []
+        return conjugate(gens, n, rng)
+    # wreath type S_size wr S_k: the symmetric group on the first block of
+    # `size` points, and permutations of whole blocks
+    size = 4 if n % 4 == 0 and n > 4 else 2
+    k = n // size
+    if k < 1:
+        return [Perm.identity(n)]
+    blocks = lambda order: [b * size + j for b in order for j in range(size)] + list(range(k * size, n))
+    in_block = list(range(1, size)) + [0] + list(range(size, n))
+    gens = [Perm.transposition(n, 0), Perm(in_block), Perm(blocks(list(range(1, k)) + [0]))]
+    if k > 1:
+        gens.append(Perm(blocks([1, 0] + list(range(2, k)))))
+    return conjugate(gens, n, rng)
+
+
+def assert_same_chain(gens, n, reference_chain, rng):
+    chain, ref = StabilizerChain(gens, n), reference_chain(gens, n)
+    assert chain.order() == ref.order()
+    for (pt, trans), (ref_pt, ref_trans) in zip(chain.levels, ref.levels, strict=True):
+        assert pt == ref_pt and trans == ref_trans
+    assert [lvl.gens for lvl in chain._levels] == ref.strong_generators
+    samples = list(gens)
+    for _ in range(10):
+        g = Perm.identity(n)
+        for _ in range(8):
+            pick = gens[rng.randrange(len(gens))]
+            g = g * (pick if rng.random() < 0.5 else pick.inverse())
+        samples.append(g)
+    samples += [Perm.random(n, rng) for _ in range(5)]
+    for g in samples:
+        try:
+            expected = ref.factor(g)
+        except NotInGroup:
+            with pytest.raises(NotInGroup):
+                chain.factor(g)
+            assert g not in chain
+            continue
+        assert chain.factor(g) == expected
+        assert g in chain
+
+
+# Random generators give S_n or A_n with witness words that grow
+# exponentially down the chain (n=16 already takes seconds), so they are
+# used up to n=8 only.
+@pytest.mark.parametrize(
+    "kind, n",
+    [
+        (kind, n)
+        for kind in ("trivial", "symmetric", "random", "intransitive", "wreath")
+        for n in (1, 2, 3, 8, 20)
+        if kind != "random" or n <= 8
+    ],
+)
+def test_chain_matches_reference(kind, n, reference_chain):
+    rng = random.Random(1000 * n + len(kind))
+    assert_same_chain(seeded_group(kind, n, rng), n, reference_chain, rng)
+
+
+def test_chain_matches_reference_on_attack_sized_generators(reference_chain):
+    # the A-generator permutations of an instance at the size of the
+    # benchmark's wide workload: n=20, 8 generators of 24 letters
+    for seed in (1, 2):
+        pub, _, _ = ttp_generate(20, GF2m(8), 8, 24, rng=random.Random(seed))
+        assert_same_chain(pub.a_perms, 20, reference_chain, random.Random(seed))
