@@ -4,18 +4,21 @@ The pipeline consumes only the public instance and the two exchanged
 messages; it never touches Bob's side of the instance.  It recovers the
 shared key exactly, without recovering either party's secret:
 
-* precompute: collect pure words (products over the A generator words
-  whose permutation part is the identity) by powering short random
-  products with small permutation order, and keep their matrix images
-  as a witnessed basis V closed under products; the image of w^r comes
-  from one stream of w over the twists g^k (g the permutation of w).
-  Collection stops when a run of candidates in a row adds no dimension.
 * step 1: factor the permutation of Alice's message through the
   permutation images of the A generators with a stabilizer chain, expand
   the factorization to a braid word, and peel the message matrix down to
   a residual matrix ("gamma") with identity permutation part.  The same
   stream evaluates the word from (I, h), h the permutation of Bob's
   message.
+* precompute: collect pure words (products over the A generator words
+  whose permutation part is the identity) by powering short random
+  products with small permutation order, and keep their matrix images
+  as a witnessed basis V closed under products; the image of w^r comes
+  from one stream of w over the twists g^k (g the permutation of w).
+  A collection round ends when a run of candidates in a row adds no
+  dimension.  Steps 2 and 3 are tried after every candidate that grows
+  V and at the end of every round, and collection stops at the first
+  success.
 * step 2: solve the linear system for coefficients over the C algebra
   basis whose combination both lands in span(V) after normalizing by
   gamma^-1 and is invertible (random solutions are invertible with
@@ -30,9 +33,11 @@ shared key exactly, without recovering either party's secret:
   word's image from (I, h).  Whenever the pipeline completes on an
   honest transcript, the output equals the shared key exactly.
 
-When the linear step finds no solution (the collected V was too small),
-the pipeline resumes the precomputation with a larger candidate budget
-and retries, up to a configured number of enlargements.
+When a round ends without success (the collected V was too small), the
+pipeline starts another round of up to twice the first round's
+candidate count, up to a configured number of enlargements.  A failed
+try never ends the pipeline early, so the candidates it consumes are a
+prefix of those a full collection would draw from the same seed.
 """
 
 from __future__ import annotations
@@ -94,11 +99,13 @@ class AlphaPrimeOutsideV(ValueError):
 
 
 class AttackFailed(RuntimeError):
-    """Terminal pipeline failure, tagged with the failing stage."""
+    """Terminal pipeline failure, tagged with the failing stage and
+    carrying the statistics gathered up to it."""
 
-    def __init__(self, stage: str, message: str):
+    def __init__(self, stage: str, message: str, stats: "AttackStats"):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
+        self.stats = stats
 
 
 @dataclass
@@ -131,6 +138,7 @@ class AttackStats:
     recover_seconds: float = 0.0
     total_seconds: float = 0.0
     peak_rss_mb: float = 0.0
+    failed_stage: str | None = None
 
     def to_dict(self) -> dict:
         return {k: (round(v, 6) if isinstance(v, float) else v) for k, v in vars(self).items()}
@@ -212,9 +220,13 @@ def _collect_pure(
     rng,
     config: AttackConfig,
     candidate_cap: int | None,
+    stop_on_growth: bool = False,
 ) -> int:
     """Feed pure candidates into the closure until the stall criterion
-    (or the candidate cap) is hit; returns candidates consumed."""
+    (or the candidate cap) is hit, or with stop_on_growth until one grows
+    V; returns candidates consumed.  Stopping on growth loses no state:
+    the stall and rejection counts are zero right after a growth, and rng
+    is drawn only as candidates are consumed."""
     params = pub.params
     n = params.n
     order_cap = config.order_cap if config.order_cap is not None else n
@@ -239,6 +251,8 @@ def _collect_pure(
         if pure.closure.add_generator(mat, word.power(r)):
             pure.powers.append((word, g))
             stall = 0
+            if stop_on_growth:
+                break
         else:
             stall += 1
     pure.candidates += consumed
@@ -266,12 +280,18 @@ def precompute_pure_basis(
 
 
 def extend_pure_basis(
-    pub: InstancePublic, pure: PureBasis, rng, extra_candidates: int, config: AttackConfig
+    pub: InstancePublic,
+    pure: PureBasis,
+    rng,
+    extra_candidates: int,
+    config: AttackConfig,
+    stop_on_growth: bool = False,
 ) -> int:
-    """Resume collection for up to extra_candidates more candidates;
-    returns the dimension growth."""
+    """Resume collection for up to extra_candidates more candidates, or
+    with stop_on_growth only until one adds a dimension (a later call
+    then resumes the same round); returns the dimension growth."""
     before = pure.dim
-    _collect_pure(pub, pure, rng, config, candidate_cap=extra_candidates)
+    _collect_pure(pub, pure, rng, config, extra_candidates, stop_on_growth)
     return pure.dim - before
 
 
@@ -316,16 +336,18 @@ def solve_scale(
     field: GF2m,
     rng,
     max_tries: int = 64,
+    c_algebra: Sequence[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Find an invertible element of the C algebra whose normalization by
     the residual lands in span(V).
 
-    Builds the power basis of the C generators, solves the linear
+    Builds the power basis of the C generators (or takes it as
+    c_algebra, see InstancePublic.c_algebra), solves the linear
     membership system, and samples solutions until one is invertible.
     Returns (scale, coefficients, tries).  NoSolution propagates when V
     is too small; callers enlarge V and retry.
     """
-    kappas = algebra_closure(list(c_gens), field).mats
+    kappas = c_algebra if c_algebra is not None else algebra_closure(list(c_gens), field).mats
     space = solve_membership(field.mat_inv(residual), kappas, pure.basis, field)
     return sample_invertible(space, kappas, field, rng, max_tries=max_tries)
 
@@ -396,17 +418,32 @@ def attack_run(
 ) -> tuple[MatPerm, AttackStats]:
     """Run the full pipeline against a public instance and transcript.
 
-    On a linear-step failure the precomputation is resumed (each
-    resumption may consume up to twice the initial candidate count)
-    before the scale and split steps are retried.  Terminal failures
-    raise AttackFailed tagged with the stage name.
+    Factors first, then collects pure candidates round by round, trying
+    the scale and split steps after every candidate that grows V and at
+    the end of every round; the first success ends collection.  A round
+    that ends without success is followed by an enlargement round of up
+    to twice the first round's candidate count.  Terminal failures raise
+    AttackFailed tagged with the stage name and carrying the statistics
+    so far.
     """
     config = config or AttackConfig()
     stats = AttackStats()
     t_start = time.perf_counter()
     fld = pub.params.field
+    pure = PureBasis(AlgebraClosure(fld, pub.params.n))
+
+    def finish(failed_stage: str | None = None) -> AttackStats:
+        stats.dim_v, stats.candidates = pure.dim, pure.candidates
+        stats.failed_stage = failed_stage
+        stats.total_seconds = time.perf_counter() - t_start
+        stats.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        return stats
+
+    def fail(stage: str, exc) -> AttackFailed:
+        return AttackFailed(stage, str(exc), finish(stage))
+
     if transcript.bob_msg is None:
-        raise AttackFailed("input", "transcript is missing Bob's message")
+        raise fail("input", "transcript is missing Bob's message")
 
     # independent child streams: the number of candidates drawn cannot
     # shift the solution sampling
@@ -415,60 +452,74 @@ def attack_run(
 
     t0 = time.perf_counter()
     try:
-        pure = precompute_pure_basis(pub, rng_candidates, config)
-    except PureElementSearchExhausted as exc:
-        raise AttackFailed("precompute", str(exc)) from exc
-    initial_candidates = pure.candidates
-    stats.precompute_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
         perm_word, residual, twisted_word = factor_permutation(
             pub, transcript.alice_msg, twist=transcript.bob_msg.perm
         )
     except GNotExpressible as exc:
-        raise AttackFailed("factor", str(exc)) from exc
+        raise fail("factor", exc) from exc
     stats.factor_letters = len(perm_word)
     stats.factor_seconds = time.perf_counter() - t0
 
-    artifacts = None
-    for round_no in range(config.enlargement_rounds + 1):
+    def collect(extra: int) -> bool:
+        """Collect until a candidate grows V (True) or the round ends."""
+        t0 = time.perf_counter()
         try:
-            t0 = time.perf_counter()
-            scale, scale_coeffs, tries = solve_scale(
-                residual, pub.c_gens, pure, fld, rng_samples, max_tries=config.sample_tries
-            )
-            stats.scale_tries += tries
-            stats.scale_seconds += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            pure_part, pure_coeffs = split_pure_part(scale, residual, pure, fld)
-            stats.split_seconds += time.perf_counter() - t0
-            artifacts = AttackArtifacts(
-                perm_word, residual, scale, scale_coeffs, pure_part, pure_coeffs, twisted_word
-            )
-            break
-        except (NoSolution, InvertibleSampleFailed, AlphaPrimeOutsideV) as exc:
-            if round_no == config.enlargement_rounds:
-                stage = "split" if isinstance(exc, AlphaPrimeOutsideV) else "scale"
-                raise AttackFailed(stage, str(exc)) from exc
-            stats.enlargements += 1
-            t0 = time.perf_counter()
-            extend_pure_basis(
-                pub, pure, rng_candidates, 2 * max(initial_candidates, 1), config
-            )
+            growth = extend_pure_basis(pub, pure, rng_candidates, extra, config, stop_on_growth=True)
+        except PureElementSearchExhausted as exc:
+            raise fail("precompute", exc) from exc
+        finally:
             stats.precompute_seconds += time.perf_counter() - t0
+        return growth > 0
+
+    def linear_steps() -> AttackArtifacts | None:
+        """Scale and split against the current V; None, with the failing
+        stage in `failure`, while V is too small."""
+        nonlocal failure
+        t0 = time.perf_counter()
+        try:
+            scale, scale_coeffs, tries = solve_scale(
+                residual, pub.c_gens, pure, fld, rng_samples,
+                max_tries=config.sample_tries, c_algebra=pub.c_algebra,
+            )
+        except (NoSolution, InvertibleSampleFailed) as exc:
+            failure = ("scale", exc)
+            return None
+        finally:
+            stats.scale_seconds += time.perf_counter() - t0
+        stats.scale_tries += tries
+        t0 = time.perf_counter()
+        try:
+            pure_part, pure_coeffs = split_pure_part(scale, residual, pure, fld)
+        except AlphaPrimeOutsideV as exc:
+            failure = ("split", exc)
+            return None
+        finally:
+            stats.split_seconds += time.perf_counter() - t0
+        return AttackArtifacts(
+            perm_word, residual, scale, scale_coeffs, pure_part, pure_coeffs, twisted_word
+        )
+
+    failure = artifacts = None
+    cap = config.max_candidates
+    for round_no in range(config.enlargement_rounds + 1):
+        stats.enlargements = round_no
+        start, grew = pure.candidates, True
+        while grew and artifacts is None:  # without growth the round is over
+            grew = collect(cap - (pure.candidates - start))
+            artifacts = linear_steps()
+        if artifacts is not None:
+            break
+        if round_no == 0:
+            cap = 2 * max(pure.candidates, 1)
+    if artifacts is None:
+        raise fail(*failure)
 
     t0 = time.perf_counter()
     if not verify_reconstruction(pub, transcript.alice_msg, artifacts):
-        raise AttackFailed("audit", "reconstruction identity does not hold")
+        raise fail("audit", "reconstruction identity does not hold")
     stats.audit_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     key = recover_key(pub, transcript, pure, artifacts)
     stats.recover_seconds = time.perf_counter() - t0
-
-    stats.dim_v = pure.dim
-    stats.candidates = pure.candidates
-    stats.total_seconds = time.perf_counter() - t_start
-    stats.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return key, stats
+    return key, finish()

@@ -117,12 +117,15 @@ def cmd_attack(args) -> int:
         return EXIT_USAGE
     rng = random.Random(_resolve_seed(args.seed))
     config = AttackConfig(stall=args.stall)
+    out = Path(args.out_dir)
     try:
         key, stats = attack_run(pub, transcript, rng, config)
     except AttackFailed as exc:
+        out.mkdir(parents=True, exist_ok=True)
+        formats.save_stats(out / "stats.json", exc.stats.to_dict())
         print(f"attack failed at stage {exc.stage}: {exc}", file=sys.stderr)
+        print(f"wrote {out / 'stats.json'}", file=sys.stderr)
         return EXIT_ATTACK
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     formats.save_key(out / "key_recovered.json", SharedKey(key), pub.params)
     formats.save_stats(out / "stats.json", stats.to_dict())

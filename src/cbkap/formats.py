@@ -23,7 +23,14 @@ import numpy as np
 from .braid import BraidWord, EvalParams, MatPerm, _Repeat
 from .field import GF2m
 from .perm import Perm
-from .protocol import InstancePrivate, InstancePublic, SharedKey, Transcript
+from .protocol import (
+    MAX_WORD_LETTERS,
+    InstancePrivate,
+    InstancePublic,
+    SharedKey,
+    Transcript,
+    check_word_letters,
+)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -58,11 +65,10 @@ class FormatError(ValueError):
     """A file failed to parse or carried the wrong kind/version."""
 
 
-# Caps on a decoded braid word, far above generated words (one array deep,
-# 650 letters at the tests' full size): a hostile file must not exhaust the
-# stack or make every later stream of the word unbounded.
+# Cap on a decoded braid word's nesting, far above generated words (one
+# array deep): a hostile file must not exhaust the stack.  Its length is
+# capped by protocol.MAX_WORD_LETTERS.
 MAX_WORD_DEPTH = 64
-MAX_WORD_LETTERS = 1 << 17
 
 
 def save_envelope(path, kind: str, payload: dict) -> None:
@@ -147,10 +153,12 @@ def word_from_json(obj) -> BraidWord:
             break
         else:
             _, parts, length, count = stack.pop()
-            if length > MAX_WORD_LETTERS:
-                raise FormatError(f"braid word longer than {MAX_WORD_LETTERS} letters")
             word = BraidWord._from_parts(tuple(parts), length)
             if not stack:
+                try:
+                    check_word_letters(word)
+                except ValueError as exc:
+                    raise FormatError(str(exc)) from exc
                 return word
             stack[-1][1].append(word if count is None else _Repeat(word, count))
             stack[-1][2] += length * (count or 1)

@@ -138,12 +138,15 @@ class AlgebraClosure:
     """A basis kept closed under products with its generators.
 
     Contains the identity and every added generator, and multiplies each
-    basis element by each productive generator on both sides until no
-    product leaves the span.  Generators already inside the span
-    contribute nothing new and are skipped.
+    basis element on the left by each productive generator until no
+    product leaves the span.  A span that contains 1 and is closed under
+    left multiplication by every generator contains every product of
+    generators, so it is the algebra they generate and is closed under
+    all products.  Generators already inside the span contribute nothing
+    new and are skipped.
 
     Each basis element records how it was formed (identity, a generator,
-    or a one-sided product of a generator with an earlier element).  With
+    or a generator times an earlier element).  With
     pure witness words for the generators, concatenating along the
     recipes gives a pure witness word for every basis element.
     Evaluating a pure word under a permuted variable assignment is
@@ -155,7 +158,7 @@ class AlgebraClosure:
     def __init__(self, field: GF2m, n: int):
         self.basis = WitnessedBasis(field, n)
         self.generators: list[tuple[np.ndarray, BraidWord | None]] = []
-        # per basis element: ("one",) | ("gen", gi) | ("gb", gi, bi) | ("bg", bi, gi)
+        # per basis element: ("one",) | ("gen", gi) | ("gb", gi, bi)
         self.recipes: list[tuple] = []
         self._done: list[int] = []  # per generator: basis size already multiplied
         self.basis.add(field.identity(n))
@@ -188,11 +191,8 @@ class AlgebraClosure:
                     continue
                 progress = True
                 for bi in range(start, size):
-                    bmat = self.basis.mats[bi]
-                    if self.basis.add(fld.mat_mul(gmat, bmat)):
+                    if self.basis.add(fld.mat_mul(gmat, self.basis.mats[bi])):
                         self.recipes.append(("gb", gi, bi))
-                    if self.basis.add(fld.mat_mul(bmat, gmat)):
-                        self.recipes.append(("bg", bi, gi))
                 self._done[gi] = size
 
     def rebuild(self, gen_images: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -209,10 +209,8 @@ class AlgebraClosure:
                 out.append(fld.identity(self.basis.n))
             elif kind == "gen":
                 out.append(gen_images[recipe[1]])
-            elif kind == "gb":
-                out.append(fld.mat_mul(gen_images[recipe[1]], out[recipe[2]]))
             else:
-                out.append(fld.mat_mul(out[recipe[1]], gen_images[recipe[2]]))
+                out.append(fld.mat_mul(gen_images[recipe[1]], out[recipe[2]]))
         return out
 
 

@@ -178,8 +178,9 @@ class _Level:
         # strong generators assigned to this level: list of (Perm, GenWord)
         self.gens: list[tuple[Perm, GenWord]] = []
         # orbit point -> (images of u, word length, parent point | None,
-        # edge word); u maps the base point to the orbit point.  Words are
-        # materialized lazily so orbit rebuilds never concatenate long words.
+        # (edge word, inverted?)); u maps the base point to the orbit
+        # point.  Words are materialized (and edge words inverted) lazily,
+        # so orbit rebuilds never concatenate or invert long words.
         self.transversal: dict[int, tuple] = {point: (ident, 0, None, None)}
         # orbit point -> images of u^-1, for sifting
         self.inv: dict[int, tuple[int, ...]] = {point: ident}
@@ -191,9 +192,10 @@ class _Level:
             return cached
         _, _, parent, edge = self.transversal[point]
         if parent is None:
-            out = edge if edge is not None else ()
+            out = ()
         else:
-            out = self.word(parent) + edge
+            gw, inverted = edge
+            out = self.word(parent) + (invert_genword(gw) if inverted else gw)
         self._words[point] = out
         return out
 
@@ -239,33 +241,34 @@ class StabilizerChain:
         edges = []
         for g, gw in self._level_gens(i):
             g_inv = g.inverse().images
-            edges.append((g.images, g_inv, gw))
-            edges.append((g_inv, g.images, invert_genword(gw)))
+            edges.append((g.images, g_inv, (gw, False)))
+            edges.append((g_inv, g.images, (gw, True)))
         ident = self._ident
         trans = lvl.transversal = {}
         inv = lvl.inv = {}
         lvl._words.clear()
-        # tentative point -> (length, parent, edge images, their inverse, edge word)
+        # tentative point -> (length, parent, edge images, their inverse,
+        # (edge word, inverted?))
         best = {lvl.point: (0, None, ident, ident, None)}
         heap = [(0, lvl.point)]
         while heap:
             dist, beta = heapq.heappop(heap)
             if beta in inv:
                 continue
-            _, parent, g, g_inv, gw = best[beta]
+            _, parent, g, g_inv, edge = best[beta]
             if parent is None:
                 trans[beta], inv[beta] = (ident, 0, None, None), ident
             else:
-                trans[beta] = (_compose(trans[parent][0], g), dist, parent, gw)
+                trans[beta] = (_compose(trans[parent][0], g), dist, parent, edge)
                 inv[beta] = _compose(g_inv, inv[parent])
-            for g, g_inv, gw in edges:
+            for g, g_inv, edge in edges:
                 delta = g[beta]
                 if delta in inv:
                     continue
-                cand = dist + len(gw)
+                cand = dist + len(edge[0])
                 known = best.get(delta)
                 if known is None or cand < known[0]:
-                    best[delta] = (cand, beta, g, g_inv, gw)
+                    best[delta] = (cand, beta, g, g_inv, edge)
                     heapq.heappush(heap, (cand, delta))
 
     def _sift(self, p: tuple[int, ...], w: GenWord | None = None):

@@ -25,6 +25,7 @@ files on disk) so the attack harness can be blinded by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,8 @@ from .linalg import algebra_closure
 from .perm import Perm
 
 __all__ = [
+    "MAX_WORD_LETTERS",
+    "check_word_letters",
     "InstancePublic",
     "InstancePrivate",
     "TTPDebug",
@@ -58,23 +61,45 @@ __all__ = [
 ]
 
 
+# Cap on a generator word, far above generated words (650 letters at the
+# tests' full size): every attack candidate streams generator words, so an
+# instance with longer ones could keep any later stream running unbounded.
+MAX_WORD_LETTERS = 1 << 17
+
+
+def check_word_letters(word: BraidWord) -> None:
+    """Raise ValueError when the word is longer than MAX_WORD_LETTERS
+    letters (counted, not streamed)."""
+    if len(word) > MAX_WORD_LETTERS:
+        raise ValueError(f"braid word longer than {MAX_WORD_LETTERS} letters")
+
+
 @dataclass
 class InstancePublic:
     """What Alice (and the adversary) sees: evaluation parameters, the A
     generator braid words, and the C generator matrices.  ``a_perms``
     holds the generators' permutation parts, computed once here, which
-    also checks their letter ranges."""
+    also checks their letter ranges; each word's length is capped at
+    MAX_WORD_LETTERS."""
 
     params: EvalParams
     a_gens: list[BraidWord]
     c_gens: list[np.ndarray]
 
     def __post_init__(self):
+        for w in self.a_gens:
+            check_word_letters(w)
         self.a_perms = [word_perm(w, self.params.n) for w in self.a_gens]
         fld = self.params.field
         for c in self.c_gens:
             if not fld.is_invertible(c):
                 raise ValueError("C generators must be invertible")
+
+    @cached_property
+    def c_algebra(self) -> list[np.ndarray]:
+        """A basis of the algebra the C generators span, computed on first
+        use (the attack needs it; generation and the protocol do not)."""
+        return algebra_closure(self.c_gens, self.params.field).mats
 
 
 @dataclass

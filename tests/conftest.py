@@ -6,6 +6,7 @@ import pytest
 
 from cbkap.braid import BraidWord
 from cbkap.field import GF2m
+from cbkap.linalg import WitnessedBasis
 from cbkap.perm import NotInGroup, Perm, invert_genword
 from cbkap.protocol import alice_round, bob_round, derive_key_alice, ttp_generate
 
@@ -23,11 +24,36 @@ def expand_recipes(closure):
             words.append(BraidWord())
         elif kind == "gen":
             words.append(closure.generators[recipe[1]][1])
-        elif kind == "gb":
-            words.append(closure.generators[recipe[1]][1] + words[recipe[2]])
         else:
-            words.append(words[recipe[1]] + closure.generators[recipe[2]][1])
+            words.append(closure.generators[recipe[1]][1] + words[recipe[2]])
     return words
+
+
+def two_sided_span(gens, field, n):
+    """Reference for AlgebraClosure: the earlier closure, which multiplied
+    every basis element by every generator on both sides until nothing
+    left the span.  Returns the WitnessedBasis of that span."""
+    basis = WitnessedBasis(field, n)
+    basis.add(field.identity(n))
+    kept, done = [], []
+    for mat in gens:
+        if basis.add(mat):
+            kept.append(mat)
+            done.append(0)
+        progress = True
+        while progress:
+            progress = False
+            for gi, gmat in enumerate(kept):
+                size = basis.dim
+                if done[gi] >= size:
+                    continue
+                progress = True
+                for bi in range(done[gi], size):
+                    bmat = basis.mats[bi]
+                    basis.add(field.mat_mul(gmat, bmat))
+                    basis.add(field.mat_mul(bmat, gmat))
+                done[gi] = size
+    return basis
 
 
 class SequentialBasis:
@@ -286,6 +312,11 @@ class ReferenceChain:
 @pytest.fixture(scope="session")
 def basis_words():
     return expand_recipes
+
+
+@pytest.fixture(scope="session")
+def two_sided_reference():
+    return two_sided_span
 
 
 @pytest.fixture(scope="session")

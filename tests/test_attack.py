@@ -1,5 +1,6 @@
 import inspect
 import random
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cbkap.attack import (
     verify_reconstruction,
     AttackArtifacts,
 )
-from cbkap.braid import MatPerm, e_multiply, word_eval_pair, word_perm
+from cbkap.braid import BraidWord, MatPerm, e_multiply, word_eval_pair, word_perm
 from cbkap.field import GF2m
 from cbkap.linalg import algebra_closure
 from cbkap.perm import Perm
@@ -186,6 +187,14 @@ def test_solve_scale_postconditions(small_instance, small_field):
     kappas = algebra_closure(pub.c_gens, small_field)
     assert np.array_equal(kappas.combine(coeffs), scale)
     assert small_field.mat_mul(small_field.mat_inv(residual), scale) in pure.basis
+    # the instance's cached C-algebra basis gives the same draw
+    assert pub.c_algebra is pub.c_algebra
+    assert all(np.array_equal(a, b) for a, b in zip(pub.c_algebra, kappas.mats, strict=True))
+    again = solve_scale(
+        residual, pub.c_gens, pure, small_field, random.Random(9), c_algebra=pub.c_algebra
+    )
+    assert np.array_equal(again[0], scale) and np.array_equal(again[1], coeffs)
+    assert again[2] == tries
 
 
 def test_split_pure_part_and_reconstruction(small_instance, small_field):
@@ -377,3 +386,125 @@ def test_attack_failure_reports_stage(small_instance):
     with pytest.raises(AttackFailed) as err:
         attack_run(pub, transcript, random.Random(29), config)
     assert err.value.stage in ("scale", "split")
+    # the failure carries the statistics gathered up to it
+    stats = err.value.stats
+    assert stats.failed_stage == err.value.stage
+    assert (stats.dim_v, stats.candidates, stats.enlargements) == (1, 0, 0)
+    assert stats.factor_letters > 0 and stats.scale_seconds > 0
+    assert 0 < stats.factor_seconds + stats.scale_seconds <= stats.total_seconds
+    assert stats.to_dict()["failed_stage"] == err.value.stage
+
+
+def record_draws(monkeypatch):
+    """Record the letters of every candidate word the attack draws."""
+    drawn = []
+    original = attack_mod._candidate_words
+
+    def recording(pub, rng, config):
+        for word, g in original(pub, rng, config):
+            drawn.append(tuple(word.letters()))
+            yield word, g
+
+    monkeypatch.setattr(attack_mod, "_candidate_words", recording)
+    return drawn
+
+
+def full_schedule_draws(pub, seed, config, monkeypatch):
+    """The draws of every collection round run to its end (no early
+    accept) from the candidate stream attack_run derives from seed, and
+    the candidate total after each round."""
+    rng = random.Random(seed)
+    rng_candidates = random.Random(rng.getrandbits(64))
+    drawn = record_draws(monkeypatch)
+    pure = precompute_pure_basis(pub, rng_candidates, config)
+    totals = [pure.candidates]
+    for _ in range(config.enlargement_rounds):
+        extend_pure_basis(pub, pure, rng_candidates, 2 * max(totals[0], 1), config)
+        totals.append(pure.candidates)
+    monkeypatch.undo()
+    return drawn, totals
+
+
+@pytest.mark.parametrize(
+    "corner,max_candidates", [("small", 4096), ("gf4_n7", 4096), ("gf4_n7", 1)]
+)
+def test_attack_draws_are_a_prefix_of_the_full_schedule(
+    small_instance, corner, max_candidates, monkeypatch
+):
+    # early accept changes only where collection stops: the candidates the
+    # attack draws are a prefix of those of the rounds run to their end,
+    # and it stops inside the round its enlargement count names
+    if corner == "small":
+        (pub, priv, _), seeds = small_instance, range(4)
+    else:
+        pub, priv, _ = ttp_generate(7, GF2m(2), 3, 40, rng=random.Random(7))
+        seeds = range(8)
+    config = AttackConfig(max_candidates=max_candidates)
+    saved = failed = 0
+    for seed in seeds:
+        _, transcript, key = fresh_exchange(pub, priv, 300 + seed)
+        full, totals = full_schedule_draws(pub, seed, config, monkeypatch)
+        drawn = record_draws(monkeypatch)
+        try:
+            recovered, stats = attack_run(pub, transcript, random.Random(seed), config)
+        except AttackFailed as exc:
+            recovered, stats = None, exc.stats
+        monkeypatch.undo()
+        assert drawn and drawn == full[: len(drawn)]
+        if recovered is None:  # a failure has drawn the whole schedule
+            assert drawn == full and stats.candidates == totals[-1]
+            failed += 1
+            continue
+        assert recovered == key.key
+        rounds_before = totals[stats.enlargements - 1] if stats.enlargements else 0
+        assert rounds_before < stats.candidates <= totals[stats.enlargements]
+        saved += stats.candidates < totals[stats.enlargements]
+    # one candidate per first round is too few for some instances
+    assert failed == 0 or max_candidates == 1
+    assert saved >= (len(seeds) - failed) // 2
+
+
+def test_precompute_without_early_stop_keeps_its_figures(small_instance):
+    # (dim V, candidates) of a full collection round, as computed before
+    # early accept and the one-sided closure
+    pub, _, _ = small_instance
+    gf4 = ttp_generate(7, GF2m(2), 3, 40, rng=random.Random(7))[0]
+    for inst, expected in (
+        (pub, [(10, 6), (10, 6), (10, 6), (10, 6)]),
+        (gf4, [(5, 7), (5, 6), (5, 11), (5, 6)]),
+    ):
+        got = []
+        for seed in range(4):
+            pure = precompute_pure_basis(inst, random.Random(seed))
+            got.append((pure.dim, pure.candidates))
+        assert got == expected
+    wide = ttp_generate(20, GF2m(8), 8, 24, rng=random.Random(20))[0]
+    pure = precompute_pure_basis(wide, random.Random(0))
+    assert (pure.dim, pure.candidates) == (82, 6)
+
+
+@pytest.mark.parametrize(
+    "n,degree,gens,word_len,seeds",
+    [(8, 1, 8, 100, range(3)), (7, 2, 3, 40, range(6))],
+    ids=["gf2_tau1_n8", "gf4_n7"],
+)
+def test_attack_recovers_on_small_field_corners(n, degree, gens, word_len, seeds):
+    # over GF(2) every tau is 1 and V may never grow past {I}, so the
+    # linear steps must still be tried when a round ends
+    for seed in seeds:
+        rng = random.Random(8000 + 100 * n + seed)
+        pub, priv, _ = ttp_generate(n, GF2m(degree), gens, word_len, rng=rng)
+        _, transcript, key = fresh_exchange(pub, priv, seed)
+        recovered, _ = attack_run(pub, transcript, random.Random(seed))
+        assert recovered == key.key
+
+
+def test_instance_refuses_unbounded_generator_word(small_instance):
+    # a repetition's length is counted, not streamed: an attack on such an
+    # instance cannot start, instead of streaming 10^12 letters per candidate
+    pub, _, _ = small_instance
+    huge = BraidWord([1]).power(10**12)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="longer than"):
+        InstancePublic(pub.params, [huge] + pub.a_gens[1:], pub.c_gens)
+    assert time.perf_counter() - t0 < 1.0

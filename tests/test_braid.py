@@ -17,7 +17,7 @@ from cbkap.braid import (
 )
 from cbkap.field import GF2m
 from cbkap.perm import Perm
-from cbkap.protocol import InstancePublic
+from cbkap.protocol import MAX_WORD_LETTERS, InstancePublic
 
 
 def params_for(field, n, rng):
@@ -102,8 +102,11 @@ def test_word_perm():
     huge = BraidWord([1]).power(10**12)
     assert word_perm(huge, 3).is_identity()
     assert word_perm(huge + BraidWord([1]).power(10**12 + 1), 3) == Perm.transposition(3, 0)
+    # an instance takes generator words up to the letter cap (longer ones
+    # are refused, see test_attack.py)
     fld = GF2m(4)
-    pub = InstancePublic(params_for(fld, 3, rng), [huge], [fld.identity(3)])
+    at_cap = BraidWord([1]).power(MAX_WORD_LETTERS)
+    pub = InstancePublic(params_for(fld, 3, rng), [at_cap], [fld.identity(3)])
     assert pub.a_perms == [Perm.identity(3)]
     with pytest.raises(ValueError):
         word_perm(BraidWord([1, 3]).power(10**12), 3)

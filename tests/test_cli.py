@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import cbkap
 from cbkap import formats
-from cbkap.braid import BraidWord
+from cbkap.braid import BraidWord, word_perm
 from cbkap.cli import main
 from cbkap.field import GF2m
 from cbkap.formats import FormatError
@@ -308,6 +308,33 @@ def test_attack_flow_recovers_alice_key(tmp_path):
     kind, stats = formats.load_envelope(tmp_path / "stats.json", expect_kind="stats")
     for field in ("dim_v", "candidates", "factor_letters", "total_seconds", "peak_rss_mb"):
         assert field in stats
+    assert stats["failed_stage"] is None
+
+
+def test_attack_failure_writes_stats_with_stage(tmp_path, capsys):
+    # Alice's permutation replaced by one of Bob's generators: outside the
+    # A group, so factoring fails; stats.json still records the run
+    pub_file, priv_file = gen_small(tmp_path)
+    assert run(
+        "protocol", "--public", pub_file, "--private", priv_file,
+        "--seed", 21, "--out-dir", tmp_path,
+    ) == 0
+    pub = formats.load_instance_public(pub_file)
+    priv = formats.load_instance_private(priv_file, pub.params)
+    foreign = next(p for p in (word_perm(w, 8) for w in priv.b_gens) if not p.is_identity())
+    doc = json.loads((tmp_path / "transcript.json").read_text())
+    doc["payload"]["alice"]["perm"] = foreign.to_one_line()
+    bad = tmp_path / "foreign_transcript.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(
+        "attack", "--public", pub_file, "--transcript", bad, "--seed", 1, "--out-dir", out,
+    ) == 3
+    assert "stage factor" in capsys.readouterr().err
+    _, stats = formats.load_envelope(out / "stats.json", expect_kind="stats")
+    assert stats["failed_stage"] == "factor"
+    assert stats["candidates"] == 0 and stats["total_seconds"] > 0
+    assert not (out / "key_recovered.json").exists()
 
 
 def test_attack_refuses_private_material(tmp_path):

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from cbkap.attack import precompute_pure_basis
 from cbkap.braid import EvalParams, MatPerm, e_multiply, random_word, word_eval_pair, word_perm
 from cbkap.field import GF2m
 from cbkap.linalg import (
@@ -17,6 +18,7 @@ from cbkap.linalg import (
     solve_membership,
 )
 from cbkap.perm import Perm
+from cbkap.protocol import ttp_generate
 
 
 def rank_oracle(field, vectors):
@@ -254,6 +256,48 @@ def test_algebra_closure_is_multiplicatively_closed():
         for b in basis.mats:
             coeffs = basis.express(fld.mat_mul(a, b))  # raises NotInSpan on failure
             assert np.array_equal(basis.combine(coeffs), fld.mat_mul(a, b))
+
+
+def structured_gens(field, n, rng, kind):
+    """Generators of a full, triangular, block-diagonal or one-generator
+    matrix algebra."""
+    mats = [field.random_matrix(rng, n) for _ in range(3)]
+    if kind == "triangular":
+        return [np.triu(m) for m in mats]
+    if kind == "block":
+        half = n // 2
+        for m in mats:
+            m[:half, half:] = 0
+            m[half:, :half] = 0
+        return mats
+    return mats[:1] if kind == "single" else mats[:2]
+
+
+@pytest.mark.parametrize("degree", [1, 8, 16])
+@pytest.mark.parametrize("kind", ["full", "triangular", "block", "single"])
+def test_one_sided_closure_matches_two_sided_reference(degree, kind, two_sided_reference):
+    fld = GF2m(degree)
+    rng = random.Random(100 * degree + len(kind))
+    for n in (2, 3, 5):
+        gens = structured_gens(fld, n, rng, kind)
+        one = algebra_closure(gens, fld)
+        two = two_sided_reference(gens, fld, n)
+        assert one.dim == two.dim
+        assert all(m in two for m in one.mats) and all(m in one for m in two.mats)
+
+
+def test_one_sided_closure_matches_two_sided_on_attack_sized_pure_images(two_sided_reference):
+    # the pure images one attack collects at the benchmark's sizes:
+    # n=12 with 250-letter and n=20 with 24-letter A generators
+    for n, word_len in ((12, 250), (20, 24)):
+        fld = GF2m(8)
+        pub, _, _ = ttp_generate(n, fld, 8, word_len, rng=random.Random(n))
+        pure = precompute_pure_basis(pub, random.Random(n + 1))
+        gens = [mat for mat, _ in pure.closure.generators]
+        two = two_sided_reference(gens, fld, n)
+        assert pure.dim == two.dim > len(gens) + 1
+        assert all(m in two for m in pure.basis.mats)
+        assert all(m in pure.basis for m in two.mats)
 
 
 def make_pure_closure(field, n, rng, gen_count=4, word_len=12):

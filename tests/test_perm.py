@@ -298,8 +298,9 @@ def assert_same_chain(gens, n, reference_chain, rng):
 
 
 # Random generators give S_n or A_n with witness words that grow
-# exponentially down the chain (n=16 already takes seconds), so they are
-# used up to n=8 only.
+# exponentially down the chain, so they are used up to n=8, plus n=14,
+# where words reach 10^5 letters and the reference still builds in
+# about half a second.
 @pytest.mark.parametrize(
     "kind, n",
     [
@@ -307,7 +308,8 @@ def assert_same_chain(gens, n, reference_chain, rng):
         for kind in ("trivial", "symmetric", "random", "intransitive", "wreath")
         for n in (1, 2, 3, 8, 20)
         if kind != "random" or n <= 8
-    ],
+    ]
+    + [("random", 14)],
 )
 def test_chain_matches_reference(kind, n, reference_chain):
     rng = random.Random(1000 * n + len(kind))
