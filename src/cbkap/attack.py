@@ -17,8 +17,8 @@ shared key exactly, without recovering either party's secret:
   from one stream of w over the twists g^k (g the permutation of w).
   A collection round ends when a run of candidates in a row adds no
   dimension.  Steps 2 and 3 are tried after every candidate that grows
-  V and at the end of every round, and collection stops at the first
-  success.
+  V and at the end of a round (unless V is unchanged since a try that
+  only a larger V can pass), and collection stops at the first success.
 * step 2: solve the linear system for coefficients over the C algebra
   basis whose combination both lands in span(V) after normalizing by
   gamma^-1 and is invertible (random solutions are invertible with
@@ -47,7 +47,6 @@ import random as _random
 import resource
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +57,6 @@ from .linalg import (
     InvertibleSampleFailed,
     NoSolution,
     NotInSpan,
-    algebra_closure,
     sample_invertible,
     solve_membership,
 )
@@ -235,27 +233,29 @@ def _collect_pure(
     consumed = 0
     stall = 0
     rejections = 0
-    while stall < config.stall and consumed < cap:
-        word, g = next(stream)
-        r = g.order()
-        if r > order_cap:
-            rejections += 1
-            if rejections >= config.filter_budget:
-                raise PureElementSearchExhausted(
-                    f"{rejections} candidates in a row exceeded order {order_cap}"
-                )
-            continue
-        rejections = 0
-        consumed += 1
-        mat = _power_image(params, word, g, Perm.identity(n))
-        if pure.closure.add_generator(mat, word.power(r)):
-            pure.powers.append((word, g))
-            stall = 0
-            if stop_on_growth:
-                break
-        else:
-            stall += 1
-    pure.candidates += consumed
+    try:
+        while stall < config.stall and consumed < cap:
+            word, g = next(stream)
+            r = g.order()
+            if r > order_cap:
+                rejections += 1
+                if rejections >= config.filter_budget:
+                    raise PureElementSearchExhausted(
+                        f"{rejections} candidates in a row exceeded order {order_cap}"
+                    )
+                continue
+            rejections = 0
+            consumed += 1
+            mat = _power_image(params, word, g, Perm.identity(n))
+            if pure.closure.add_generator(mat, word.power(r)):
+                pure.powers.append((word, g))
+                stall = 0
+                if stop_on_growth:
+                    break
+            else:
+                stall += 1
+    finally:  # counted also when the order filter gives up
+        pure.candidates += consumed
     return consumed
 
 
@@ -331,23 +331,22 @@ def factor_permutation(
 
 def solve_scale(
     residual: np.ndarray,
-    c_gens: Sequence[np.ndarray],
+    pub: InstancePublic,
     pure: PureBasis,
-    field: GF2m,
     rng,
     max_tries: int = 64,
-    c_algebra: Sequence[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Find an invertible element of the C algebra whose normalization by
     the residual lands in span(V).
 
-    Builds the power basis of the C generators (or takes it as
-    c_algebra, see InstancePublic.c_algebra), solves the linear
-    membership system, and samples solutions until one is invertible.
-    Returns (scale, coefficients, tries).  NoSolution propagates when V
-    is too small; callers enlarge V and retry.
+    Takes the basis of the algebra the C generators span from the
+    instance (computed on the first call, see InstancePublic.c_algebra),
+    solves the linear membership system, and samples solutions until one
+    is invertible.  Returns (scale, coefficients, tries).  NoSolution
+    propagates when V is too small; callers enlarge V and retry.
     """
-    kappas = c_algebra if c_algebra is not None else algebra_closure(list(c_gens), field).mats
+    field = pub.params.field
+    kappas = pub.c_algebra
     space = solve_membership(field.mat_inv(residual), kappas, pure.basis, field)
     return sample_invertible(space, kappas, field, rng, max_tries=max_tries)
 
@@ -420,7 +419,8 @@ def attack_run(
 
     Factors first, then collects pure candidates round by round, trying
     the scale and split steps after every candidate that grows V and at
-    the end of every round; the first success ends collection.  A round
+    the end of a round, unless V is unchanged since a try that failed for
+    want of a larger V; the first success ends collection.  A round
     that ends without success is followed by an enlargement round of up
     to twice the first round's candidate count.  Terminal failures raise
     AttackFailed tagged with the stage name and carrying the statistics
@@ -473,16 +473,20 @@ def attack_run(
 
     def linear_steps() -> AttackArtifacts | None:
         """Scale and split against the current V; None, with the failing
-        stage in `failure`, while V is too small."""
-        nonlocal failure
+        stage in `failure`, while V is too small.  A failure that only
+        V's growth can change (not a resampling) records dim V in
+        `settled`."""
+        nonlocal failure, settled
         t0 = time.perf_counter()
         try:
             scale, scale_coeffs, tries = solve_scale(
-                residual, pub.c_gens, pure, fld, rng_samples,
-                max_tries=config.sample_tries, c_algebra=pub.c_algebra,
+                residual, pub, pure, rng_samples, max_tries=config.sample_tries
             )
-        except (NoSolution, InvertibleSampleFailed) as exc:
-            failure = ("scale", exc)
+        except NoSolution as exc:
+            failure, settled = ("scale", exc), pure.dim
+            return None
+        except InvertibleSampleFailed as exc:
+            failure, settled = ("scale", exc), None
             return None
         finally:
             stats.scale_seconds += time.perf_counter() - t0
@@ -491,7 +495,7 @@ def attack_run(
         try:
             pure_part, pure_coeffs = split_pure_part(scale, residual, pure, fld)
         except AlphaPrimeOutsideV as exc:
-            failure = ("split", exc)
+            failure, settled = ("split", exc), pure.dim
             return None
         finally:
             stats.split_seconds += time.perf_counter() - t0
@@ -499,14 +503,17 @@ def attack_run(
             perm_word, residual, scale, scale_coeffs, pure_part, pure_coeffs, twisted_word
         )
 
-    failure = artifacts = None
+    # V only grows, so an unchanged dim means an unchanged V: a try there
+    # after a settled failure would fail again
+    failure = artifacts = settled = None
     cap = config.max_candidates
     for round_no in range(config.enlargement_rounds + 1):
         stats.enlargements = round_no
         start, grew = pure.candidates, True
         while grew and artifacts is None:  # without growth the round is over
             grew = collect(cap - (pure.candidates - start))
-            artifacts = linear_steps()
+            if pure.dim != settled:
+                artifacts = linear_steps()
         if artifacts is not None:
             break
         if round_no == 0:

@@ -23,14 +23,7 @@ import numpy as np
 from .braid import BraidWord, EvalParams, MatPerm, _Repeat
 from .field import GF2m
 from .perm import Perm
-from .protocol import (
-    MAX_WORD_LETTERS,
-    InstancePrivate,
-    InstancePublic,
-    SharedKey,
-    Transcript,
-    check_word_letters,
-)
+from .protocol import MAX_WORD_LETTERS, InstancePrivate, InstancePublic, SharedKey, Transcript
 
 __all__ = [
     "FORMAT_VERSION",
@@ -153,12 +146,10 @@ def word_from_json(obj) -> BraidWord:
             break
         else:
             _, parts, length, count = stack.pop()
+            if length > MAX_WORD_LETTERS:
+                raise FormatError(f"braid word longer than {MAX_WORD_LETTERS} letters")
             word = BraidWord._from_parts(tuple(parts), length)
             if not stack:
-                try:
-                    check_word_letters(word)
-                except ValueError as exc:
-                    raise FormatError(str(exc)) from exc
                 return word
             stack[-1][1].append(word if count is None else _Repeat(word, count))
             stack[-1][2] += length * (count or 1)

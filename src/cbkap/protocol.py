@@ -46,7 +46,6 @@ from .perm import Perm
 
 __all__ = [
     "MAX_WORD_LETTERS",
-    "check_word_letters",
     "InstancePublic",
     "InstancePrivate",
     "TTPDebug",
@@ -67,13 +66,6 @@ __all__ = [
 MAX_WORD_LETTERS = 1 << 17
 
 
-def check_word_letters(word: BraidWord) -> None:
-    """Raise ValueError when the word is longer than MAX_WORD_LETTERS
-    letters (counted, not streamed)."""
-    if len(word) > MAX_WORD_LETTERS:
-        raise ValueError(f"braid word longer than {MAX_WORD_LETTERS} letters")
-
-
 @dataclass
 class InstancePublic:
     """What Alice (and the adversary) sees: evaluation parameters, the A
@@ -88,7 +80,9 @@ class InstancePublic:
 
     def __post_init__(self):
         for w in self.a_gens:
-            check_word_letters(w)
+            # the stored count, not len(), which overflows past sys.maxsize
+            if w._length > MAX_WORD_LETTERS:
+                raise ValueError(f"braid word longer than {MAX_WORD_LETTERS} letters")
         self.a_perms = [word_perm(w, self.params.n) for w in self.a_gens]
         fld = self.params.field
         for c in self.c_gens:

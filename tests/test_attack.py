@@ -23,7 +23,7 @@ from cbkap.attack import (
 )
 from cbkap.braid import BraidWord, MatPerm, e_multiply, word_eval_pair, word_perm
 from cbkap.field import GF2m
-from cbkap.linalg import algebra_closure
+from cbkap.linalg import InvertibleSampleFailed, NoSolution, algebra_closure
 from cbkap.perm import Perm
 from cbkap.protocol import (
     InstancePublic,
@@ -181,18 +181,16 @@ def test_solve_scale_postconditions(small_instance, small_field):
     _, transcript, _ = fresh_exchange(pub, priv, 7)
     pure = precompute_pure_basis(pub, random.Random(8))
     _, residual, _ = factor_permutation(pub, transcript.alice_msg)
-    scale, coeffs, tries = solve_scale(residual, pub.c_gens, pure, small_field, random.Random(9))
+    scale, coeffs, tries = solve_scale(residual, pub, pure, random.Random(9))
     assert tries <= 16
     assert small_field.is_invertible(scale)
     kappas = algebra_closure(pub.c_gens, small_field)
     assert np.array_equal(kappas.combine(coeffs), scale)
     assert small_field.mat_mul(small_field.mat_inv(residual), scale) in pure.basis
-    # the instance's cached C-algebra basis gives the same draw
+    # the instance caches its C-algebra basis; a second call draws the same
     assert pub.c_algebra is pub.c_algebra
     assert all(np.array_equal(a, b) for a, b in zip(pub.c_algebra, kappas.mats, strict=True))
-    again = solve_scale(
-        residual, pub.c_gens, pure, small_field, random.Random(9), c_algebra=pub.c_algebra
-    )
+    again = solve_scale(residual, pub, pure, random.Random(9))
     assert np.array_equal(again[0], scale) and np.array_equal(again[1], coeffs)
     assert again[2] == tries
 
@@ -202,7 +200,7 @@ def test_split_pure_part_and_reconstruction(small_instance, small_field):
     _, transcript, _ = fresh_exchange(pub, priv, 10)
     pure = precompute_pure_basis(pub, random.Random(11))
     word, residual, twisted = factor_permutation(pub, transcript.alice_msg)
-    scale, scoeffs, _ = solve_scale(residual, pub.c_gens, pure, small_field, random.Random(12))
+    scale, scoeffs, _ = solve_scale(residual, pub, pure, random.Random(12))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
     assert np.array_equal(
         part, small_field.mat_mul(small_field.mat_inv(scale), residual)
@@ -258,7 +256,7 @@ def test_recover_key_matches_single_state_assembly(small_instance, small_field):
     pure = precompute_pure_basis(pub, random.Random(215))
     h = transcript.bob_msg.perm
     word, residual, twisted_word = factor_permutation(pub, transcript.alice_msg, twist=h)
-    scale, scoeffs, _ = solve_scale(residual, pub.c_gens, pure, small_field, random.Random(216))
+    scale, scoeffs, _ = solve_scale(residual, pub, pure, random.Random(216))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
     artifacts = AttackArtifacts(word, residual, scale, scoeffs, part, pcoeffs, twisted_word)
     n = pub.params.n
@@ -357,7 +355,7 @@ def test_extension_grows_small_basis(small_instance, small_field):
     word, residual, twisted = factor_permutation(
         pub, transcript.alice_msg, twist=transcript.bob_msg.perm
     )
-    scale, scoeffs, _ = solve_scale(residual, pub.c_gens, pure, small_field, random.Random(27))
+    scale, scoeffs, _ = solve_scale(residual, pub, pure, random.Random(27))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
     artifacts = AttackArtifacts(word, residual, scale, scoeffs, part, pcoeffs, twisted)
     assert recover_key(pub, transcript, pure, artifacts) == key.key
@@ -499,12 +497,92 @@ def test_attack_recovers_on_small_field_corners(n, degree, gens, word_len, seeds
         assert recovered == key.key
 
 
+# with one candidate per first round, seed 4 fails (see the prefix test)
+@pytest.mark.parametrize("max_candidates,seeds", [(4096, range(8)), (1, (0, 1, 2, 3, 5, 6, 7))])
+def test_attack_skips_tries_a_settled_failure_would_repeat(max_candidates, seeds, monkeypatch):
+    # V only grows: after NoSolution at some V, a round that ends without
+    # growth is not tried again, so every try is at a larger V than the
+    # last such failure; the attack still recovers the key
+    pub, priv, _ = ttp_generate(7, GF2m(2), 3, 40, rng=random.Random(7))
+    tries, collections = [], []
+    solve, extend = attack_mod.solve_scale, attack_mod.extend_pure_basis
+
+    def logged_solve(residual, pub, pure, *args, **kwargs):
+        tries.append([pure.dim, None])
+        try:
+            return solve(residual, pub, pure, *args, **kwargs)
+        except Exception as exc:
+            tries[-1][1] = type(exc)
+            raise
+
+    def counted_extend(*args, **kwargs):
+        collections.append(1)
+        return extend(*args, **kwargs)
+
+    monkeypatch.setattr(attack_mod, "solve_scale", logged_solve)
+    monkeypatch.setattr(attack_mod, "extend_pure_basis", counted_extend)
+    skipped = 0
+    for seed in seeds:
+        tries.clear(), collections.clear()
+        _, transcript, key = fresh_exchange(pub, priv, 300 + seed)
+        recovered, _ = attack_run(
+            pub, transcript, random.Random(seed), AttackConfig(max_candidates=max_candidates)
+        )
+        assert recovered == key.key
+        assert all(b[0] > a[0] for a, b in zip(tries, tries[1:]) if a[1] is NoSolution)
+        skipped += len(collections) - len(tries)
+    assert skipped > 0
+
+
+def test_attack_retries_an_unchanged_v_after_a_failed_sampling(monkeypatch):
+    # an invertible-sampling failure can pass on a resample, so the next
+    # round end tries the same V again (over GF(2) with tau = 1, V = {I})
+    pub, priv, _ = ttp_generate(8, GF2m(1), 8, 100, rng=random.Random(8800))
+    _, transcript, key = fresh_exchange(pub, priv, 0)
+    dims = []
+    solve = attack_mod.solve_scale
+
+    def failing_once(residual, pub, pure, *args, **kwargs):
+        dims.append(pure.dim)
+        if len(dims) == 1:
+            raise InvertibleSampleFailed("forced")
+        return solve(residual, pub, pure, *args, **kwargs)
+
+    monkeypatch.setattr(attack_mod, "solve_scale", failing_once)
+    recovered, stats = attack_run(pub, transcript, random.Random(0))
+    assert recovered == key.key
+    assert dims == [1, 1] and stats.enlargements == 1
+
+
+def test_exhausted_order_filter_still_counts_its_candidates(small_instance, monkeypatch):
+    # candidates consumed by a call that ends in PureElementSearchExhausted
+    # are counted, so a failed attack's stats report them
+    pub, _, _ = small_instance
+    pure = precompute_pure_basis(pub, random.Random(0))
+    before = pure.candidates
+    images = []
+    power_image = attack_mod._power_image
+    monkeypatch.setattr(
+        attack_mod, "_power_image", lambda *args: images.append(1) or power_image(*args)
+    )
+    # V is already full here, so no candidate grows it and the filter ends the call
+    config = AttackConfig(stall=10**6, order_cap=2, filter_budget=8)
+    with pytest.raises(PureElementSearchExhausted):
+        extend_pure_basis(pub, pure, random.Random(50), 10**6, config)
+    assert len(images) > 0 and pure.candidates - before == len(images)
+
+
 def test_instance_refuses_unbounded_generator_word(small_instance):
     # a repetition's length is counted, not streamed: an attack on such an
     # instance cannot start, instead of streaming 10^12 letters per candidate
     pub, _, _ = small_instance
-    huge = BraidWord([1]).power(10**12)
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="longer than"):
-        InstancePublic(pub.params, [huge] + pub.a_gens[1:], pub.c_gens)
+    # the last two are longer than sys.maxsize letters, where len() overflows
+    for huge in (
+        BraidWord([1]).power(10**12),
+        BraidWord([1]).power(10**19),
+        BraidWord([1]).power(10**12).power(10**12),
+    ):
+        with pytest.raises(ValueError, match="longer than"):
+            InstancePublic(pub.params, [huge] + pub.a_gens[1:], pub.c_gens)
     assert time.perf_counter() - t0 < 1.0

@@ -64,6 +64,9 @@ def test_word_json_round_trip():
         [{"body": [1], "count": "2"}],
         [{"body": [1], "count": 10**12}],
         [{"body": [{"body": [1, 2], "count": 2**16}], "count": 2}],
+        # lengths past sys.maxsize, where len() would overflow
+        [{"body": [1], "count": 10**19}],
+        [{"body": [{"body": [1], "count": 10**12}], "count": 10**12}],
         [nested],
     ):
         with pytest.raises(FormatError):
@@ -309,6 +312,35 @@ def test_attack_flow_recovers_alice_key(tmp_path):
     for field in ("dim_v", "candidates", "factor_letters", "total_seconds", "peak_rss_mb"):
         assert field in stats
     assert stats["failed_stage"] is None
+
+
+@pytest.mark.parametrize(
+    "huge",
+    [
+        [{"body": [1], "count": 10**19}],
+        [{"body": [{"body": [1], "count": 10**12}], "count": 10**12}],
+    ],
+    ids=["count_1e19", "nested_1e12x1e12"],
+)
+def test_attack_refuses_overlong_generator_word(tmp_path, capsys, huge):
+    # a generator word longer than sys.maxsize letters is a format error
+    # (exit 2), not a crash
+    pub_file, priv_file = gen_small(tmp_path)
+    assert run(
+        "protocol", "--public", pub_file, "--private", priv_file,
+        "--seed", 21, "--out-dir", tmp_path,
+    ) == 0
+    doc = json.loads(pub_file.read_text())
+    doc["payload"]["a_gens"][0] = huge
+    bad = tmp_path / "overlong_public.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="longer than"):
+        formats.load_instance_public(bad)
+    assert run(
+        "attack", "--public", bad, "--transcript", tmp_path / "transcript.json",
+        "--seed", 1, "--out-dir", tmp_path / "out",
+    ) == 2
+    assert "longer than" in capsys.readouterr().err
 
 
 def test_attack_failure_writes_stats_with_stage(tmp_path, capsys):
