@@ -15,10 +15,11 @@ shared key exactly, without recovering either party's secret:
   products with small permutation order, and keep their matrix images
   as a witnessed basis V closed under products; the image of w^r comes
   from one stream of w over the twists g^k (g the permutation of w).
-  A collection round ends when a run of candidates in a row adds no
-  dimension.  Steps 2 and 3 are tried after every candidate that grows
-  V and at the end of a round (unless V is unchanged since a try that
-  only a larger V can pass), and collection stops at the first success.
+  One collection call returns at the first candidate that grows V, or
+  at the end of the round, when a run of candidates in a row adds no
+  dimension.  Steps 2 and 3 are tried after every such call (unless V
+  is unchanged since a try that only a larger V can pass), and
+  collection stops at the first success.
 * step 2: solve the linear system for coefficients over the C algebra
   basis whose combination both lands in span(V) after normalizing by
   gamma^-1 and is invertible (random solutions are invertible with
@@ -38,6 +39,9 @@ pipeline starts another round of up to twice the first round's
 candidate count, up to a configured number of enlargements.  A failed
 try never ends the pipeline early, so the candidates it consumes are a
 prefix of those a full collection would draw from the same seed.
+
+Each stage's time, a failing stage's included, is added up in
+AttackStats by its ``stage`` meter.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import functools
 import random as _random
 import resource
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,17 +109,16 @@ class AttackFailed(RuntimeError):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
         self.stats = stats
+        stats.failed_stage = stage
 
 
 @dataclass
 class AttackConfig:
-    candidate_draws: tuple[int, int] = (2, 10)  # generator draws per candidate
     order_cap: int | None = None  # permutation-order filter; defaults to n
     stall: int = 4  # consecutive no-growth candidates before stopping
     filter_budget: int = 512  # consecutive order-filter rejections tolerated
     max_candidates: int = 4096  # hard safety cap per collection round
     enlargement_rounds: int = 3  # precomputation resumptions on failure
-    sample_tries: int = 64  # invertible-sampling budget per attempt
 
     def __post_init__(self):
         if self.stall < 1:
@@ -140,6 +144,19 @@ class AttackStats:
 
     def to_dict(self) -> dict:
         return {k: (round(v, 6) if isinstance(v, float) else v) for k, v in vars(self).items()}
+
+    @contextmanager
+    def stage(self, name: str, *fatal: type[Exception]):
+        """Add the block's time to ``<name>_seconds``, also when it
+        raises; an exception of a fatal type becomes AttackFailed(name)."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        except fatal as exc:
+            raise AttackFailed(name, str(exc), self) from exc
+        finally:
+            attr = f"{name}_seconds"
+            setattr(self, attr, getattr(self, attr) + time.perf_counter() - t0)
 
 
 @dataclass
@@ -189,14 +206,14 @@ def _expand(pub: InstancePublic, gen_word) -> BraidWord:
     return BraidWord.concat(*(gens[k] if e > 0 else gens[k].inverse() for k, e in gen_word))
 
 
-def _candidate_words(pub: InstancePublic, rng, config: AttackConfig):
-    """Yield an endless stream of candidate words over the A generators,
-    each with its permutation, composed from the generators' own."""
-    lo, hi = config.candidate_draws
+def _candidate_words(pub: InstancePublic, rng):
+    """Yield an endless stream of candidate words, each a product of 2 to
+    10 random A generators or inverses, with its permutation composed from
+    the generators' own."""
     while True:
         gen_word = [
             (rng.randrange(len(pub.a_gens)), 1 if rng.random() < 0.5 else -1)
-            for _ in range(rng.randint(lo, hi))
+            for _ in range(rng.randint(2, 10))
         ]
         yield _expand(pub, gen_word), evaluate_genword(gen_word, pub.a_perms, pub.params.n)
 
@@ -212,29 +229,29 @@ def _power_image(params: EvalParams, w: BraidWord, g: Perm, h: Perm) -> np.ndarr
     return functools.reduce(fld.mat_mul, [image.mat for image in images])
 
 
-def _collect_pure(
-    pub: InstancePublic,
-    pure: PureBasis,
-    rng,
-    config: AttackConfig,
-    candidate_cap: int | None,
-    stop_on_growth: bool = False,
+def extend_pure_basis(
+    pub: InstancePublic, pure: PureBasis, rng, extra_candidates: int, config: AttackConfig
 ) -> int:
-    """Feed pure candidates into the closure until the stall criterion
-    (or the candidate cap) is hit, or with stop_on_growth until one grows
-    V; returns candidates consumed.  Stopping on growth loses no state:
-    the stall and rejection counts are zero right after a growth, and rng
-    is drawn only as candidates are consumed."""
+    """Feed pure candidates into the closure until one grows V, or the
+    round ends: a stall (config.stall candidates in a row add nothing) or
+    extra_candidates consumed.  Returns the dimension growth, so 0 means
+    the round has ended.
+
+    Candidates are short random products over the A generators; those
+    whose permutation part has order above the cap (default n) are
+    discarded, the rest are raised to that order to become pure words.
+    Stopping at a growth loses no state, so a later call resumes the same
+    round: the stall and rejection counts are zero right after a growth,
+    and rng is drawn only as candidates are consumed.
+    """
     params = pub.params
     n = params.n
     order_cap = config.order_cap if config.order_cap is not None else n
-    cap = candidate_cap if candidate_cap is not None else config.max_candidates
-    stream = _candidate_words(pub, rng, config)
-    consumed = 0
-    stall = 0
-    rejections = 0
+    stream = _candidate_words(pub, rng)
+    before = pure.dim
+    consumed = stall = rejections = 0
     try:
-        while stall < config.stall and consumed < cap:
+        while stall < config.stall and consumed < extra_candidates:
             word, g = next(stream)
             r = g.order()
             if r > order_cap:
@@ -249,50 +266,26 @@ def _collect_pure(
             mat = _power_image(params, word, g, Perm.identity(n))
             if pure.closure.add_generator(mat, word.power(r)):
                 pure.powers.append((word, g))
-                stall = 0
-                if stop_on_growth:
-                    break
-            else:
-                stall += 1
+                break
+            stall += 1
     finally:  # counted also when the order filter gives up
         pure.candidates += consumed
-    return consumed
+    return pure.dim - before
 
 
 def precompute_pure_basis(
     pub: InstancePublic, rng, config: AttackConfig | None = None
 ) -> PureBasis:
     """Collect a witnessed basis of pure-word images, closed under
-    products.
-
-    Candidates are short random products over the A generators; those
-    whose permutation part has order above the cap (default n) are
-    discarded, the rest are raised to that order to become pure words.
-    Collection stops after the configured number of consecutive
-    candidates adds no dimension.
-    """
+    products: one collection round, up to config.max_candidates
+    candidates, run to its end by extend_pure_basis calls."""
     config = config or AttackConfig()
     if not pub.a_gens:
         raise ValueError("instance has no A generators")
     pure = PureBasis(AlgebraClosure(pub.params.field, pub.params.n))
-    _collect_pure(pub, pure, rng, config, candidate_cap=None)
+    while extend_pure_basis(pub, pure, rng, config.max_candidates - pure.candidates, config):
+        pass
     return pure
-
-
-def extend_pure_basis(
-    pub: InstancePublic,
-    pure: PureBasis,
-    rng,
-    extra_candidates: int,
-    config: AttackConfig,
-    stop_on_growth: bool = False,
-) -> int:
-    """Resume collection for up to extra_candidates more candidates, or
-    with stop_on_growth only until one adds a dimension (a later call
-    then resumes the same round); returns the dimension growth."""
-    before = pure.dim
-    _collect_pure(pub, pure, rng, config, extra_candidates, stop_on_growth)
-    return pure.dim - before
 
 
 def factor_permutation(
@@ -334,7 +327,6 @@ def solve_scale(
     pub: InstancePublic,
     pure: PureBasis,
     rng,
-    max_tries: int = 64,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Find an invertible element of the C algebra whose normalization by
     the residual lands in span(V).
@@ -348,7 +340,7 @@ def solve_scale(
     field = pub.params.field
     kappas = pub.c_algebra
     space = solve_membership(field.mat_inv(residual), kappas, pure.basis, field)
-    return sample_invertible(space, kappas, field, rng, max_tries=max_tries)
+    return sample_invertible(space, kappas, field, rng)
 
 
 def split_pure_part(
@@ -424,109 +416,80 @@ def attack_run(
     that ends without success is followed by an enlargement round of up
     to twice the first round's candidate count.  Terminal failures raise
     AttackFailed tagged with the stage name and carrying the statistics
-    so far.
+    so far, the failing stage's time included.
     """
     config = config or AttackConfig()
     stats = AttackStats()
     t_start = time.perf_counter()
     fld = pub.params.field
     pure = PureBasis(AlgebraClosure(fld, pub.params.n))
+    try:
+        if transcript.bob_msg is None:
+            raise AttackFailed("input", "transcript is missing Bob's message", stats)
 
-    def finish(failed_stage: str | None = None) -> AttackStats:
+        # independent child streams: the number of candidates drawn cannot
+        # shift the solution sampling
+        rng_candidates = _random.Random(rng.getrandbits(64))
+        rng_samples = _random.Random(rng.getrandbits(64))
+
+        with stats.stage("factor", GNotExpressible):
+            perm_word, residual, twisted_word = factor_permutation(
+                pub, transcript.alice_msg, twist=transcript.bob_msg.perm
+            )
+        stats.factor_letters = len(perm_word)
+
+        def linear_steps() -> AttackArtifacts | tuple[str, Exception]:
+            """Scale and split against the current V: the artifacts, or
+            the failing stage and its error while V is too small."""
+            with stats.stage("scale"):
+                try:
+                    scale, scale_coeffs, tries = solve_scale(residual, pub, pure, rng_samples)
+                except (NoSolution, InvertibleSampleFailed) as exc:
+                    return "scale", exc
+            stats.scale_tries += tries
+            with stats.stage("split"):
+                try:
+                    pure_part, pure_coeffs = split_pure_part(scale, residual, pure, fld)
+                except AlphaPrimeOutsideV as exc:
+                    return "split", exc
+            return AttackArtifacts(
+                perm_word, residual, scale, scale_coeffs, pure_part, pure_coeffs, twisted_word
+            )
+
+        # V only grows, so an unchanged dim means an unchanged V: a try
+        # there after a settled failure would fail again
+        outcome = settled = None
+        cap = config.max_candidates
+        for round_no in range(config.enlargement_rounds + 1):
+            stats.enlargements = round_no
+            start, grew = pure.candidates, True
+            while grew:  # without growth the round is over
+                with stats.stage("precompute", PureElementSearchExhausted):
+                    extra = cap - (pure.candidates - start)
+                    grew = extend_pure_basis(pub, pure, rng_candidates, extra, config) > 0
+                if pure.dim == settled:
+                    continue
+                outcome = linear_steps()
+                if isinstance(outcome, AttackArtifacts):
+                    break
+                # a failed sampling can pass on a resample; the other
+                # failures settle this V
+                settled = None if isinstance(outcome[1], InvertibleSampleFailed) else pure.dim
+            if isinstance(outcome, AttackArtifacts):
+                break
+            if round_no == 0:
+                cap = 2 * max(pure.candidates, 1)
+        else:
+            stage, exc = outcome
+            raise AttackFailed(stage, str(exc), stats) from exc
+
+        with stats.stage("audit"):
+            if not verify_reconstruction(pub, transcript.alice_msg, outcome):
+                raise AttackFailed("audit", "reconstruction identity does not hold", stats)
+        with stats.stage("recover"):
+            key = recover_key(pub, transcript, pure, outcome)
+    finally:
         stats.dim_v, stats.candidates = pure.dim, pure.candidates
-        stats.failed_stage = failed_stage
         stats.total_seconds = time.perf_counter() - t_start
         stats.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        return stats
-
-    def fail(stage: str, exc) -> AttackFailed:
-        return AttackFailed(stage, str(exc), finish(stage))
-
-    if transcript.bob_msg is None:
-        raise fail("input", "transcript is missing Bob's message")
-
-    # independent child streams: the number of candidates drawn cannot
-    # shift the solution sampling
-    rng_candidates = _random.Random(rng.getrandbits(64))
-    rng_samples = _random.Random(rng.getrandbits(64))
-
-    t0 = time.perf_counter()
-    try:
-        perm_word, residual, twisted_word = factor_permutation(
-            pub, transcript.alice_msg, twist=transcript.bob_msg.perm
-        )
-    except GNotExpressible as exc:
-        raise fail("factor", exc) from exc
-    stats.factor_letters = len(perm_word)
-    stats.factor_seconds = time.perf_counter() - t0
-
-    def collect(extra: int) -> bool:
-        """Collect until a candidate grows V (True) or the round ends."""
-        t0 = time.perf_counter()
-        try:
-            growth = extend_pure_basis(pub, pure, rng_candidates, extra, config, stop_on_growth=True)
-        except PureElementSearchExhausted as exc:
-            raise fail("precompute", exc) from exc
-        finally:
-            stats.precompute_seconds += time.perf_counter() - t0
-        return growth > 0
-
-    def linear_steps() -> AttackArtifacts | None:
-        """Scale and split against the current V; None, with the failing
-        stage in `failure`, while V is too small.  A failure that only
-        V's growth can change (not a resampling) records dim V in
-        `settled`."""
-        nonlocal failure, settled
-        t0 = time.perf_counter()
-        try:
-            scale, scale_coeffs, tries = solve_scale(
-                residual, pub, pure, rng_samples, max_tries=config.sample_tries
-            )
-        except NoSolution as exc:
-            failure, settled = ("scale", exc), pure.dim
-            return None
-        except InvertibleSampleFailed as exc:
-            failure, settled = ("scale", exc), None
-            return None
-        finally:
-            stats.scale_seconds += time.perf_counter() - t0
-        stats.scale_tries += tries
-        t0 = time.perf_counter()
-        try:
-            pure_part, pure_coeffs = split_pure_part(scale, residual, pure, fld)
-        except AlphaPrimeOutsideV as exc:
-            failure, settled = ("split", exc), pure.dim
-            return None
-        finally:
-            stats.split_seconds += time.perf_counter() - t0
-        return AttackArtifacts(
-            perm_word, residual, scale, scale_coeffs, pure_part, pure_coeffs, twisted_word
-        )
-
-    # V only grows, so an unchanged dim means an unchanged V: a try there
-    # after a settled failure would fail again
-    failure = artifacts = settled = None
-    cap = config.max_candidates
-    for round_no in range(config.enlargement_rounds + 1):
-        stats.enlargements = round_no
-        start, grew = pure.candidates, True
-        while grew and artifacts is None:  # without growth the round is over
-            grew = collect(cap - (pure.candidates - start))
-            if pure.dim != settled:
-                artifacts = linear_steps()
-        if artifacts is not None:
-            break
-        if round_no == 0:
-            cap = 2 * max(pure.candidates, 1)
-    if artifacts is None:
-        raise fail(*failure)
-
-    t0 = time.perf_counter()
-    if not verify_reconstruction(pub, transcript.alice_msg, artifacts):
-        raise fail("audit", "reconstruction identity does not hold")
-    stats.audit_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    key = recover_key(pub, transcript, pure, artifacts)
-    stats.recover_seconds = time.perf_counter() - t0
-    return key, finish()
+    return key, stats

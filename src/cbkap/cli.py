@@ -2,8 +2,8 @@
 
 Subcommands: ``gen`` (instance generation), ``protocol`` (run an
 exchange and derive both keys), ``attack`` (recover the key from public
-data plus a transcript), ``verify`` (compare two key files), and
-``bench`` (E-multiplication throughput).  Seeded runs are byte-identical.
+data plus a transcript) and ``verify`` (compare two key files).  Seeded
+runs are byte-identical.
 
 Exit codes: 0 success, 1 mismatch or verification failure, 2 usage
 error, 3 attack-stage failure.  The ``ERASER_SEED`` environment variable
@@ -17,13 +17,11 @@ import argparse
 import os
 import random
 import sys
-import time
 from pathlib import Path
 
 from . import formats
 from .attack import AttackConfig, AttackFailed, attack_run
-from .braid import EvalParams, random_word, word_eval_pair
-from .field import GF2m, is_irreducible
+from .field import GF2m
 from .formats import FormatError
 from .protocol import (
     SharedKey,
@@ -54,12 +52,6 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 4:
-        print("error: --n must be at least 4", file=sys.stderr)
-        return EXIT_USAGE
-    if args.modulus is not None and not is_irreducible(args.modulus):
-        print(f"error: modulus {args.modulus:#x} is not irreducible", file=sys.stderr)
-        return EXIT_USAGE
     field = GF2m(args.field_bits, args.modulus)
     rng = random.Random(_resolve_seed(args.seed))
     pub, priv, _ = ttp_generate(
@@ -149,20 +141,6 @@ def cmd_verify(args) -> int:
     return EXIT_MISMATCH
 
 
-def cmd_bench(args) -> int:
-    field = GF2m(args.field_bits)
-    rng = random.Random(_resolve_seed(args.seed))
-    tau = tuple(rng.randrange(2, field.order) for _ in range(args.n))
-    params = EvalParams(field, args.n, tau)
-    word = random_word(args.n, args.letters, rng)
-    t0 = time.perf_counter()
-    word_eval_pair(word, params)
-    dt = time.perf_counter() - t0
-    print(f"{args.letters} letters at n={args.n}, |F|=2^{args.field_bits}: "
-          f"{args.letters / dt:,.0f} letters/s")
-    return EXIT_OK
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cbkap",
@@ -205,13 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("key_a")
     p.add_argument("key_b")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="measure E-multiplication throughput")
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--field-bits", type=int, default=8)
-    p.add_argument("--letters", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

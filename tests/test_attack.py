@@ -348,9 +348,12 @@ def test_extension_grows_small_basis(small_instance, small_field):
     config = AttackConfig(max_candidates=1)
     pure = precompute_pure_basis(pub, random.Random(24), config)
     small = pure.dim
-    grown = extend_pure_basis(pub, pure, random.Random(25), 40, AttackConfig())
-    assert pure.dim == small + grown
-    assert grown >= 0
+    rng, start, grown = random.Random(25), pure.candidates, []
+    while not grown or grown[-1]:  # each call returns at a growth or the round end
+        extra = 40 - (pure.candidates - start)
+        grown.append(extend_pure_basis(pub, pure, rng, extra, AttackConfig()))
+    assert pure.dim == small + sum(grown)
+    assert all(g > 0 for g in grown[:-1])
     _, transcript, key = fresh_exchange(pub, priv, 26)
     word, residual, twisted = factor_permutation(
         pub, transcript.alice_msg, twist=transcript.bob_msg.perm
@@ -393,13 +396,27 @@ def test_attack_failure_reports_stage(small_instance):
     assert stats.to_dict()["failed_stage"] == err.value.stage
 
 
+def test_attack_failed_audit_counts_its_time(small_instance, monkeypatch):
+    # a failing stage's time is counted, and the stage sum stays within the total
+    pub, priv, _ = small_instance
+    _, transcript, _ = fresh_exchange(pub, priv, 30)
+    monkeypatch.setattr(attack_mod, "verify_reconstruction", lambda *args: False)
+    with pytest.raises(AttackFailed) as err:
+        attack_run(pub, transcript, random.Random(31))
+    stats = err.value.stats
+    assert err.value.stage == stats.failed_stage == "audit"
+    assert stats.audit_seconds > 0 and stats.recover_seconds == 0
+    stages = ("precompute", "factor", "scale", "split", "audit", "recover")
+    assert 0 < sum(getattr(stats, f"{s}_seconds") for s in stages) <= stats.total_seconds
+
+
 def record_draws(monkeypatch):
     """Record the letters of every candidate word the attack draws."""
     drawn = []
     original = attack_mod._candidate_words
 
-    def recording(pub, rng, config):
-        for word, g in original(pub, rng, config):
+    def recording(pub, rng):
+        for word, g in original(pub, rng):
             drawn.append(tuple(word.letters()))
             yield word, g
 
@@ -417,7 +434,10 @@ def full_schedule_draws(pub, seed, config, monkeypatch):
     pure = precompute_pure_basis(pub, rng_candidates, config)
     totals = [pure.candidates]
     for _ in range(config.enlargement_rounds):
-        extend_pure_basis(pub, pure, rng_candidates, 2 * max(totals[0], 1), config)
+        start = pure.candidates
+        extra = 2 * max(totals[0], 1)
+        while extend_pure_basis(pub, pure, rng_candidates, extra - (pure.candidates - start), config):
+            pass
         totals.append(pure.candidates)
     monkeypatch.undo()
     return drawn, totals

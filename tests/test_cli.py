@@ -246,9 +246,12 @@ def test_gen_is_deterministic(tmp_path):
     assert (a / "instance_public.json").read_bytes() != (c / "instance_public.json").read_bytes()
 
 
-def test_gen_usage_errors(tmp_path):
+def test_gen_usage_errors(tmp_path, capsys):
+    # the library's ValueError is the message, with exit 2
     assert run("gen", "--n", 3, "--out-dir", tmp_path) == 2
+    assert "need n >= 4" in capsys.readouterr().err
     assert run("gen", "--n", 8, "--field-bits", 8, "--modulus", "0x101", "--out-dir", tmp_path) == 2
+    assert "modulus 0x101 is not irreducible" in capsys.readouterr().err
 
 
 def test_protocol_and_verify_flow(tmp_path):
@@ -365,7 +368,8 @@ def test_attack_failure_writes_stats_with_stage(tmp_path, capsys):
     assert "stage factor" in capsys.readouterr().err
     _, stats = formats.load_envelope(out / "stats.json", expect_kind="stats")
     assert stats["failed_stage"] == "factor"
-    assert stats["candidates"] == 0 and stats["total_seconds"] > 0
+    assert stats["candidates"] == 0 and stats["factor_seconds"] > 0
+    assert stats["factor_seconds"] <= stats["total_seconds"]
     assert not (out / "key_recovered.json").exists()
 
 
@@ -479,11 +483,12 @@ def test_usage_exit_code():
     assert run() == 2
 
 
-def test_console_script_bench():
+def test_module_entry_point(tmp_path):
     out = subprocess.run(
-        [sys.executable, "-m", "cbkap.cli", "bench", "--letters", "2000", "--seed", "1"],
+        [sys.executable, "-m", "cbkap.cli", "gen", "--n", "6", "--field-bits", "4",
+         "--word-len", "20", "--seed", "1", "--out-dir", str(tmp_path)],
         capture_output=True,
         text=True,
     )
-    assert out.returncode == 0
-    assert "letters/s" in out.stdout
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "instance_public.json").exists()

@@ -1,7 +1,9 @@
 import ast
+import importlib.util
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "cbkap").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "cbkap").glob("*.py"))
 
 
 def test_library_has_no_assert():
@@ -14,3 +16,18 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_traced_names_exist():
+    # the benchmark's tracer looks every target up by name; a renamed or
+    # deleted one would break it, so the fast suite checks them all
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, _, _ in spans.TARGETS
+        if attr not in owner.__dict__
+    ]
+    assert not missing, missing
