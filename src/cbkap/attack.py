@@ -65,7 +65,7 @@ from .linalg import (
     sample_invertible,
     solve_membership,
 )
-from .perm import NotInGroup, Perm, StabilizerChain, evaluate_genword
+from .perm import NotInGroup, Perm, StabilizerChain, WordTooLong, evaluate_genword
 from .protocol import InstancePublic, Transcript
 
 __all__ = [
@@ -289,9 +289,7 @@ def precompute_pure_basis(
 
 
 def factor_permutation(
-    pub: InstancePublic,
-    msg: MatPerm,
-    twist: Perm | None = None,
+    pub: InstancePublic, msg: MatPerm, twist: Perm
 ) -> tuple[BraidWord, np.ndarray, np.ndarray]:
     """Express the message permutation over the A generators and peel the
     message matrix down to a residual with identity permutation part.
@@ -302,9 +300,10 @@ def factor_permutation(
     words).  The residual is the message matrix times the inverse of the
     word's evaluated matrix, which is exactly the message E-multiplied by
     the inverse pair.  The third result is the word's matrix from (I,
-    twist), twist defaulting to the identity, from the same stream.
-    Raises GNotExpressible when the permutation is outside the generated
-    group (the instance is then outside the attackable family).
+    twist), from the same stream.  Raises GNotExpressible when the
+    permutation is outside the generated group (the instance is then
+    outside the attackable family), and WordTooLong when a chain word
+    exceeds perm.MAX_CHAIN_LETTERS.
     """
     params = pub.params
     n = params.n
@@ -314,12 +313,12 @@ def factor_permutation(
         raise GNotExpressible(str(exc)) from exc
     word = _expand(pub, gen_word)
     fld = params.field
-    starts = [MatPerm(fld.identity(n), t) for t in (Perm.identity(n), twist) if t is not None]
-    ev, *twisted = e_multiply(starts, word, params)
+    starts = [MatPerm(fld.identity(n), t) for t in (Perm.identity(n), twist)]
+    ev, twisted = e_multiply(starts, word, params)
     if ev.perm != msg.perm:  # pragma: no cover - the chain factors exactly
         raise GNotExpressible("factored word does not reproduce the permutation")
     residual = fld.mat_mul(msg.mat, fld.mat_inv(ev.mat))
-    return word, residual, (twisted or [ev])[0].mat
+    return word, residual, twisted.mat
 
 
 def solve_scale(
@@ -390,8 +389,6 @@ def recover_key(
     """
     params = pub.params
     fld = params.field
-    if transcript.bob_msg is None:
-        raise ValueError("transcript is missing Bob's message")
     h = transcript.bob_msg.perm
     q = transcript.bob_msg.mat
     gen_images = [_power_image(params, w, g, h) for w, g in pure.powers]
@@ -424,15 +421,12 @@ def attack_run(
     fld = pub.params.field
     pure = PureBasis(AlgebraClosure(fld, pub.params.n))
     try:
-        if transcript.bob_msg is None:
-            raise AttackFailed("input", "transcript is missing Bob's message", stats)
-
         # independent child streams: the number of candidates drawn cannot
         # shift the solution sampling
         rng_candidates = _random.Random(rng.getrandbits(64))
         rng_samples = _random.Random(rng.getrandbits(64))
 
-        with stats.stage("factor", GNotExpressible):
+        with stats.stage("factor", GNotExpressible, WordTooLong):
             perm_word, residual, twisted_word = factor_permutation(
                 pub, transcript.alice_msg, twist=transcript.bob_msg.perm
             )

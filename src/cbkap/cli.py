@@ -5,8 +5,9 @@ exchange and derive both keys), ``attack`` (recover the key from public
 data plus a transcript) and ``verify`` (compare two key files).  Seeded
 runs are byte-identical.
 
-Exit codes: 0 success, 1 mismatch or verification failure, 2 usage
-error, 3 attack-stage failure.  The ``ERASER_SEED`` environment variable
+Exit codes: 0 success, 1 mismatch or verification failure, 2 usage or
+file-format error (a transcript without Bob's message among them), 3
+attack-stage failure.  The ``ERASER_SEED`` environment variable
 is the fallback when ``--seed`` is absent; without either, a fresh
 system seed is drawn.
 """
@@ -73,20 +74,15 @@ def cmd_gen(args) -> int:
 
 def cmd_protocol(args) -> int:
     pub = formats.load_instance_public(args.public)
-    rng = random.Random(_resolve_seed(args.seed))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    alice_secret, alice_msg = alice_round(pub, rng)
-    if args.alice_only:
-        formats.save_transcript(out / "transcript.json", Transcript(alice_msg, None), pub.params)
-        print(f"wrote {out / 'transcript.json'} (alice only)")
-        return EXIT_OK
     priv = formats.load_instance_private(args.private, pub.params)
+    rng = random.Random(_resolve_seed(args.seed))
+    alice_secret, alice_msg = alice_round(pub, rng)
     bob_secret, bob_msg = bob_round(pub, priv, rng)
-    transcript = Transcript(alice_msg, bob_msg)
     key_a = derive_key_alice(alice_secret, bob_msg, pub)
     key_b = derive_key_bob(bob_secret, alice_msg, pub)
-    formats.save_transcript(out / "transcript.json", transcript, pub.params)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    formats.save_transcript(out / "transcript.json", Transcript(alice_msg, bob_msg), pub.params)
     formats.save_key(out / "key_alice.json", key_a, pub.params)
     formats.save_key(out / "key_bob.json", key_b, pub.params)
     print(f"wrote {out / 'transcript.json'}")
@@ -104,9 +100,6 @@ def cmd_attack(args) -> int:
     # loading checks the envelope kind, so private files are refused here
     pub = formats.load_instance_public(args.public)
     transcript = formats.load_transcript(args.transcript, pub.params)
-    if transcript.bob_msg is None:
-        print("error: transcript has no message from Bob", file=sys.stderr)
-        return EXIT_USAGE
     rng = random.Random(_resolve_seed(args.seed))
     config = AttackConfig(stall=args.stall)
     out = Path(args.out_dir)
@@ -166,8 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--private", default="instance_private.json")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--alice-only", action="store_true",
-                   help="emit only Alice's half of the transcript")
     p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("attack", help="recover the shared key from public data")

@@ -191,9 +191,6 @@ class GF2m:
             return 0
         return self._exp[(self._log[a] * e) % (self.order - 1)]
 
-    def random_element(self, rng) -> int:
-        return rng.randrange(self.order)
-
     # -- vector and matrix operations --------------------------------------
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:

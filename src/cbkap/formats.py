@@ -8,6 +8,12 @@ image arrays, braid words as arrays of signed integers (with
 for shared subwords).  Serialization is deterministic, so seeded runs
 produce byte-identical files.
 
+Every payload but the statistics' carries an ``n``/``field`` header,
+written by one helper and read by one loader skeleton, which checks it
+against the public parameters where the caller has them and turns any
+malformed payload into a FormatError.  A transcript holds both messages:
+a missing or null ``"bob"`` is a FormatError.
+
 Public and private instance halves always live in separate files; loaders
 check the kind on every load so an attack driver can refuse private
 material outright.
@@ -91,17 +97,6 @@ def load_envelope(path, expect_kind: str | None = None) -> tuple[str, dict]:
 # -- leaf encoders ----------------------------------------------------------
 
 
-def field_to_json(field: GF2m) -> dict:
-    return {"degree": field.degree, "modulus": field.modulus}
-
-
-def field_from_json(obj) -> GF2m:
-    try:
-        return GF2m(int(obj["degree"]), int(obj["modulus"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad field parameters: {exc}") from exc
-
-
 def word_to_json(word: BraidWord):
     out = []
     for part in word._parts:
@@ -170,10 +165,6 @@ def matrix_from_json(obj, n: int, field: GF2m) -> np.ndarray:
     return np.array(vals, dtype=field.dtype).reshape(n, n)
 
 
-def perm_to_json(perm: Perm) -> list[int]:
-    return perm.to_one_line()
-
-
 def perm_from_json(obj, n: int) -> Perm:
     if not isinstance(obj, list) or len(obj) != n:
         raise FormatError(f"permutation must be a 1-based image array of length {n}")
@@ -186,7 +177,7 @@ def perm_from_json(obj, n: int) -> Perm:
 
 
 def matperm_to_json(mp: MatPerm) -> dict:
-    return {"mat": matrix_to_json(mp.mat), "perm": perm_to_json(mp.perm)}
+    return {"mat": matrix_to_json(mp.mat), "perm": mp.perm.to_one_line()}
 
 
 def matperm_from_json(obj, n: int, field: GF2m) -> MatPerm:
@@ -198,101 +189,79 @@ def matperm_from_json(obj, n: int, field: GF2m) -> MatPerm:
 # -- envelope payloads -------------------------------------------------------
 
 
+def _save(path, kind: str, params: EvalParams, **body) -> None:
+    """Write a payload of the given kind: the n/field header plus body."""
+    field = {"degree": params.field.degree, "modulus": params.field.modulus}
+    save_envelope(path, kind, {"n": params.n, "field": field, **body})
+
+
+def _load(path, kind: str, build, params: EvalParams | None = None):
+    """Read a payload of the given kind and its n/field header, check the
+    header against params when given, and return build(payload, n,
+    field); a malformed payload raises FormatError."""
+    _, payload = load_envelope(path, expect_kind=kind)
+    try:
+        field = GF2m(int(payload["field"]["degree"]), int(payload["field"]["modulus"]))
+        n = int(payload["n"])
+        if params is not None and (field != params.field or n != params.n):
+            raise FormatError(f"{kind} does not match the public parameters")
+        return build(payload, n, field)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def save_instance_public(path, pub: InstancePublic) -> None:
-    params = pub.params
-    payload = {
-        "n": params.n,
-        "field": field_to_json(params.field),
-        "tau": list(params.tau),
-        "a_gens": [word_to_json(w) for w in pub.a_gens],
-        "c_gens": [matrix_to_json(m) for m in pub.c_gens],
-    }
-    save_envelope(path, "instance_public", payload)
+    a_gens = [word_to_json(w) for w in pub.a_gens]
+    c_gens = [matrix_to_json(m) for m in pub.c_gens]
+    tau = list(pub.params.tau)
+    _save(path, "instance_public", pub.params, tau=tau, a_gens=a_gens, c_gens=c_gens)
 
 
 def load_instance_public(path) -> InstancePublic:
-    _, payload = load_envelope(path, expect_kind="instance_public")
-    try:
-        field = field_from_json(payload["field"])
-        n = int(payload["n"])
-        tau = tuple(int(t) for t in payload["tau"])
-        params = EvalParams(field, n, tau)
+    def build(payload, n, field):
+        params = EvalParams(field, n, tuple(int(t) for t in payload["tau"]))
         a_gens = [word_from_json(w) for w in payload["a_gens"]]
         c_gens = [matrix_from_json(m, n, field) for m in payload["c_gens"]]
         return InstancePublic(params, a_gens, c_gens)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+
+    return _load(path, "instance_public", build)
 
 
 def save_instance_private(path, priv: InstancePrivate, params: EvalParams) -> None:
-    payload = {
-        "n": params.n,
-        "field": field_to_json(params.field),
-        "b_gens": [word_to_json(w) for w in priv.b_gens],
-        "d_gens": [matrix_to_json(m) for m in priv.d_gens],
-    }
-    save_envelope(path, "instance_private", payload)
+    b_gens = [word_to_json(w) for w in priv.b_gens]
+    d_gens = [matrix_to_json(m) for m in priv.d_gens]
+    _save(path, "instance_private", params, b_gens=b_gens, d_gens=d_gens)
 
 
 def load_instance_private(path, params: EvalParams) -> InstancePrivate:
-    _, payload = load_envelope(path, expect_kind="instance_private")
-    try:
-        field = field_from_json(payload["field"])
-        n = int(payload["n"])
-        if field != params.field or n != params.n:
-            raise FormatError("private instance does not match the public parameters")
+    def build(payload, n, field):
         b_gens = [word_from_json(w) for w in payload["b_gens"]]
-        d_gens = [matrix_from_json(m, n, field) for m in payload["d_gens"]]
-        return InstancePrivate(b_gens, d_gens)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        return InstancePrivate(b_gens, [matrix_from_json(m, n, field) for m in payload["d_gens"]])
+
+    return _load(path, "instance_private", build, params)
 
 
 def save_transcript(path, transcript: Transcript, params: EvalParams) -> None:
-    payload = {
-        "n": params.n,
-        "field": field_to_json(params.field),
-        "alice": matperm_to_json(transcript.alice_msg),
-        "bob": matperm_to_json(transcript.bob_msg) if transcript.bob_msg is not None else None,
-    }
-    save_envelope(path, "transcript", payload)
+    alice, bob = matperm_to_json(transcript.alice_msg), matperm_to_json(transcript.bob_msg)
+    _save(path, "transcript", params, alice=alice, bob=bob)
 
 
 def load_transcript(path, params: EvalParams) -> Transcript:
-    _, payload = load_envelope(path, expect_kind="transcript")
-    try:
-        field = field_from_json(payload["field"])
-        n = int(payload["n"])
-        if field != params.field or n != params.n:
-            raise FormatError("transcript does not match the public parameters")
-        alice = matperm_from_json(payload["alice"], n, field)
-        bob = (
-            matperm_from_json(payload["bob"], n, field)
-            if payload.get("bob") is not None
-            else None
-        )
-        return Transcript(alice, bob)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    def build(payload, n, field):
+        return Transcript(*(matperm_from_json(payload[k], n, field) for k in ("alice", "bob")))
+
+    return _load(path, "transcript", build, params)
 
 
 def save_key(path, key: SharedKey, params: EvalParams) -> None:
-    payload = {
-        "n": params.n,
-        "field": field_to_json(params.field),
-        "key": matperm_to_json(key.key),
-    }
-    save_envelope(path, "key", payload)
+    _save(path, "key", params, key=matperm_to_json(key.key))
 
 
 def load_key(path) -> SharedKey:
-    _, payload = load_envelope(path, expect_kind="key")
-    try:
-        field = field_from_json(payload["field"])
-        n = int(payload["n"])
+    def build(payload, n, field):
         return SharedKey(matperm_from_json(payload["key"], n, field))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+
+    return _load(path, "key", build)
 
 
 def save_stats(path, stats: dict) -> None:

@@ -8,9 +8,10 @@ products, generator words) and is pinned by the braid-relation tests.
 The stabilizer chain keeps, for every transversal element and strong
 generator, a witness word over the original labeled generators, so that
 any group element can be factored into an exact product of the declared
-generators.  Factored words can be long; correctness, not length, is the
-contract.  Transversals use shortest words (Dijkstra over the orbit
-graph).  Randomized transversal shortening (Kalka-Teicher-Tsaban) is not
+generators.  Factored words can be long, so every tracked word, a new
+strong generator's or a factored one, is capped at MAX_CHAIN_LETTERS
+generator letters; past it, WordTooLong is raised.  Transversals use
+shortest words (Dijkstra over the orbit graph).  Randomized transversal shortening (Kalka-Teicher-Tsaban) is not
 applied: at the benchmark sizes it roughly halves the factored words,
 but the attack as a whole gets slower.
 
@@ -26,11 +27,25 @@ import math
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-__all__ = ["Perm", "NotInGroup", "GenWord", "evaluate_genword", "invert_genword", "StabilizerChain"]
+__all__ = [
+    "Perm", "NotInGroup", "WordTooLong", "MAX_CHAIN_LETTERS",
+    "GenWord", "evaluate_genword", "invert_genword", "StabilizerChain",
+]
+
+# Cap on a chain word in generator letters.  Generated instances stay far
+# below it (at most 153 letters at the tests' full size and the benchmark
+# sizes, about 10^4 at n=24), while three random generators on 16 points
+# give words of 10^5 to 10^6 letters, each letter a whole generator word
+# for the attack to stream.
+MAX_CHAIN_LETTERS = 1 << 14
 
 
 class NotInGroup(ValueError):
     """The permutation is not in the group spanned by the chain."""
+
+
+class WordTooLong(ValueError):
+    """A strong generator's or a factored word exceeds MAX_CHAIN_LETTERS."""
 
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -156,18 +171,10 @@ def invert_genword(word: GenWord) -> GenWord:
     return tuple((label, -exp) for label, exp in reversed(word))
 
 
-def genword_to_signed_labels(word: GenWord) -> list[int]:
-    """Serialization form: 1-based labels, negated for inverse letters."""
-    return [exp * (label + 1) for label, exp in word]
-
-
-def genword_from_signed_labels(labels: Sequence[int]) -> GenWord:
-    out = []
-    for x in labels:
-        if x == 0:
-            raise ValueError("signed labels are nonzero")
-        out.append((abs(x) - 1, 1 if x > 0 else -1))
-    return tuple(out)
+def _capped(word: GenWord) -> GenWord:
+    if len(word) > MAX_CHAIN_LETTERS:
+        raise WordTooLong(f"chain word longer than {MAX_CHAIN_LETTERS} generator letters")
+    return word
 
 
 class _Level:
@@ -275,7 +282,8 @@ class StabilizerChain:
         """Reduce the images p through the chain, skipping levels whose
         point p fixes.  Returns the residue, its word (tracked only if w
         is given, so membership checks never build long words), and the
-        level where it got stuck, or None there if it reached the identity."""
+        level where it got stuck, or None there if it reached the identity.
+        A tracked word only grows, so it is capped as it grows."""
         for i, lvl in enumerate(self._levels):
             beta = p[lvl.point]
             if beta == lvl.point:
@@ -285,14 +293,14 @@ class StabilizerChain:
                 return p, w, i
             p = _compose(p, u_inv)
             if w is not None:
-                w = w + invert_genword(lvl.word(beta))
+                w = _capped(w + invert_genword(lvl.word(beta)))
         return p, w, None  # fixing every point forces the identity
 
     def _insert(self, p: tuple[int, ...], w: GenWord) -> bool:
         q, qw, i = self._sift(p, w)
         if i is None:
             return False
-        self._levels[i].gens.append((Perm._trusted(q), qw))
+        self._levels[i].gens.append((Perm._trusted(q), _capped(qw)))
         for j in range(i + 1):
             self._rebuild_orbit(j)
         return True
@@ -349,7 +357,8 @@ class StabilizerChain:
 
         Evaluating the returned word with :func:`evaluate_genword` over
         the declared generators yields exactly g.  Raises NotInGroup for
-        elements outside the spanned group.
+        elements outside the spanned group, and WordTooLong when the word
+        would exceed MAX_CHAIN_LETTERS.
         """
         if g.n != self.n:
             raise NotInGroup("permutation size mismatch")

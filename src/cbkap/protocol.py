@@ -12,11 +12,13 @@ structural properties the protocol needs:
   by the same matrix kappa (the image of a random braid word), or, with
   the override, D by an invertible polynomial in kappa.
 
-Alice draws an invertible combination c from the algebra spanned by the
-C generators and a product word over the A generators, and publishes
-``c . eval(word)``; Bob mirrors her with d and the B generators.  Both
-sides then derive the same key exactly, which is checked by tests and by
-the command-line driver on every exchange.
+Both parties run the same round on their own generators: an invertible
+combination of the scaling matrices (C for Alice, D for Bob) and a
+product of 10 to 20 braid generators or inverses (A for Alice, B for
+Bob), published as ``c . eval(word)``.  Each derives the key the same
+way from the other's message, and both keys agree exactly, which is
+checked by tests and by the command-line driver on every exchange.  A
+Transcript always holds both messages: the attack needs both.
 
 Public and private material live in separate structures (and separate
 files on disk) so the attack harness can be blinded by construction.
@@ -115,20 +117,21 @@ class TTPDebug:
     kappa_word: BraidWord
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transcript:
     """The two messages sent over the insecure channel."""
 
     alice_msg: MatPerm
-    bob_msg: MatPerm | None
+    bob_msg: MatPerm
+
+    def __post_init__(self):
+        if not (isinstance(self.alice_msg, MatPerm) and isinstance(self.bob_msg, MatPerm)):
+            raise ValueError("a transcript holds both messages")
 
 
 @dataclass
 class SharedKey:
     key: MatPerm
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SharedKey) and other.key == self.key
 
 
 @dataclass
@@ -138,11 +141,6 @@ class PartySecret:
 
     matrix: np.ndarray
     word: BraidWord
-
-
-def _min_poly_degree(field: GF2m, mat: np.ndarray) -> int:
-    """Degree of the minimal polynomial = dim of the algebra spanned by mat."""
-    return algebra_closure([mat], field).dim
 
 
 def ttp_generate(
@@ -201,7 +199,8 @@ def ttp_generate(
     while True:
         kappa_word = random_word(n, word_len, rng)
         kappa = word_eval_pair(kappa_word, params).mat
-        if field.is_invertible(kappa) and _min_poly_degree(field, kappa) >= 3:
+        # the algebra kappa spans has the dimension of its minimal polynomial
+        if field.is_invertible(kappa) and algebra_closure([kappa], field).dim >= 3:
             break
     c_gens = [kappa]
     d_gens = [_sample_scale(field, [kappa], rng) if d_polynomial else kappa]
@@ -237,43 +236,39 @@ def _sample_scale(field: GF2m, gens: list[np.ndarray], rng) -> np.ndarray:
             return c
 
 
-def _product_word(gens: list[BraidWord], rng, draws: tuple[int, int]) -> BraidWord:
-    count = rng.randint(*draws)
+# Each message word is a product of this many generators or inverses.
+PRODUCT_FACTORS = (10, 20)
+
+
+def _round(params: EvalParams, scale_gens, word_gens, rng) -> tuple[PartySecret, MatPerm]:
+    """One party's secret and message: an invertible element of the
+    algebra the scale generators span, a product word over the braid
+    generators, and the state ``scale . eval(word)``."""
+    scale = _sample_scale(params.field, scale_gens, rng)
     parts = []
-    for _ in range(count):
-        w = gens[rng.randrange(len(gens))]
+    for _ in range(rng.randint(*PRODUCT_FACTORS)):
+        w = word_gens[rng.randrange(len(word_gens))]
         parts.append(w if rng.random() < 0.5 else w.inverse())
-    return BraidWord.concat(*parts) if parts else BraidWord()
+    word = BraidWord.concat(*parts)
+    msg = e_multiply(MatPerm(scale, Perm.identity(params.n)), word, params)
+    return PartySecret(scale, word), msg
 
 
-def alice_round(
-    pub: InstancePublic, rng, draws: tuple[int, int] = (10, 20)
-) -> tuple[PartySecret, MatPerm]:
-    """Alice's message: an invertible c from the C algebra, a product
-    word over the A generators, and the state ``c . eval(word)``."""
-    c = _sample_scale(pub.params.field, pub.c_gens, rng)
-    g_word = _product_word(pub.a_gens, rng, draws)
-    msg = e_multiply(MatPerm(c, Perm.identity(pub.params.n)), g_word, pub.params)
-    return PartySecret(c, g_word), msg
+def alice_round(pub: InstancePublic, rng) -> tuple[PartySecret, MatPerm]:
+    """Alice's secret and message, over C and the A generators."""
+    return _round(pub.params, pub.c_gens, pub.a_gens, rng)
 
 
-def bob_round(
-    pub: InstancePublic, priv: InstancePrivate, rng, draws: tuple[int, int] = (10, 20)
-) -> tuple[PartySecret, MatPerm]:
-    """Bob's message, mirroring Alice with d and the B generators."""
-    d = _sample_scale(pub.params.field, priv.d_gens, rng)
-    h_word = _product_word(priv.b_gens, rng, draws)
-    msg = e_multiply(MatPerm(d, Perm.identity(pub.params.n)), h_word, pub.params)
-    return PartySecret(d, h_word), msg
+def bob_round(pub: InstancePublic, priv: InstancePrivate, rng) -> tuple[PartySecret, MatPerm]:
+    """Bob's secret and message, over D and the B generators."""
+    return _round(pub.params, priv.d_gens, priv.b_gens, rng)
 
 
-def derive_key_alice(secret: PartySecret, bob_msg: MatPerm, pub: InstancePublic) -> SharedKey:
-    """Alice's key: her scale acting on Bob's message E-multiplied by her word."""
-    t = e_multiply(bob_msg, secret.word, pub.params)
+def derive_key_alice(secret: PartySecret, msg: MatPerm, pub: InstancePublic) -> SharedKey:
+    """A party's key: its scale acting on the other party's message
+    E-multiplied by its word.  Both parties derive it alike."""
+    t = e_multiply(msg, secret.word, pub.params)
     return SharedKey(left_mul(pub.params.field, secret.matrix, t))
 
 
-def derive_key_bob(secret: PartySecret, alice_msg: MatPerm, pub: InstancePublic) -> SharedKey:
-    """Bob's key: his scale acting on Alice's message E-multiplied by his word."""
-    t = e_multiply(alice_msg, secret.word, pub.params)
-    return SharedKey(left_mul(pub.params.field, secret.matrix, t))
+derive_key_bob = derive_key_alice

@@ -4,11 +4,18 @@ import random
 import numpy as np
 import pytest
 
-from cbkap.braid import BraidWord
+from cbkap.braid import BraidWord, random_word
 from cbkap.field import GF2m
 from cbkap.linalg import WitnessedBasis
 from cbkap.perm import NotInGroup, Perm, invert_genword
-from cbkap.protocol import alice_round, bob_round, derive_key_alice, ttp_generate
+from cbkap.protocol import (
+    InstancePublic,
+    Transcript,
+    alice_round,
+    bob_round,
+    derive_key_alice,
+    ttp_generate,
+)
 
 SMALL = dict(n=8, gen_count=8, word_len=100)
 FULL = dict(n=16, gen_count=8, word_len=650)
@@ -365,3 +372,14 @@ def small_exchange(small_instance):
     bob_secret, bob_msg = bob_round(pub, priv, rng)
     key = derive_key_alice(alice_secret, bob_msg, pub)
     return alice_secret, alice_msg, bob_secret, bob_msg, key
+
+
+def random_group_exchange(n, word_len, seed):
+    """An instance whose A generators are three random braid words, so
+    their permutations generate S_n or A_n, with an exchange over it."""
+    rng = random.Random(seed)
+    pub, priv, _ = ttp_generate(n, GF2m(4), 3, 20, rng=rng)
+    pub = InstancePublic(pub.params, [random_word(n, word_len, rng) for _ in range(3)], pub.c_gens)
+    _, amsg = alice_round(pub, rng)
+    _, bmsg = bob_round(pub, priv, rng)
+    return pub, Transcript(amsg, bmsg)

@@ -24,7 +24,7 @@ from cbkap.attack import (
 from cbkap.braid import BraidWord, MatPerm, e_multiply, word_eval_pair, word_perm
 from cbkap.field import GF2m
 from cbkap.linalg import InvertibleSampleFailed, NoSolution, algebra_closure
-from cbkap.perm import Perm
+from cbkap.perm import Perm, WordTooLong
 from cbkap.protocol import (
     InstancePublic,
     Transcript,
@@ -33,6 +33,8 @@ from cbkap.protocol import (
     derive_key_alice,
     ttp_generate,
 )
+
+from conftest import random_group_exchange
 
 
 def fresh_exchange(pub, priv, seed):
@@ -120,7 +122,7 @@ def test_factor_permutation_contract(small_instance):
     pub, priv, _ = small_instance
     _, transcript, _ = fresh_exchange(pub, priv, 5)
     h = transcript.bob_msg.perm
-    word, residual, twisted = factor_permutation(pub, transcript.alice_msg, twist=h)
+    word, residual, twisted = factor_permutation(pub, transcript.alice_msg, h)
     params = pub.params
     assert word_perm(word, params.n) == transcript.alice_msg.perm
     # (residual, e) equals the message E-multiplied by the inverse pair
@@ -130,8 +132,8 @@ def test_factor_permutation_contract(small_instance):
     # the twisted image is the word evaluated on its own from (I, h)
     seed = MatPerm(params.field.identity(params.n), h)
     assert np.array_equal(twisted, e_multiply(seed, word, params).mat)
-    # without a twist it is the word's plain image
-    _, _, plain = factor_permutation(pub, transcript.alice_msg)
+    # with the identity twist it is the word's plain image
+    _, _, plain = factor_permutation(pub, transcript.alice_msg, Perm.identity(params.n))
     assert np.array_equal(plain, word_eval_pair(word, params).mat)
 
 
@@ -143,7 +145,7 @@ def test_factor_pure_message_gives_message_matrix(small_instance):
     r = word_perm(w, pub.params.n).order()
     pure_word = w.power(r) if r > 1 else w
     msg = word_eval_pair(pure_word, pub.params)
-    word, residual, _ = factor_permutation(pub, msg)
+    word, residual, _ = factor_permutation(pub, msg, Perm.identity(pub.params.n))
     assert len(word) == 0
     assert np.array_equal(residual, msg.mat)
 
@@ -160,7 +162,7 @@ def test_factor_rejects_foreign_permutation(small_instance):
     assert foreign is not None
     msg = MatPerm(pub.params.field.identity(n), foreign)
     with pytest.raises(GNotExpressible):
-        factor_permutation(pub, msg)
+        factor_permutation(pub, msg, Perm.identity(n))
 
 
 def test_residual_normalizes_secret_into_span(small_instance, small_field):
@@ -170,7 +172,7 @@ def test_residual_normalizes_secret_into_span(small_instance, small_field):
     for seed in range(20):
         asec, transcript, _ = fresh_exchange(pub, priv, 50 + seed)
         pure = precompute_pure_basis(pub, random.Random(900 + seed))
-        _, residual, _ = factor_permutation(pub, transcript.alice_msg)
+        _, residual, _ = factor_permutation(pub, transcript.alice_msg, Perm.identity(pub.params.n))
         probe = small_field.mat_mul(small_field.mat_inv(residual), asec.matrix)
         hits += probe in pure.basis
     assert hits >= 19
@@ -180,7 +182,7 @@ def test_solve_scale_postconditions(small_instance, small_field):
     pub, priv, _ = small_instance
     _, transcript, _ = fresh_exchange(pub, priv, 7)
     pure = precompute_pure_basis(pub, random.Random(8))
-    _, residual, _ = factor_permutation(pub, transcript.alice_msg)
+    _, residual, _ = factor_permutation(pub, transcript.alice_msg, Perm.identity(pub.params.n))
     scale, coeffs, tries = solve_scale(residual, pub, pure, random.Random(9))
     assert tries <= 16
     assert small_field.is_invertible(scale)
@@ -199,7 +201,8 @@ def test_split_pure_part_and_reconstruction(small_instance, small_field):
     pub, priv, _ = small_instance
     _, transcript, _ = fresh_exchange(pub, priv, 10)
     pure = precompute_pure_basis(pub, random.Random(11))
-    word, residual, twisted = factor_permutation(pub, transcript.alice_msg)
+    n = pub.params.n
+    word, residual, twisted = factor_permutation(pub, transcript.alice_msg, Perm.identity(n))
     scale, scoeffs, _ = solve_scale(residual, pub, pure, random.Random(12))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
     assert np.array_equal(
@@ -255,7 +258,7 @@ def test_recover_key_matches_single_state_assembly(small_instance, small_field):
     _, transcript, key = fresh_exchange(pub, priv, 214)
     pure = precompute_pure_basis(pub, random.Random(215))
     h = transcript.bob_msg.perm
-    word, residual, twisted_word = factor_permutation(pub, transcript.alice_msg, twist=h)
+    word, residual, twisted_word = factor_permutation(pub, transcript.alice_msg, h)
     scale, scoeffs, _ = solve_scale(residual, pub, pure, random.Random(216))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
     artifacts = AttackArtifacts(word, residual, scale, scoeffs, part, pcoeffs, twisted_word)
@@ -335,12 +338,28 @@ def test_attack_on_tampered_transcript_completes_but_differs(small_instance, sma
     assert recovered != key.key
 
 
-def test_attack_requires_bob_message(small_instance):
+def test_transcript_requires_both_messages(small_instance):
     pub, priv, _ = small_instance
     _, transcript, _ = fresh_exchange(pub, priv, 22)
+    for half in ((transcript.alice_msg, None), (None, transcript.bob_msg)):
+        with pytest.raises(ValueError):
+            Transcript(*half)
+
+
+# Both instances generate S_16.  Uncapped, the first has a strong
+# generator of 136,215 generator letters, and the second builds within
+# the cap (13,246) but factors Alice's permutation into 22,879 letters:
+# that word alone is 1.4M braid letters to stream.
+@pytest.mark.parametrize("word_len, seed", [(101, 30), (61, 31)], ids=["build", "factor"])
+def test_attack_stops_at_chain_word_cap(word_len, seed):
+    pub, transcript = random_group_exchange(16, word_len, seed)
+    t0 = time.process_time()
     with pytest.raises(AttackFailed) as err:
-        attack_run(pub, Transcript(transcript.alice_msg, None), random.Random(23))
-    assert err.value.stage == "input"
+        attack_run(pub, transcript, random.Random(seed))
+    assert time.process_time() - t0 < 5
+    assert isinstance(err.value.__cause__, WordTooLong)
+    assert err.value.stage == "factor" and err.value.stats.failed_stage == "factor"
+    assert err.value.stats.candidates == 0 and err.value.stats.factor_seconds > 0
 
 
 def test_extension_grows_small_basis(small_instance, small_field):
@@ -355,9 +374,7 @@ def test_extension_grows_small_basis(small_instance, small_field):
     assert pure.dim == small + sum(grown)
     assert all(g > 0 for g in grown[:-1])
     _, transcript, key = fresh_exchange(pub, priv, 26)
-    word, residual, twisted = factor_permutation(
-        pub, transcript.alice_msg, twist=transcript.bob_msg.perm
-    )
+    word, residual, twisted = factor_permutation(pub, transcript.alice_msg, transcript.bob_msg.perm)
     scale, scoeffs, _ = solve_scale(residual, pub, pure, random.Random(27))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
     artifacts = AttackArtifacts(word, residual, scale, scoeffs, part, pcoeffs, twisted)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import random
@@ -18,6 +19,8 @@ from cbkap.cli import main
 from cbkap.field import GF2m
 from cbkap.formats import FormatError
 from cbkap.protocol import Transcript, alice_round, bob_round, derive_key_alice, ttp_generate
+
+from conftest import random_group_exchange
 
 
 def run(*argv):
@@ -95,8 +98,6 @@ def test_transcript_and_key_round_trip(tmp_path, small_instance, small_exchange)
     formats.save_transcript(p_tr, Transcript(alice_msg, bob_msg), pub.params)
     tr = formats.load_transcript(p_tr, pub.params)
     assert tr.alice_msg == alice_msg and tr.bob_msg == bob_msg
-    formats.save_transcript(p_tr, Transcript(alice_msg, None), pub.params)
-    assert formats.load_transcript(p_tr, pub.params).bob_msg is None
     p_key = tmp_path / "key.json"
     formats.save_key(p_key, key, pub.params)
     assert formats.load_key(p_key) == key
@@ -282,22 +283,52 @@ def test_protocol_missing_private_file(tmp_path):
     ) == 2
 
 
-def test_protocol_alice_only(tmp_path):
+def test_transcript_without_bob_is_refused(tmp_path, capsys):
+    # a transcript holds both messages: a null or missing "bob" is a
+    # format error (exit 2), for the loader and for the attack
     pub_file, priv_file = gen_small(tmp_path)
-    out = tmp_path / "half"
     assert run(
         "protocol", "--public", pub_file, "--private", priv_file,
-        "--seed", 2, "--out-dir", out, "--alice-only",
+        "--seed", 2, "--out-dir", tmp_path,
     ) == 0
-    assert (out / "transcript.json").exists()
-    assert not (out / "key_alice.json").exists()
-    doc = json.loads((out / "transcript.json").read_text())
-    assert doc["payload"]["bob"] is None
-    # the attack needs Bob's half
+    params = formats.load_instance_public(pub_file).params
+    for edit in (lambda payload: payload.update(bob=None), lambda payload: payload.pop("bob")):
+        doc = json.loads((tmp_path / "transcript.json").read_text())
+        edit(doc["payload"])
+        half = tmp_path / "half.json"
+        half.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            formats.load_transcript(half, params)
+        capsys.readouterr()
+        assert run(
+            "attack", "--public", pub_file, "--transcript", half,
+            "--seed", 3, "--out-dir", tmp_path / "out",
+        ) == 2
+        assert "half.json" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+# SHA-256 of the files of one small seeded gen/protocol run; the bytes of
+# every file are part of the format
+GOLDEN = {
+    "instance_public.json": "f810e626ace66de332e34914b455813e9e2a8f14bb2d8caca00e11bdc4cdcfbe",
+    "instance_private.json": "e43ef71cd111bf7b7bd4a649c9caa0d05e07c759104c04553c59a25326cadfad",
+    "transcript.json": "dd54e95a38b3d0be68a99ec5abaa32ab1d13e0d54b4df480700aa046e1a53409",
+    "key_alice.json": "cafa2c677f0c939e0a8cc4ad6cc4ef8d21cf949bfc05b2c19b482bbb2e685968",
+}
+
+
+def test_gen_and_protocol_files_are_pinned(tmp_path):
     assert run(
-        "attack", "--public", pub_file, "--transcript", out / "transcript.json",
-        "--seed", 3, "--out-dir", out,
-    ) == 2
+        "gen", "--n", 6, "--field-bits", 4, "--gens", 3, "--word-len", 20,
+        "--seed", 5, "--out-dir", tmp_path,
+    ) == 0
+    assert run(
+        "protocol", "--public", tmp_path / "instance_public.json",
+        "--private", tmp_path / "instance_private.json", "--seed", 6, "--out-dir", tmp_path,
+    ) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN}
+    assert digests == GOLDEN
 
 
 def test_attack_flow_recovers_alice_key(tmp_path):
@@ -370,6 +401,23 @@ def test_attack_failure_writes_stats_with_stage(tmp_path, capsys):
     assert stats["failed_stage"] == "factor"
     assert stats["candidates"] == 0 and stats["factor_seconds"] > 0
     assert stats["factor_seconds"] <= stats["total_seconds"]
+    assert not (out / "key_recovered.json").exists()
+
+
+def test_attack_stops_at_chain_word_cap(tmp_path, capsys):
+    # A generators whose permutations generate S_16: the stabilizer chain
+    # stops at its word cap, a stage-factor failure (exit 3) with stats
+    pub, transcript = random_group_exchange(16, 101, 30)
+    formats.save_instance_public(tmp_path / "public.json", pub)
+    formats.save_transcript(tmp_path / "transcript.json", transcript, pub.params)
+    out = tmp_path / "out"
+    assert run(
+        "attack", "--public", tmp_path / "public.json",
+        "--transcript", tmp_path / "transcript.json", "--seed", 1, "--out-dir", out,
+    ) == 3
+    assert "stage factor" in capsys.readouterr().err
+    _, stats = formats.load_envelope(out / "stats.json", expect_kind="stats")
+    assert stats["failed_stage"] == "factor" and stats["candidates"] == 0
     assert not (out / "key_recovered.json").exists()
 
 

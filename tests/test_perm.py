@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbkap import perm
 from cbkap.field import GF2m
 from cbkap.perm import (
     NotInGroup,
     Perm,
     StabilizerChain,
+    WordTooLong,
     evaluate_genword,
-    genword_from_signed_labels,
-    genword_to_signed_labels,
     invert_genword,
 )
 from cbkap.protocol import ttp_generate
@@ -173,15 +173,6 @@ def test_factor_not_in_group():
         chain.factor(Perm.transposition(5, 3))
 
 
-def test_genword_signed_label_round_trip():
-    word = ((0, 1), (2, -1), (1, 1), (0, -1))
-    labels = genword_to_signed_labels(word)
-    assert labels == [1, -3, 2, -1]
-    assert genword_from_signed_labels(labels) == word
-    with pytest.raises(ValueError):
-        genword_from_signed_labels([0])
-
-
 def test_invert_genword():
     rng = random.Random(5)
     gens = [Perm.random(7, rng) for _ in range(3)]
@@ -300,7 +291,9 @@ def assert_same_chain(gens, n, reference_chain, rng):
 # Random generators give S_n or A_n with witness words that grow
 # exponentially down the chain, so they are used up to n=8, plus n=14,
 # where words reach 10^5 letters and the reference still builds in
-# about half a second.
+# about half a second.  The reference has no word cap, so the chain's is
+# lifted here: these cases compare the algorithm, and
+# test_chain_caps_word_letters tests the cap.
 @pytest.mark.parametrize(
     "kind, n",
     [
@@ -311,7 +304,8 @@ def assert_same_chain(gens, n, reference_chain, rng):
     ]
     + [("random", 14)],
 )
-def test_chain_matches_reference(kind, n, reference_chain):
+def test_chain_matches_reference(kind, n, reference_chain, monkeypatch):
+    monkeypatch.setattr(perm, "MAX_CHAIN_LETTERS", 1 << 30)
     rng = random.Random(1000 * n + len(kind))
     assert_same_chain(seeded_group(kind, n, rng), n, reference_chain, rng)
 
@@ -322,3 +316,22 @@ def test_chain_matches_reference_on_attack_sized_generators(reference_chain):
     for seed in (1, 2):
         pub, _, _ = ttp_generate(20, GF2m(8), 8, 24, rng=random.Random(seed))
         assert_same_chain(pub.a_perms, 20, reference_chain, random.Random(seed))
+
+
+def test_chain_caps_word_letters(monkeypatch):
+    # three random generators on 14 points need strong generators of
+    # over 10^5 letters; the build stops at the cap instead
+    rng = random.Random(14)
+    with pytest.raises(WordTooLong):
+        StabilizerChain([Perm.random(14, rng) for _ in range(3)], 14)
+    # a chain within the cap still refuses a factored word beyond it
+    gens = [Perm.random(8, rng) for _ in range(3)]
+    chain = StabilizerChain(gens, 8)
+    longest = max(len(gw) for lvl in chain._levels for _, gw in lvl.gens)
+    g = max((Perm.random(8, rng) for _ in range(20)), key=lambda p: len(chain.factor(p)))
+    assert len(chain.factor(g)) > longest
+    monkeypatch.setattr(perm, "MAX_CHAIN_LETTERS", longest)
+    chain = StabilizerChain(gens, 8)
+    with pytest.raises(WordTooLong):
+        chain.factor(g)
+    assert g in chain  # membership tracks no word
