@@ -1,8 +1,9 @@
 """Braid words, their matrix-permutation images, and E-multiplication.
 
 Shows the two evaluation routes agreeing: the streaming engine that
-processes one letter in O(n) field operations, and the symbolic colored
-Burau matrices over Laurent polynomials (small n only).
+processes one letter with one byte-table translate of a packed column
+and two int XORs, and the symbolic colored Burau matrices over Laurent
+polynomials (small n only).
 """
 
 import random

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .braid import BraidWord, EvalParams, MatPerm, e_multiply
-from .field import GF2m
+from .field import GF2m, SingularMatrix
 from .linalg import (
     AlgebraClosure,
     InvertibleSampleFailed,
@@ -290,7 +290,7 @@ def precompute_pure_basis(
 
 def factor_permutation(
     pub: InstancePublic, msg: MatPerm, twist: Perm
-) -> tuple[BraidWord, np.ndarray, np.ndarray]:
+) -> tuple[BraidWord, np.ndarray, np.ndarray, np.ndarray]:
     """Express the message permutation over the A generators and peel the
     message matrix down to a residual with identity permutation part.
 
@@ -299,11 +299,12 @@ def factor_permutation(
     a braid word (inverse labels become reversed-inverted generator
     words).  The residual is the message matrix times the inverse of the
     word's evaluated matrix, which is exactly the message E-multiplied by
-    the inverse pair.  The third result is the word's matrix from (I,
-    twist), from the same stream.  Raises GNotExpressible when the
+    the inverse pair.  The residual's inverse, which every scale try
+    normalizes by, comes third, and the word's matrix from (I, twist),
+    from the same stream, fourth.  Raises GNotExpressible when the
     permutation is outside the generated group (the instance is then
-    outside the attackable family), and WordTooLong when a chain word
-    exceeds perm.MAX_CHAIN_LETTERS.
+    outside the attackable family), WordTooLong when a chain word exceeds
+    perm.MAX_CHAIN_LETTERS, and SingularMatrix for a singular message.
     """
     params = pub.params
     n = params.n
@@ -318,17 +319,17 @@ def factor_permutation(
     if ev.perm != msg.perm:  # pragma: no cover - the chain factors exactly
         raise GNotExpressible("factored word does not reproduce the permutation")
     residual = fld.mat_mul(msg.mat, fld.mat_inv(ev.mat))
-    return word, residual, twisted.mat
+    return word, residual, fld.mat_inv(residual), twisted.mat
 
 
 def solve_scale(
-    residual: np.ndarray,
+    residual_inv: np.ndarray,
     pub: InstancePublic,
     pure: PureBasis,
     rng,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Find an invertible element of the C algebra whose normalization by
-    the residual lands in span(V).
+    the residual lands in span(V), given the residual's inverse.
 
     Takes the basis of the algebra the C generators span from the
     instance (computed on the first call, see InstancePublic.c_algebra),
@@ -338,7 +339,7 @@ def solve_scale(
     """
     field = pub.params.field
     kappas = pub.c_algebra
-    space = solve_membership(field.mat_inv(residual), kappas, pure.basis, field)
+    space = solve_membership(residual_inv, kappas, pure.basis, field)
     return sample_invertible(space, kappas, field, rng)
 
 
@@ -426,8 +427,8 @@ def attack_run(
         rng_candidates = _random.Random(rng.getrandbits(64))
         rng_samples = _random.Random(rng.getrandbits(64))
 
-        with stats.stage("factor", GNotExpressible, WordTooLong):
-            perm_word, residual, twisted_word = factor_permutation(
+        with stats.stage("factor", GNotExpressible, WordTooLong, SingularMatrix):
+            perm_word, residual, residual_inv, twisted_word = factor_permutation(
                 pub, transcript.alice_msg, twist=transcript.bob_msg.perm
             )
         stats.factor_letters = len(perm_word)
@@ -437,7 +438,7 @@ def attack_run(
             the failing stage and its error while V is too small."""
             with stats.stage("scale"):
                 try:
-                    scale, scale_coeffs, tries = solve_scale(residual, pub, pure, rng_samples)
+                    scale, scale_coeffs, tries = solve_scale(residual_inv, pub, pure, rng_samples)
                 except (NoSolution, InvertibleSampleFailed) as exc:
                     return "scale", exc
             stats.scale_tries += tries

@@ -16,13 +16,16 @@ This convention is pinned by the braid-relation test suite.
 
 E-multiplication is the right action of pairs on matrix-permutation
 states: ``(s, g) * (b, h) = (s . eval(g(b)), g h)`` with ``eval``
-substituting the fixed nonzero field values ``tau_i`` for ``t_i``.  It is
-computed letter by letter; each letter touches at most three columns of
-the state matrix, so the cost is O(n) field operations per letter and
-words of hundreds of thousands of letters stream in seconds.  Words with
-repetition structure are streamed without expansion.  ``e_multiply``
-also streams one word over a stack of states, each with its own starting
-permutation (twist), for the price of about one stream.
+substituting the fixed nonzero field values ``tau_i`` for ``t_i``.  It
+is computed letter by letter: a letter scales one column of the state
+matrix and adds it, scaled or not, into its two neighbours.  Each column
+is one Python int of packed bytes, so a letter is one
+``bytes.translate`` through a field multiplication table and two int
+XORs; words of hundreds of thousands of letters stream in seconds, and
+words with repetition structure without expansion.  ``e_multiply`` also
+streams one word over a stack of states, each with its own starting
+permutation (twist), packed into the same columns: one translate per run
+of states sharing a twist.
 
 ``colored_burau`` is the symbolic reference implementation of the pair
 map over Laurent polynomials, kept for small n as an independent oracle.
@@ -30,8 +33,11 @@ map over Laurent polynomials, kept for small n as an independent oracle.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -209,13 +215,24 @@ class EvalParams:
             raise ValueError("tau values must be nonzero field elements")
 
     @cached_property
-    def scale_rows(self) -> np.ndarray:
-        """Multiplication table of the substituted values, shape (2n, 2^m):
-        row k multiplies by ``tau[k]`` and row n+k by ``1/tau[k]``."""
+    def byte_tables(self) -> tuple[tuple[bytes, ...], ...]:
+        """Byte translation tables of the substituted values.  With P byte
+        planes per field element (1 for m <= 8, else 2: low, high), table
+        ``[P * i + o][k]`` maps a byte of input plane i to output plane o of
+        its product with ``tau[k]``, ``[P * i + o][n + k]`` with ``1/tau[k]``;
+        bytes past the field's range map to 0."""
         fld = self.field
-        scalars = list(self.tau) + [fld.inv(t) for t in self.tau]
-        values = np.arange(fld.order, dtype=fld.dtype)
-        return fld.mul_arr(np.array(scalars, dtype=fld.dtype)[:, None], values[None, :])
+        planes = 1 if fld.degree <= 8 else 2
+        scalars = np.array(list(self.tau) + [fld.inv(t) for t in self.tau], dtype=fld.dtype)
+        out = []
+        for i in range(planes):
+            values = np.arange(256) << 8 * i
+            valid = values < fld.order
+            prod = np.zeros((2 * self.n, 256), dtype=np.int64)
+            prod[:, valid] = fld.mul_arr(scalars[:, None], values[valid])
+            for o in range(planes):
+                out.append(tuple(row.tobytes() for row in (prod >> 8 * o & 0xFF).astype(np.uint8)))
+        return tuple(out)
 
 
 class MatPerm:
@@ -264,13 +281,19 @@ def e_multiply(
     (value ``tau[g^-1(i)]`` for +i, ``1/tau[g^-1(i+1)]`` for -i) and then
     multiplies g by the transposition (i, i+1).  Since the generator
     matrix is the identity outside row i, only columns i-1, i, i+1 of S
-    change, costing O(n) field operations per letter.
+    change: column i is scaled, and the neighbours take XORs.
 
     Evaluating from ``(I, h)`` yields the matrix of the word with its
     variables permuted by h before evaluation (twisted by h), which is
     how twisted images are computed without symbolic algebra.  A stack
     of states (S_b, h_b) streams the word once: after a prefix with
     permutation p, state b multiplies by ``tau[h_b^-1(p^-1(i))]``.
+
+    Column j of the stack is one Python int of little-endian bytes (low
+    bytes, then high bytes for m > 8), so a letter is two int XORs and one
+    ``bytes.translate`` per run of consecutive states sharing a twist (per
+    pair of byte planes for m > 8, XORed).  Raises ValueError for a letter
+    out of range or a state entry that is not a field element.
     """
     single = isinstance(start, MatPerm)
     states = [start] if single else list(start)
@@ -280,38 +303,63 @@ def e_multiply(
     n = params.n
     if any(s.perm.n != n for s in states):
         raise ValueError("state size does not match params")
+    if any(s.mat.dtype.kind not in "iu" for s in states):
+        raise ValueError("state matrices must hold integers")
     # row j holds column j of every state, one state after another
-    T = np.concatenate([s.mat.T for s in states], axis=1).astype(fld.dtype, copy=False)
-    hinv = [sorted(range(n), key=s.perm.images.__getitem__) for s in states]
-    rows = params.scale_rows
-    if all(s.perm == states[0].perm for s in states):  # gather from one twist's rows
-        tables = [rows[k] for k in hinv[0]] + [rows[n + k] for k in hinv[0]]
-        offsets = None
-    else:  # per-state row offsets into the flattened table
-        offsets = np.repeat(np.array(hinv) * fld.order, n, axis=0).T
-        offsets = list(offsets) + list(offsets + n * fld.order)
-        flat = rows.reshape(-1)
-    cols = list(T)  # letter 1 adds into a scratch column instead of column -1
-    steps = list(zip(range(n - 1), [np.zeros_like(cols[0])] + cols[:-2], cols[:-1], cols[1:]))
-    plan = dict(zip(range(1, n), steps))
-    plan.update(zip(range(-1, -n, -1), steps))
+    T = np.concatenate([s.mat.T for s in states], axis=1)
+    if (T >> fld.degree).any():  # a negative entry shifts to -1
+        raise ValueError("state entries must be field elements")
+    width = T.shape[1]
+    planes = 1 if fld.degree <= 8 else 2
+    size = planes * width
+    packed = np.concatenate([(T >> 8 * i).astype(np.uint8) for i in range(planes)], axis=1)
+    # column 0 is scratch: letter 1 adds into it instead of column -1
+    cols = [0] + [int.from_bytes(row.tobytes(), "little") for row in packed]
+    # runs of consecutive states that share a twist, and per run the
+    # byte-table index of each k the letter loop computes
+    runs = [(g, len(list(group))) for g, group in groupby(states, key=attrgetter("perm"))]
+    scalars = [h + tuple(n + x for x in h) for h in (g.inverse().images for g, _ in runs)]
+    tabs = params.byte_tables
+    if len(runs) == 1 and planes == 1:
+        cut = None
+        tables = list(map(tabs[0].__getitem__, scalars[0]))
+    else:  # per output plane o, input plane i and run: one translate
+        cut = struct.Struct("".join(f"{count * n}s" for _, count in runs) * planes).unpack
+        tables = list(zip(*(
+            map(tabs[planes * i + o].__getitem__, row)
+            for o in range(planes) for i in range(planes) for row in scalars
+        )))
+        plane = 8 * width
+        lo = (1 << plane) - 1
+        hi = lo << plane
+    translate = bytes.translate
     inv = list(range(n))  # images of the inverse of the prefix's permutation p
     for letter in word.letters():
-        try:
-            r, left, old, right = plan[letter]
-        except KeyError:
-            raise ValueError(f"letter {letter} out of range for n={n}") from None
+        r = abs(letter) - 1
+        if not 0 <= r < n - 1:
+            raise ValueError(f"letter {letter} out of range for n={n}")
+        old = cols[r + 1]
         k = inv[r] if letter > 0 else n + inv[r + 1]
-        prod = tables[k].take(old) if offsets is None else flat.take(offsets[k] + old)
-        if letter > 0:
-            left ^= prod
-            right ^= old
+        if cut is None:
+            prod = int.from_bytes(old.to_bytes(size, "little").translate(tables[k]), "little")
         else:
-            left ^= old
-            right ^= prod
-        old[...] = prod  # column r, read above before this overwrite
+            x = b"".join(map(translate, cut(old.to_bytes(size, "little")) * planes, tables[k]))
+            prod = int.from_bytes(x, "little")
+            if planes > 1:  # planes (lo<-lo, lo<-hi, hi<-lo, hi<-hi) XOR in pairs
+                prod ^= prod >> plane
+                prod = prod & lo | prod >> plane & hi
+        if letter > 0:
+            cols[r] ^= prod
+            cols[r + 2] ^= old
+        else:
+            cols[r] ^= old
+            cols[r + 2] ^= prod
+        cols[r + 1] = prod
         inv[r], inv[r + 1] = inv[r + 1], inv[r]
     p = Perm(inv).inverse()
+    raw = b"".join(c.to_bytes(size, "little") for c in cols[1:])
+    raw = np.frombuffer(raw, dtype=np.uint8).reshape(n, planes, width).astype(fld.dtype)
+    T = raw[:, 0] | raw[:, 1] << 8 if planes > 1 else raw[:, 0]
     out = [MatPerm(T[:, b * n:(b + 1) * n].T.copy(), s.perm * p) for b, s in enumerate(states)]
     return out[0] if single else out
 

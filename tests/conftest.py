@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from cbkap.braid import BraidWord, random_word
+from cbkap.braid import BraidWord, MatPerm, random_word
 from cbkap.field import GF2m
 from cbkap.linalg import WitnessedBasis
 from cbkap.perm import NotInGroup, Perm, invert_genword
@@ -316,9 +316,72 @@ class ReferenceChain:
         ]
 
 
+def reference_scale_rows(params):
+    """Multiplication table of the substituted values, shape (2n, 2^m):
+    row k multiplies by ``tau[k]`` and row n+k by ``1/tau[k]``."""
+    fld = params.field
+    scalars = list(params.tau) + [fld.inv(t) for t in params.tau]
+    values = np.arange(fld.order, dtype=fld.dtype)
+    return fld.mul_arr(np.array(scalars, dtype=fld.dtype)[:, None], values[None, :])
+
+
+def reference_e_multiply(start, word, params):
+    """Reference for braid.e_multiply: the earlier numpy engine, which
+    keeps every column of the stack as a numpy array and scales column r
+    by a table gather per letter (one table row per state when the
+    twists differ)."""
+    single = isinstance(start, MatPerm)
+    states = [start] if single else list(start)
+    if not states:
+        return []
+    fld = params.field
+    n = params.n
+    if any(s.perm.n != n for s in states):
+        raise ValueError("state size does not match params")
+    # row j holds column j of every state, one state after another
+    T = np.concatenate([s.mat.T for s in states], axis=1).astype(fld.dtype, copy=False)
+    hinv = [sorted(range(n), key=s.perm.images.__getitem__) for s in states]
+    rows = reference_scale_rows(params)
+    if all(s.perm == states[0].perm for s in states):  # gather from one twist's rows
+        tables = [rows[k] for k in hinv[0]] + [rows[n + k] for k in hinv[0]]
+        offsets = None
+    else:  # per-state row offsets into the flattened table
+        offsets = np.repeat(np.array(hinv) * fld.order, n, axis=0).T
+        offsets = list(offsets) + list(offsets + n * fld.order)
+        flat = rows.reshape(-1)
+    cols = list(T)  # letter 1 adds into a scratch column instead of column -1
+    steps = list(zip(range(n - 1), [np.zeros_like(cols[0])] + cols[:-2], cols[:-1], cols[1:]))
+    plan = dict(zip(range(1, n), steps))
+    plan.update(zip(range(-1, -n, -1), steps))
+    inv = list(range(n))  # images of the inverse of the prefix's permutation p
+    for letter in word.letters():
+        try:
+            r, left, old, right = plan[letter]
+        except KeyError:
+            raise ValueError(f"letter {letter} out of range for n={n}") from None
+        k = inv[r] if letter > 0 else n + inv[r + 1]
+        prod = tables[k].take(old) if offsets is None else flat.take(offsets[k] + old)
+        if letter > 0:
+            left ^= prod
+            right ^= old
+        else:
+            left ^= old
+            right ^= prod
+        old[...] = prod  # column r, read above before this overwrite
+        inv[r], inv[r + 1] = inv[r + 1], inv[r]
+    p = Perm(inv).inverse()
+    out = [MatPerm(T[:, b * n:(b + 1) * n].T.copy(), s.perm * p) for b, s in enumerate(states)]
+    return out[0] if single else out
+
+
 @pytest.fixture(scope="session")
 def basis_words():
     return expand_recipes
+
+
+@pytest.fixture(scope="session")
+def reference_engine():
+    return reference_e_multiply
 
 
 @pytest.fixture(scope="session")

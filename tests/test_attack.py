@@ -22,7 +22,7 @@ from cbkap.attack import (
     AttackArtifacts,
 )
 from cbkap.braid import BraidWord, MatPerm, e_multiply, word_eval_pair, word_perm
-from cbkap.field import GF2m
+from cbkap.field import GF2m, SingularMatrix
 from cbkap.linalg import InvertibleSampleFailed, NoSolution, algebra_closure
 from cbkap.perm import Perm, WordTooLong
 from cbkap.protocol import (
@@ -122,18 +122,19 @@ def test_factor_permutation_contract(small_instance):
     pub, priv, _ = small_instance
     _, transcript, _ = fresh_exchange(pub, priv, 5)
     h = transcript.bob_msg.perm
-    word, residual, twisted = factor_permutation(pub, transcript.alice_msg, h)
+    word, residual, residual_inv, twisted = factor_permutation(pub, transcript.alice_msg, h)
     params = pub.params
     assert word_perm(word, params.n) == transcript.alice_msg.perm
     # (residual, e) equals the message E-multiplied by the inverse pair
     peeled = e_multiply(transcript.alice_msg, word.inverse(), params)
     assert peeled.perm.is_identity()
     assert np.array_equal(peeled.mat, residual)
+    assert np.array_equal(residual_inv, params.field.mat_inv(residual))
     # the twisted image is the word evaluated on its own from (I, h)
     seed = MatPerm(params.field.identity(params.n), h)
     assert np.array_equal(twisted, e_multiply(seed, word, params).mat)
     # with the identity twist it is the word's plain image
-    _, _, plain = factor_permutation(pub, transcript.alice_msg, Perm.identity(params.n))
+    _, _, _, plain = factor_permutation(pub, transcript.alice_msg, Perm.identity(params.n))
     assert np.array_equal(plain, word_eval_pair(word, params).mat)
 
 
@@ -145,7 +146,7 @@ def test_factor_pure_message_gives_message_matrix(small_instance):
     r = word_perm(w, pub.params.n).order()
     pure_word = w.power(r) if r > 1 else w
     msg = word_eval_pair(pure_word, pub.params)
-    word, residual, _ = factor_permutation(pub, msg, Perm.identity(pub.params.n))
+    word, residual, _, _ = factor_permutation(pub, msg, Perm.identity(pub.params.n))
     assert len(word) == 0
     assert np.array_equal(residual, msg.mat)
 
@@ -172,8 +173,10 @@ def test_residual_normalizes_secret_into_span(small_instance, small_field):
     for seed in range(20):
         asec, transcript, _ = fresh_exchange(pub, priv, 50 + seed)
         pure = precompute_pure_basis(pub, random.Random(900 + seed))
-        _, residual, _ = factor_permutation(pub, transcript.alice_msg, Perm.identity(pub.params.n))
-        probe = small_field.mat_mul(small_field.mat_inv(residual), asec.matrix)
+        _, _, residual_inv, _ = factor_permutation(
+            pub, transcript.alice_msg, Perm.identity(pub.params.n)
+        )
+        probe = small_field.mat_mul(residual_inv, asec.matrix)
         hits += probe in pure.basis
     assert hits >= 19
 
@@ -182,17 +185,19 @@ def test_solve_scale_postconditions(small_instance, small_field):
     pub, priv, _ = small_instance
     _, transcript, _ = fresh_exchange(pub, priv, 7)
     pure = precompute_pure_basis(pub, random.Random(8))
-    _, residual, _ = factor_permutation(pub, transcript.alice_msg, Perm.identity(pub.params.n))
-    scale, coeffs, tries = solve_scale(residual, pub, pure, random.Random(9))
+    _, _, residual_inv, _ = factor_permutation(
+        pub, transcript.alice_msg, Perm.identity(pub.params.n)
+    )
+    scale, coeffs, tries = solve_scale(residual_inv, pub, pure, random.Random(9))
     assert tries <= 16
     assert small_field.is_invertible(scale)
     kappas = algebra_closure(pub.c_gens, small_field)
     assert np.array_equal(kappas.combine(coeffs), scale)
-    assert small_field.mat_mul(small_field.mat_inv(residual), scale) in pure.basis
+    assert small_field.mat_mul(residual_inv, scale) in pure.basis
     # the instance caches its C-algebra basis; a second call draws the same
     assert pub.c_algebra is pub.c_algebra
     assert all(np.array_equal(a, b) for a, b in zip(pub.c_algebra, kappas.mats, strict=True))
-    again = solve_scale(residual, pub, pure, random.Random(9))
+    again = solve_scale(residual_inv, pub, pure, random.Random(9))
     assert np.array_equal(again[0], scale) and np.array_equal(again[1], coeffs)
     assert again[2] == tries
 
@@ -202,8 +207,10 @@ def test_split_pure_part_and_reconstruction(small_instance, small_field):
     _, transcript, _ = fresh_exchange(pub, priv, 10)
     pure = precompute_pure_basis(pub, random.Random(11))
     n = pub.params.n
-    word, residual, twisted = factor_permutation(pub, transcript.alice_msg, Perm.identity(n))
-    scale, scoeffs, _ = solve_scale(residual, pub, pure, random.Random(12))
+    word, residual, residual_inv, twisted = factor_permutation(
+        pub, transcript.alice_msg, Perm.identity(n)
+    )
+    scale, scoeffs, _ = solve_scale(residual_inv, pub, pure, random.Random(12))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
     assert np.array_equal(
         part, small_field.mat_mul(small_field.mat_inv(scale), residual)
@@ -258,8 +265,8 @@ def test_recover_key_matches_single_state_assembly(small_instance, small_field):
     _, transcript, key = fresh_exchange(pub, priv, 214)
     pure = precompute_pure_basis(pub, random.Random(215))
     h = transcript.bob_msg.perm
-    word, residual, twisted_word = factor_permutation(pub, transcript.alice_msg, h)
-    scale, scoeffs, _ = solve_scale(residual, pub, pure, random.Random(216))
+    word, residual, residual_inv, twisted_word = factor_permutation(pub, transcript.alice_msg, h)
+    scale, scoeffs, _ = solve_scale(residual_inv, pub, pure, random.Random(216))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
     artifacts = AttackArtifacts(word, residual, scale, scoeffs, part, pcoeffs, twisted_word)
     n = pub.params.n
@@ -362,6 +369,22 @@ def test_attack_stops_at_chain_word_cap(word_len, seed):
     assert err.value.stats.candidates == 0 and err.value.stats.factor_seconds > 0
 
 
+def test_attack_on_singular_message_fails_at_factor(small_instance):
+    # no honest message matrix is singular; the residual's one inversion
+    # runs in the factor stage, so the attack stops there before drawing
+    # any candidate
+    pub, priv, _ = small_instance
+    _, transcript, _ = fresh_exchange(pub, priv, 40)
+    mat = transcript.alice_msg.mat.copy()
+    mat[0] = 0
+    bad = Transcript(MatPerm(mat, transcript.alice_msg.perm), transcript.bob_msg)
+    with pytest.raises(AttackFailed) as err:
+        attack_run(pub, bad, random.Random(41))
+    assert isinstance(err.value.__cause__, SingularMatrix)
+    assert err.value.stage == "factor" and err.value.stats.failed_stage == "factor"
+    assert err.value.stats.candidates == 0 and err.value.stats.factor_seconds > 0
+
+
 def test_extension_grows_small_basis(small_instance, small_field):
     pub, priv, _ = small_instance
     config = AttackConfig(max_candidates=1)
@@ -374,8 +397,10 @@ def test_extension_grows_small_basis(small_instance, small_field):
     assert pure.dim == small + sum(grown)
     assert all(g > 0 for g in grown[:-1])
     _, transcript, key = fresh_exchange(pub, priv, 26)
-    word, residual, twisted = factor_permutation(pub, transcript.alice_msg, transcript.bob_msg.perm)
-    scale, scoeffs, _ = solve_scale(residual, pub, pure, random.Random(27))
+    word, residual, residual_inv, twisted = factor_permutation(
+        pub, transcript.alice_msg, transcript.bob_msg.perm
+    )
+    scale, scoeffs, _ = solve_scale(residual_inv, pub, pure, random.Random(27))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
     artifacts = AttackArtifacts(word, residual, scale, scoeffs, part, pcoeffs, twisted)
     assert recover_key(pub, transcript, pure, artifacts) == key.key
@@ -544,10 +569,10 @@ def test_attack_skips_tries_a_settled_failure_would_repeat(max_candidates, seeds
     tries, collections = [], []
     solve, extend = attack_mod.solve_scale, attack_mod.extend_pure_basis
 
-    def logged_solve(residual, pub, pure, *args, **kwargs):
+    def logged_solve(residual_inv, pub, pure, *args, **kwargs):
         tries.append([pure.dim, None])
         try:
-            return solve(residual, pub, pure, *args, **kwargs)
+            return solve(residual_inv, pub, pure, *args, **kwargs)
         except Exception as exc:
             tries[-1][1] = type(exc)
             raise
@@ -579,11 +604,11 @@ def test_attack_retries_an_unchanged_v_after_a_failed_sampling(monkeypatch):
     dims = []
     solve = attack_mod.solve_scale
 
-    def failing_once(residual, pub, pure, *args, **kwargs):
+    def failing_once(residual_inv, pub, pure, *args, **kwargs):
         dims.append(pure.dim)
         if len(dims) == 1:
             raise InvertibleSampleFailed("forced")
-        return solve(residual, pub, pure, *args, **kwargs)
+        return solve(residual_inv, pub, pure, *args, **kwargs)
 
     monkeypatch.setattr(attack_mod, "solve_scale", failing_once)
     recovered, stats = attack_run(pub, transcript, random.Random(0))

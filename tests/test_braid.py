@@ -174,6 +174,60 @@ def test_stacked_e_multiply_matches_single_states():
                         assert np.array_equal(out.mat, want)
 
 
+def test_e_multiply_matches_reference_engine(reference_engine):
+    # the packed-column engine against the earlier numpy engine: fields of
+    # one and two byte planes, stacks of 1 to 13 states whose twists are
+    # all equal, all distinct or in runs, and every kind of word node
+    rng = random.Random(90)
+    for m, n in ((1, 4), (3, 5), (8, 12), (9, 5), (16, 6)):
+        fld = GF2m(m)
+        params = EvalParams(fld, n, tuple(rng.randrange(1, fld.order) for _ in range(n)))
+        a, b = random_word(n, 30, rng), random_word(n, 7, rng)
+        words = {
+            "flat": a,
+            "nested": BraidWord.concat(a, b + BraidWord([1, -1]), a.inverse()),
+            "powered": b.power(5) + a,
+            "inverted": (a + b.power(3)).inverse(),
+            "empty": BraidWord(),
+        }
+        for size in (1, 2, 5, 13):
+            h, g = Perm.random(n, rng), Perm.random(n, rng)
+            twists = {
+                "same": [h] * size,
+                "distinct": [Perm.random(n, rng) for _ in range(size)],
+                "runs": [g if i % 3 == 2 else h for i in range(size)],  # h, h, g, h, ...
+            }
+            for kind, perms in twists.items():
+                # entries of a wider integer dtype are accepted as field elements
+                dtype = np.int64 if kind == "runs" else fld.dtype
+                states = [MatPerm(fld.random_matrix(rng, n).astype(dtype), t) for t in perms]
+                kept = [MatPerm(s.mat.copy(), s.perm) for s in states]
+                for name, w in words.items():
+                    got = e_multiply(states, w, params)
+                    assert got == reference_engine(states, w, params), (m, size, kind, name)
+                    assert all(out.mat.dtype == fld.dtype for out in got)
+                    assert states == kept and all(s.mat.dtype == dtype for s in states)
+                one = e_multiply(states[0], words["nested"], params)
+                assert one == reference_engine(states[0], words["nested"], params)
+
+
+def test_e_multiply_refuses_non_field_entries():
+    # packed bytes would truncate 300 to its low byte and map 40 through
+    # the padding of a 5-bit field's tables, both without an error
+    e = Perm.identity(4)
+    cases = ((GF2m(8), 300, np.int64), (GF2m(5), 40, np.uint8), (GF2m(5), -1, np.int64))
+    for fld, value, dtype in cases:
+        params = params_for(fld, 4, random.Random(4))
+        mat = fld.identity(4).astype(dtype)
+        mat[1, 2] = value
+        for start in (MatPerm(mat, e), [MatPerm.identity(fld, 4), MatPerm(mat, e)]):
+            with pytest.raises(ValueError, match="field elements"):
+                e_multiply(start, BraidWord([1, 2, -3]), params)
+    for dtype in (np.float64, np.bool_):
+        with pytest.raises(ValueError, match="integers"):
+            e_multiply(MatPerm(fld.identity(4).astype(dtype), e), BraidWord([1]), params)
+
+
 def test_right_action_law():
     fld = GF2m(5)
     rng = random.Random(3)

@@ -404,6 +404,27 @@ def test_attack_failure_writes_stats_with_stage(tmp_path, capsys):
     assert not (out / "key_recovered.json").exists()
 
 
+def test_attack_on_singular_message_fails_at_factor(tmp_path, capsys):
+    # a singular Alice matrix: stage-factor failure (exit 3) with stats
+    pub_file, priv_file = gen_small(tmp_path)
+    assert run(
+        "protocol", "--public", pub_file, "--private", priv_file,
+        "--seed", 22, "--out-dir", tmp_path,
+    ) == 0
+    doc = json.loads((tmp_path / "transcript.json").read_text())
+    doc["payload"]["alice"]["mat"][:8] = [0] * 8  # first row of the 8x8 matrix
+    bad = tmp_path / "singular_transcript.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(
+        "attack", "--public", pub_file, "--transcript", bad, "--seed", 1, "--out-dir", out,
+    ) == 3
+    assert "stage factor" in capsys.readouterr().err
+    _, stats = formats.load_envelope(out / "stats.json", expect_kind="stats")
+    assert stats["failed_stage"] == "factor" and stats["candidates"] == 0
+    assert not (out / "key_recovered.json").exists()
+
+
 def test_attack_stops_at_chain_word_cap(tmp_path, capsys):
     # A generators whose permutations generate S_16: the stabilizer chain
     # stops at its word cap, a stage-factor failure (exit 3) with stats
