@@ -108,7 +108,8 @@ def cmd_attack(args) -> int:
     except AttackFailed as exc:
         out.mkdir(parents=True, exist_ok=True)
         formats.save_stats(out / "stats.json", exc.stats.to_dict())
-        print(f"attack failed at stage {exc.stage}: {exc}", file=sys.stderr)
+        # the message of AttackFailed starts with its stage
+        print(f"attack failed at stage {exc}", file=sys.stderr)
         print(f"wrote {out / 'stats.json'}", file=sys.stderr)
         return EXIT_ATTACK
     out.mkdir(parents=True, exist_ok=True)

@@ -25,6 +25,10 @@ __all__ = [
 ]
 
 
+# the most log sums one GF2m.dot step materializes, unless one row needs more
+DOT_BLOCK = 1 << 17
+
+
 class NonInvertibleFieldElement(ZeroDivisionError):
     """Multiplicative inverse of zero was requested."""
 
@@ -156,10 +160,12 @@ class GF2m:
         self._inv = [0] + [exp[(q - 1 - log[a]) % (q - 1)] for a in range(1, q)]
         # numpy copies for mul_arr: the log of zero, 2(q-1), lies past every
         # sum of two nonzero logs, and every antilog entry from there on is
-        # zero, so a product with a zero factor looks up zero with no mask
+        # zero, so a product with a zero factor looks up zero with no mask;
+        # a sum of two logs is at most 4(q-1), so uint16 holds it for m <= 14
         self._exp_np = np.zeros(4 * q - 3, dtype=self.dtype)
         self._exp_np[: 2 * (q - 1)] = exp
-        self._log_np = np.array([2 * (q - 1)] + log[1:], dtype=np.int32)
+        log_dtype = np.uint16 if 4 * q <= 1 << 16 else np.int32
+        self._log_np = np.array([2 * (q - 1)] + log[1:], dtype=log_dtype)
 
     # -- scalar operations -------------------------------------------------
 
@@ -212,17 +218,23 @@ class GF2m:
     def dot(self, a, b: np.ndarray) -> np.ndarray:
         """Sum over the last axis of a against the first axis of b, XOR
         accumulated: coefficients against a stack give their linear
-        combination, and a matrix against a matrix gives the product."""
+        combination, and a matrix against a matrix gives the product.  A
+        2-D ``a`` is cut into row blocks of at most DOT_BLOCK log sums (a
+        row takes ``b.size``), so large products keep small temporaries."""
         a = np.asarray(a, dtype=self.dtype)
+        if a.ndim == 2 and len(a) > 1 and len(a) * b.size > DOT_BLOCK:
+            step = max(1, DOT_BLOCK // b.size)
+            return np.concatenate([self.dot(a[i : i + step], b) for i in range(0, len(a), step)])
         return np.bitwise_xor.reduce(
             self.mul_arr(a.reshape(a.shape + (1,) * (b.ndim - 1)), b), axis=a.ndim - 1
         )
 
     def mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact matrix product; accumulation is XOR over the inner index."""
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        """Exact matrix product; accumulation is XOR over the inner index.
+        A (k, n, n) stack on the right gives the stack of the k products."""
+        if a.ndim != 2 or b.ndim not in (2, 3) or a.shape[1] != b.shape[-2]:
             raise ValueError("matrix dimension mismatch")
-        return self.dot(a, b)
+        return self.dot(a, b.swapaxes(0, -2)).swapaxes(0, -2)
 
     def mat_inv(self, a: np.ndarray) -> np.ndarray:
         """Inverse by Gauss-Jordan elimination, pivoting on the first

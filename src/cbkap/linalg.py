@@ -10,10 +10,11 @@ A basis keeps its raw matrices verbatim next to their span in reduced
 row-echelon form, stacked in one (dim, n^2) array, and the (dim, dim)
 change-of-basis transform.  Sifting, membership, coefficient extraction
 and insertion are each a fixed number of whole-array field operations
-(``GF2m.dot``), O(dim * n^2) work with no per-row loop; the membership
-solver sifts through the same echelon code.  The closure keeps the braid
-word of each generator plus one recipe per basis element; together they
-give a pure word for every basis element without storing it.
+(``GF2m.dot``), O(dim * n^2) work per vector with no per-row loop; the
+closure and the membership solver sift whole stacks of products at once
+through the same echelon code.  The closure keeps the braid word of each
+generator plus one recipe per basis element; together they give a pure
+word for every basis element without storing it.
 """
 
 from __future__ import annotations
@@ -55,13 +56,20 @@ class WitnessedBasis:
     """Linearly independent matrices, kept in insertion order.
 
     Next to the raw matrices it keeps their span in reduced row-echelon
-    form: one (dim, n^2) array whose pivot columns are unit columns, and
+    form: (dim, n^2) echelon rows whose pivot columns are unit columns, and
     the (dim, dim) transform with echelon rows = transform . raw vectors.
     A vector's pivot entries are then its coordinates over the echelon
     rows, so sifting, expressing and inserting are each a fixed number of
     whole-array operations.  The residual of a sift is the one vector of
     the coset that is zero on every pivot column, so pivots, basis order
     and coefficients do not depend on how the echelon is stored.
+
+    Rows, transform and pivots live in preallocated arrays, updated in
+    place, whose capacity doubles when full.  :meth:`add_block` sifts a
+    whole stack with one ``dot`` (cut into blocks of at most
+    ``field.DOT_BLOCK`` log sums) and then inserts its vectors in order,
+    clearing each new pivot column from the rest of the stack; ``add`` is
+    a one-matrix block, so the result equals one ``add`` per matrix.
 
     Stores no witness words: :class:`AlgebraClosure` keeps the generator
     words and recipes that give one for each element.  The name is kept
@@ -73,49 +81,70 @@ class WitnessedBasis:
         self.field = field
         self.n = n
         self.mats: list[np.ndarray] = []
-        self._rows = np.zeros((0, n * n), dtype=field.dtype)
-        self._pivots = np.zeros(0, dtype=np.intp)
-        self._tf = np.zeros((0, 0), dtype=field.dtype)
+        # the first dim entries of each buffer are in use; capacity n to start
+        self._rowbuf = np.zeros((n, n * n), dtype=field.dtype)
+        self._tfbuf = np.zeros((n, n), dtype=field.dtype)
+        self._pivbuf = np.zeros(n, dtype=np.intp)
 
     @property
     def dim(self) -> int:
-        return len(self._pivots)
+        return len(self.mats)
 
-    def _sift(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(residual, combo) with vec = residual + combo . echelon rows."""
-        combo = vec[self._pivots]
-        return vec ^ self.field.dot(combo, self._rows), combo
+    @property
+    def _rows(self) -> np.ndarray:
+        return self._rowbuf[: self.dim]
 
-    def _grow(self, residual: np.ndarray, combo: np.ndarray) -> bool:
-        """Insert a sifted vector; returns False when its residual is zero."""
-        nz = np.flatnonzero(residual)
-        if nz.size == 0:
-            return False
+    @property
+    def _tf(self) -> np.ndarray:
+        return self._tfbuf[: self.dim, : self.dim]
+
+    @property
+    def _pivots(self) -> np.ndarray:
+        return self._pivbuf[: self.dim]
+
+    def _sift(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(residuals, combos) of a (k, n^2) stack, with vecs = residuals +
+        combos . echelon rows; the combos are the pivot entries."""
+        combo = vecs[:, self._pivots]
+        return vecs ^ self.field.dot(combo, self._rows), combo
+
+    def add_block(self, mats) -> np.ndarray:
+        """Sift a stack of matrices in, in order, as one ``add`` each
+        would; returns per matrix whether it grew the span."""
         fld = self.field
-        piv = nz[0]
-        inv_piv = fld.inv(int(residual[piv]))
-        # residual = raw_new + (combo . tf) . raw_old in characteristic 2,
-        # which gives the new row's transform row
-        row = fld.mul_arr(residual, inv_piv)
-        tf_row = fld.mul_arr(np.append(fld.dot(combo, self._tf), 1), inv_piv)
-        # clear the new pivot column from the old rows
-        col = self._rows[:, piv, None]
-        self._rows = np.vstack([self._rows ^ fld.mul_arr(col, row), row])
-        tf = np.pad(self._tf, ((0, 0), (0, 1)))
-        self._tf = np.vstack([tf ^ fld.mul_arr(col, tf_row), tf_row])
-        self._pivots = np.append(self._pivots, piv)
-        return True
+        vecs = np.array(mats, dtype=fld.dtype).reshape(len(mats), self.n * self.n)
+        res, _ = self._sift(vecs)
+        grew = np.zeros(len(vecs), dtype=bool)
+        live = np.flatnonzero(res.any(axis=1))
+        while live.size:
+            i, d = live[0], self.dim
+            if d == len(self._pivbuf):  # full: double the capacity
+                self._rowbuf = np.pad(self._rowbuf, ((0, d), (0, 0)))
+                self._tfbuf = np.pad(self._tfbuf, ((0, d), (0, d)))
+                self._pivbuf = np.pad(self._pivbuf, (0, d))
+            piv = np.flatnonzero(res[i])[0]
+            inv_piv = fld.inv(int(res[i, piv]))
+            # res[i] = raw_new + (combo . tf) . raw_old in characteristic 2, with
+            # combo the pivot entries of raw_new, which gives the transform row
+            row = fld.mul_arr(res[i], inv_piv)
+            tf_row = fld.mul_arr(np.append(fld.dot(vecs[i, self._pivots], self._tf), 1), inv_piv)
+            # clear the new pivot column from the old rows and the later vectors
+            col = self._rowbuf[:d, piv, None].copy()
+            self._rowbuf[:d] ^= fld.mul_arr(col, row)
+            self._tfbuf[:d, : d + 1] ^= fld.mul_arr(col, tf_row)
+            res[i + 1 :] ^= fld.mul_arr(res[i + 1 :, piv, None], row)
+            self._rowbuf[d], self._tfbuf[d, : d + 1], self._pivbuf[d] = row, tf_row, piv
+            self.mats.append(vecs[i].reshape(self.n, self.n))
+            grew[i] = True
+            live = i + 1 + np.flatnonzero(res[i + 1 :].any(axis=1))
+        return grew
 
     def add(self, mat: np.ndarray) -> bool:
         """Sift a matrix in; returns True when the dimension grew."""
-        mat = mat.astype(self.field.dtype)
-        if not self._grow(*self._sift(mat.reshape(-1))):
-            return False
-        self.mats.append(mat)
-        return True
+        return bool(self.add_block(mat[None])[0])
 
     def __contains__(self, mat: np.ndarray) -> bool:
-        residual, _ = self._sift(mat.reshape(-1).astype(self.field.dtype))
+        residual, _ = self._sift(mat.reshape(1, -1).astype(self.field.dtype))
         return not residual.any()
 
     def express(self, mat: np.ndarray) -> np.ndarray:
@@ -123,10 +152,10 @@ class WitnessedBasis:
 
         Raises NotInSpan when the matrix lies outside the span.
         """
-        residual, combo = self._sift(mat.reshape(-1).astype(self.field.dtype))
+        residual, combo = self._sift(mat.reshape(1, -1).astype(self.field.dtype))
         if residual.any():
             raise NotInSpan("matrix is outside the span of the basis")
-        return self.field.dot(combo, self._tf)
+        return self.field.dot(combo[0], self._tf)
 
     def combine(self, coeffs: Sequence[int]) -> np.ndarray:
         """The matrix sum of coeff_i * basis_i."""
@@ -180,19 +209,18 @@ class AlgebraClosure:
         return True
 
     def _drain(self) -> None:
-        fld = self.basis.field
+        basis = self.basis
         progress = True
         while progress:
             progress = False
             for gi, (gmat, _) in enumerate(self.generators):
-                start = self._done[gi]
-                size = self.basis.dim
+                start, size = self._done[gi], basis.dim
                 if start >= size:
                     continue
                 progress = True
-                for bi in range(start, size):
-                    if self.basis.add(fld.mat_mul(gmat, self.basis.mats[bi])):
-                        self.recipes.append(("gb", gi, bi))
+                products = basis.field.mat_mul(gmat, np.stack(basis.mats[start:size]))
+                grew = basis.add_block(products)
+                self.recipes += [("gb", gi, start + int(bi)) for bi in np.flatnonzero(grew)]
                 self._done[gi] = size
 
     def rebuild(self, gen_images: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -253,22 +281,19 @@ def solve_membership(
     kernel basis; raises NoSolution when the kernel is trivial (the span
     of V is too small, so callers should enlarge it and retry).
     """
-    rest = WitnessedBasis(field, V.n)  # the independent residuals so far
-    kept: list[int] = []
-    kernel: list[np.ndarray] = []
-    for i, k in enumerate(kappas):
-        residual, _ = V._sift(field.mat_mul(gamma_inv, k).reshape(-1))
-        residual, combo = rest._sift(residual)
-        if rest._grow(residual, combo):
-            kept.append(i)
-            continue
-        t = np.zeros(len(kappas), dtype=field.dtype)
-        t[i] = 1
-        t[kept] = field.dot(combo, rest._tf)
-        kernel.append(t)
-    if not kernel:
+    products = field.mat_mul(gamma_inv, np.stack(kappas))
+    residuals, _ = V._sift(products.reshape(len(kappas), -1))
+    rest = WitnessedBasis(field, V.n)  # the independent residuals, in order
+    grew = rest.add_block(residuals)
+    kept, dependent = np.flatnonzero(grew), np.flatnonzero(~grew)
+    if not dependent.size:
         raise NoSolution("no nonzero combination of the kappa basis lands in span(V)")
-    return SolutionSpace(kernel)
+    # a dependent residual is a combination of the independent ones before it
+    _, combo = rest._sift(residuals[dependent])
+    kernel = np.zeros((len(dependent), len(kappas)), dtype=field.dtype)
+    kernel[np.arange(len(dependent)), dependent] = 1
+    kernel[:, kept] = field.dot(combo, rest._tf)
+    return SolutionSpace(list(kernel))
 
 
 def sample_invertible(

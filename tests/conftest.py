@@ -133,6 +133,51 @@ class SequentialBasis:
                 out ^= self.field.mul_vec(m, int(c))
         return out
 
+    def reduced(self):
+        """(rows, tf) in reduced row-echelon form: each row cleared, last
+        first, at the pivots of the later rows, which are reduced by then."""
+        fld = self.field
+        rows = [row.copy() for row in self.rows]
+        tf = [t.copy() for t in self.tf]
+        for j in reversed(range(len(rows))):
+            for k in range(j + 1, len(rows)):
+                a = int(rows[j][self.pivots[k]])
+                if a:
+                    rows[j] ^= fld.mul_vec(rows[k], a)
+                    tf[j] ^= fld.mul_vec(tf[k], a)
+        d = len(rows)
+        return (np.array(rows, dtype=fld.dtype).reshape(d, self.n * self.n),
+                np.array(tf, dtype=fld.dtype).reshape(d, d))
+
+
+def sequential_drain(gens, field, n):
+    """Reference for AlgebraClosure: the earlier drain, which formed one
+    generator-times-element product at a time and sifted it into a
+    SequentialBasis with one add.  Returns (basis, recipes)."""
+    basis = SequentialBasis(field, n)
+    basis.add(field.identity(n))
+    recipes = [("one",)]
+    kept, done = [], []
+    for mat in gens:
+        if not basis.add(mat):
+            continue
+        kept.append(mat)
+        done.append(0)
+        recipes.append(("gen", len(kept) - 1))
+        progress = True
+        while progress:
+            progress = False
+            for gi, gmat in enumerate(kept):
+                start, size = done[gi], basis.dim
+                if start >= size:
+                    continue
+                progress = True
+                for bi in range(start, size):
+                    if basis.add(field.mat_mul(gmat, basis.mats[bi])):
+                        recipes.append(("gb", gi, bi))
+                done[gi] = size
+    return basis, recipes
+
 
 def sequential_kernel(residuals, field):
     """Reference left kernel of a stack of vectors, by sequential sifting
@@ -392,6 +437,11 @@ def two_sided_reference():
 @pytest.fixture(scope="session")
 def sequential_basis():
     return SequentialBasis
+
+
+@pytest.fixture(scope="session")
+def drain_reference():
+    return sequential_drain
 
 
 @pytest.fixture(scope="session")

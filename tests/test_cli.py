@@ -419,7 +419,8 @@ def test_attack_on_singular_message_fails_at_factor(tmp_path, capsys):
     assert run(
         "attack", "--public", pub_file, "--transcript", bad, "--seed", 1, "--out-dir", out,
     ) == 3
-    assert "stage factor" in capsys.readouterr().err
+    # the stage is named once
+    assert capsys.readouterr().err.splitlines()[0] == "attack failed at stage factor: matrix is singular"
     _, stats = formats.load_envelope(out / "stats.json", expect_kind="stats")
     assert stats["failed_stage"] == "factor" and stats["candidates"] == 0
     assert not (out / "key_recovered.json").exists()

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from cbkap import field
 from cbkap.field import (
     GF2m,
     NonInvertibleFieldElement,
@@ -139,6 +140,48 @@ def test_mat_mul_shape_mismatch():
     fld = GF2m(2)
     with pytest.raises(ValueError):
         fld.mat_mul(fld.identity(2), fld.identity(3))
+    with pytest.raises(ValueError):
+        fld.mat_mul(fld.identity(2), np.stack([fld.identity(3)] * 2))
+
+
+@pytest.mark.parametrize(
+    "degree, log_dtype", [(13, np.uint16), (14, np.uint16), (15, np.int32), (16, np.int32)]
+)
+@pytest.mark.parametrize("budget", [field.DOT_BLOCK, 5])
+def test_array_products_at_the_log_dtype_boundary(degree, log_dtype, budget, monkeypatch):
+    # a sum of two logs reaches 4(q-1) (two zeros), 65532 at m=14, the
+    # largest that uint16 holds; the lowered budget splits every dot
+    monkeypatch.setattr(field, "DOT_BLOCK", budget)
+    fld = GF2m(degree)
+    assert fld._log_np.dtype == log_dtype
+    q = fld.order
+    rng = random.Random(degree)
+    # zero, one, the elements of the two largest logs, and random elements
+    special = [0, 1, fld._exp[q - 2], fld._exp[q - 3]]
+
+    def draw(*shape):
+        flat = [rng.choice(special) if rng.random() < 0.5 else rng.randrange(q)
+                for _ in range(int(np.prod(shape)))]
+        return np.array(flat, dtype=fld.dtype).reshape(shape)
+
+    def scalar_mat_mul(a, b):
+        return np.array([[
+            np.bitwise_xor.reduce([fld.mul(int(a[i, k]), int(b[k, j])) for k in range(a.shape[1])])
+            for j in range(b.shape[1])] for i in range(a.shape[0])], dtype=fld.dtype)
+
+    x = np.array(special + [rng.randrange(q) for _ in range(8)], dtype=fld.dtype)
+    want = [[fld.mul(int(u), int(v)) for v in x] for u in x]
+    assert fld.mul_arr(x[:, None], x[None, :]).tolist() == want
+    assert fld.mul_arr(x, 0).tolist() == [0] * len(x)
+    assert fld.mul_arr(x, int(special[2])).tolist() == [fld.mul(int(u), int(special[2])) for u in x]
+    coeffs, stack = draw(3, 5), draw(5, 4)
+    assert np.array_equal(fld.dot(coeffs, stack), scalar_mat_mul(coeffs, stack))
+    a, b = draw(4, 4), draw(3, 4, 4)
+    got = fld.mat_mul(a, b)
+    assert got.shape == (3, 4, 4) and got.dtype == fld.dtype
+    for k in range(3):
+        assert np.array_equal(got[k], scalar_mat_mul(a, b[k]))
+        assert np.array_equal(fld.mat_mul(a, b[k]), got[k])
 
 
 def test_mat_inv():

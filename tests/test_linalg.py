@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cbkap.attack import precompute_pure_basis
+from cbkap import field
 from cbkap.braid import EvalParams, MatPerm, e_multiply, random_word, word_eval_pair, word_perm
 from cbkap.field import GF2m
 from cbkap.linalg import (
@@ -140,30 +141,42 @@ def scalar_combination(field, coeffs, vectors):
     return out
 
 
-def test_stacked_basis_matches_sequential_reference(sequential_basis):
+def test_stacked_basis_matches_sequential_reference(sequential_basis, monkeypatch):
+    # inputs go in as random consecutive blocks, a block of one through
+    # add; the lowered budget splits the sifting dots mid-block
+    monkeypatch.setattr(field, "DOT_BLOCK", 40)
     for degree in (1, 8, 16):
         fld = GF2m(degree)
         rng = random.Random(100 + degree)
         empty = WitnessedBasis(fld, 3)
         assert not empty.add(fld.zeros(3)) and empty.dim == 0
+        assert empty.add_block(np.zeros((0, 3, 3), dtype=fld.dtype)).shape == (0,)
         assert fld.zeros(3) in empty and fld.identity(3) not in empty
         assert empty.express(fld.zeros(3)).shape == (0,)
         assert np.array_equal(empty.combine([]), fld.zeros(3))
         for _ in range(12):
             n = rng.choice((2, 3))
             basis, ref = WitnessedBasis(fld, n), sequential_basis(fld, n)
-            for m in random_inputs(fld, n, rng, rng.randrange(1, 4 * n * n)):
-                assert basis.add(m) == ref.add(m)
+            inputs = random_inputs(fld, n, rng, rng.randrange(1, 4 * n * n))
+            while inputs:
+                k = rng.randrange(1, 6)
+                block, inputs = inputs[:k], inputs[k:]
+                want = [ref.add(m) for m in block]
+                if len(block) == 1:
+                    assert basis.add(block[0]) == want[0]
+                else:
+                    assert basis.add_block(np.stack(block)).tolist() == want
                 assert basis.dim == ref.dim
                 assert list(basis._pivots) == ref.pivots
-            assert all(np.array_equal(a, b) for a, b in zip(basis.mats, ref.mats))
+            assert all(np.array_equal(a, b) for a, b in zip(basis.mats, ref.mats, strict=True))
+            rows, tf = ref.reduced()
+            assert np.array_equal(basis._rows, rows) and np.array_equal(basis._tf, tf)
             # reduced echelon: every pivot column is a unit column
-            rows = basis._rows
             assert rows.shape == (basis.dim, n * n)
             assert np.array_equal(rows[:, basis._pivots], np.eye(basis.dim, dtype=fld.dtype))
             # the transform times the raw vectors gives the echelon rows
             raw = [m.reshape(-1) for m in basis.mats]
-            for row, tf_row in zip(rows, basis._tf):
+            for row, tf_row in zip(rows, tf):
                 assert [int(x) for x in row] == scalar_combination(fld, tf_row, raw)
             probes = [fld.zeros(n), fld.random_matrix(rng, n)]
             probes += [ref.combine([rng.randrange(fld.order) for _ in range(ref.dim)])
@@ -180,7 +193,9 @@ def test_stacked_basis_matches_sequential_reference(sequential_basis):
                 assert np.array_equal(basis.combine(coeffs), ref.combine(coeffs))
 
 
-def test_solve_membership_matches_sequential_kernel(sequential_basis, kernel_reference):
+def test_solve_membership_matches_sequential_kernel(sequential_basis, kernel_reference, monkeypatch):
+    # the lowered budget splits the stacked products and the sifts
+    monkeypatch.setattr(field, "DOT_BLOCK", 40)
     for degree in (1, 8, 16):
         fld = GF2m(degree)
         rng = random.Random(200 + degree)
@@ -273,20 +288,39 @@ def structured_gens(field, n, rng, kind):
     return mats[:1] if kind == "single" else mats[:2]
 
 
+def assert_drain_matches_reference(closure, gens, drain_reference):
+    """The block drain keeps the basis, pivots and recipes of the drain
+    that formed and sifted in one product at a time."""
+    basis, recipes = drain_reference(gens, closure.basis.field, closure.basis.n)
+    assert closure.recipes == recipes
+    assert list(closure.basis._pivots) == basis.pivots
+    assert all(np.array_equal(a, b) for a, b in zip(closure.basis.mats, basis.mats, strict=True))
+
+
 @pytest.mark.parametrize("degree", [1, 8, 16])
 @pytest.mark.parametrize("kind", ["full", "triangular", "block", "single"])
-def test_one_sided_closure_matches_two_sided_reference(degree, kind, two_sided_reference):
+def test_one_sided_closure_matches_two_sided_reference(
+    degree, kind, two_sided_reference, drain_reference, monkeypatch
+):
+    # the lowered budget splits the stacked products and the sifts
+    monkeypatch.setattr(field, "DOT_BLOCK", 200)
     fld = GF2m(degree)
     rng = random.Random(100 * degree + len(kind))
     for n in (2, 3, 5):
         gens = structured_gens(fld, n, rng, kind)
-        one = algebra_closure(gens, fld)
+        closure = AlgebraClosure(fld, n)
+        for mat in gens:
+            closure.add_generator(mat)
+        one = closure.basis
         two = two_sided_reference(gens, fld, n)
         assert one.dim == two.dim
         assert all(m in two for m in one.mats) and all(m in one for m in two.mats)
+        assert_drain_matches_reference(closure, gens, drain_reference)
 
 
-def test_one_sided_closure_matches_two_sided_on_attack_sized_pure_images(two_sided_reference):
+def test_one_sided_closure_matches_two_sided_on_attack_sized_pure_images(
+    two_sided_reference, drain_reference
+):
     # the pure images one attack collects at the benchmark's sizes:
     # n=12 with 250-letter and n=20 with 24-letter A generators
     for n, word_len in ((12, 250), (20, 24)):
@@ -298,6 +332,7 @@ def test_one_sided_closure_matches_two_sided_on_attack_sized_pure_images(two_sid
         assert pure.dim == two.dim > len(gens) + 1
         assert all(m in two for m in pure.basis.mats)
         assert all(m in pure.basis for m in two.mats)
+        assert_drain_matches_reference(pure.closure, gens, drain_reference)
 
 
 def make_pure_closure(field, n, rng, gen_count=4, word_len=12):
