@@ -4,12 +4,12 @@ The pipeline consumes only the public instance and the two exchanged
 messages; it never touches Bob's side of the instance.  It recovers the
 shared key exactly, without recovering either party's secret:
 
-* step 1: factor the permutation of Alice's message through the
-  permutation images of the A generators with a stabilizer chain, expand
-  the factorization to a braid word, and peel the message matrix down to
-  a residual matrix ("gamma") with identity permutation part.  The same
-  stream evaluates the word from (I, h), h the permutation of Bob's
-  message.
+* step 1: write the permutation of Alice's message as a shortest word
+  over the permutation images of the A generators (a stabilizer chain
+  factors it when that search gives up), expand the word to a braid
+  word, and peel the message matrix down to a residual matrix ("gamma")
+  with identity permutation part.  The same stream evaluates the word
+  from (I, h), h the permutation of Bob's message.
 * precompute: collect pure words (products over the A generator words
   whose permutation part is the identity) by powering short random
   products with small permutation order, and keep their matrix images
@@ -65,7 +65,7 @@ from .linalg import (
     sample_invertible,
     solve_membership,
 )
-from .perm import NotInGroup, Perm, StabilizerChain, WordTooLong, evaluate_genword
+from .perm import NotInGroup, Perm, StabilizerChain, WordTooLong, evaluate_genword, shortest_word
 from .protocol import InstancePublic, Transcript
 
 __all__ = [
@@ -131,6 +131,7 @@ class AttackStats:
     candidates: int = 0
     enlargements: int = 0
     factor_letters: int = 0
+    search_states: int = 0  # perm.shortest_word's count, met or given up
     scale_tries: int = 0
     precompute_seconds: float = 0.0
     factor_seconds: float = 0.0
@@ -185,7 +186,7 @@ class AttackArtifacts:
 
     ``perm_word`` is the braid word over the A generators matching the
     transcript permutation; ``residual`` the peeled message matrix;
-    ``scale`` the invertible C-algebra element with its coefficients;
+    ``scale`` the invertible C-algebra element;
     ``pure_part`` equals scale^-1 * residual and ``pure_coeffs`` express
     it over the pure basis; ``twisted_word`` is perm_word's matrix from
     (I, h), h the permutation of Bob's message.
@@ -194,7 +195,6 @@ class AttackArtifacts:
     perm_word: BraidWord
     residual: np.ndarray
     scale: np.ndarray
-    scale_coeffs: np.ndarray
     pure_part: np.ndarray
     pure_coeffs: np.ndarray
     twisted_word: np.ndarray
@@ -289,17 +289,18 @@ def precompute_pure_basis(
 
 
 def factor_permutation(
-    pub: InstancePublic, msg: MatPerm, twist: Perm
+    pub: InstancePublic, msg: MatPerm, twist: Perm, stats: AttackStats | None = None
 ) -> tuple[BraidWord, np.ndarray, np.ndarray, np.ndarray]:
     """Express the message permutation over the A generators and peel the
     message matrix down to a residual with identity permutation part.
 
-    Builds a stabilizer chain over the permutation images of the A
-    generators, factors the permutation, and expands the factorization to
-    a braid word (inverse labels become reversed-inverted generator
-    words).  The residual is the message matrix times the inverse of the
-    word's evaluated matrix, which is exactly the message E-multiplied by
-    the inverse pair.  The residual's inverse, which every scale try
+    Writes the permutation as a shortest word over the permutation images
+    of the A generators (its state count to stats.search_states), with a
+    stabilizer chain only when that search gives up, and expands the word
+    to a braid word (inverse labels become reversed-inverted words).  The
+    residual is the message matrix times the inverse of the word's
+    evaluated matrix, which is exactly the message E-multiplied by the
+    inverse pair.  The residual's inverse, which every scale try
     normalizes by, comes third, and the word's matrix from (I, twist),
     from the same stream, fourth.  Raises GNotExpressible when the
     permutation is outside the generated group (the instance is then
@@ -308,15 +309,19 @@ def factor_permutation(
     """
     params = pub.params
     n = params.n
-    try:
-        gen_word = StabilizerChain(pub.a_perms, n).factor(msg.perm)
-    except NotInGroup as exc:
-        raise GNotExpressible(str(exc)) from exc
+    gen_word, states = shortest_word(pub.a_perms, msg.perm, n)
+    if stats is not None:
+        stats.search_states = states
+    if gen_word is None:
+        try:
+            gen_word = StabilizerChain(pub.a_perms, n).factor(msg.perm)
+        except NotInGroup as exc:
+            raise GNotExpressible(str(exc)) from exc
     word = _expand(pub, gen_word)
     fld = params.field
     starts = [MatPerm(fld.identity(n), t) for t in (Perm.identity(n), twist)]
     ev, twisted = e_multiply(starts, word, params)
-    if ev.perm != msg.perm:  # pragma: no cover - the chain factors exactly
+    if ev.perm != msg.perm:  # pragma: no cover - both factor exactly
         raise GNotExpressible("factored word does not reproduce the permutation")
     residual = fld.mat_mul(msg.mat, fld.mat_inv(ev.mat))
     return word, residual, fld.mat_inv(residual), twisted.mat
@@ -429,7 +434,7 @@ def attack_run(
 
         with stats.stage("factor", GNotExpressible, WordTooLong, SingularMatrix):
             perm_word, residual, residual_inv, twisted_word = factor_permutation(
-                pub, transcript.alice_msg, twist=transcript.bob_msg.perm
+                pub, transcript.alice_msg, transcript.bob_msg.perm, stats
             )
         stats.factor_letters = len(perm_word)
 
@@ -438,7 +443,7 @@ def attack_run(
             the failing stage and its error while V is too small."""
             with stats.stage("scale"):
                 try:
-                    scale, scale_coeffs, tries = solve_scale(residual_inv, pub, pure, rng_samples)
+                    scale, _, tries = solve_scale(residual_inv, pub, pure, rng_samples)
                 except (NoSolution, InvertibleSampleFailed) as exc:
                     return "scale", exc
             stats.scale_tries += tries
@@ -447,9 +452,7 @@ def attack_run(
                     pure_part, pure_coeffs = split_pure_part(scale, residual, pure, fld)
                 except AlphaPrimeOutsideV as exc:
                     return "split", exc
-            return AttackArtifacts(
-                perm_word, residual, scale, scale_coeffs, pure_part, pure_coeffs, twisted_word
-            )
+            return AttackArtifacts(perm_word, residual, scale, pure_part, pure_coeffs, twisted_word)
 
         # V only grows, so an unchanged dim means an unchanged V: a try
         # there after a settled failure would fail again

@@ -1,23 +1,20 @@
-"""Permutations of {1..n} and a word-writing stabilizer chain.
+"""Permutations of {1..n}, a shortest-word search and a word-writing chain.
 
 Permutations are stored 0-based internally and compose left to right:
 ``(a * b)(x) == b(a(x))``, i.e. the left factor acts first.  This single
 convention is used everywhere in the package (braid letters, semidirect
 products, generator words) and is pinned by the braid-relation tests.
 
-The stabilizer chain keeps, for every transversal element and strong
-generator, a witness word over the original labeled generators, so that
-any group element can be factored into an exact product of the declared
-generators.  Factored words can be long, so every tracked word, a new
-strong generator's or a factored one, is capped at MAX_CHAIN_LETTERS
-generator letters; past it, WordTooLong is raised.  Transversals use
-shortest words (Dijkstra over the orbit graph).  Randomized transversal shortening (Kalka-Teicher-Tsaban) is not
-applied: at the benchmark sizes it roughly halves the factored words,
-but the attack as a whole gets slower.
+``shortest_word`` writes an element with the fewest generator letters.
+The stabilizer chain, its fallback and the membership oracle, factors
+any group element exactly through witness words over the labeled
+generators, capped at MAX_CHAIN_LETTERS letters (past it, WordTooLong),
+with shortest-word transversals (Dijkstra over the orbit graph).
 
 Only the public constructor (so ``from_one_line`` and the file loaders)
 validates: products and inverses are bijections by construction and are
-built unchecked, and the chain works on bare image tuples.
+built unchecked; the chain works on bare image tuples, the search on
+packed keys.
 """
 
 from __future__ import annotations
@@ -27,17 +24,21 @@ import math
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
-    "Perm", "NotInGroup", "WordTooLong", "MAX_CHAIN_LETTERS",
-    "GenWord", "evaluate_genword", "invert_genword", "StabilizerChain",
+    "Perm", "NotInGroup", "WordTooLong", "MAX_CHAIN_LETTERS", "SEARCH_STATES",
+    "GenWord", "evaluate_genword", "invert_genword", "shortest_word", "StabilizerChain",
 ]
 
-# Cap on a chain word in generator letters.  Generated instances stay far
-# below it (at most 153 letters at the tests' full size and the benchmark
-# sizes, about 10^4 at n=24), while three random generators on 16 points
-# give words of 10^5 to 10^6 letters, each letter a whole generator word
-# for the attack to stream.
+# Cap on a chain word in generator letters, each a whole generator word
+# for the attack to stream.  Where the search gives up, chain words reach
+# 4,715 (n=28 seed 2) and 78,876 letters (n=28 seed 3), and three random
+# generators on 16 points give 10^5 to 10^6.
 MAX_CHAIN_LETTERS = 1 << 14
+
+# Cap on the states and next-layer products shortest_word holds, 8 bytes each.
+SEARCH_STATES = 1 << 18
 
 
 class NotInGroup(ValueError):
@@ -169,6 +170,62 @@ def evaluate_genword(word: GenWord, gens: Sequence[Perm], n: int) -> Perm:
 
 def invert_genword(word: GenWord) -> GenWord:
     return tuple((label, -exp) for label, exp in reversed(word))
+
+
+def shortest_word(generators: Sequence[Perm], g: Perm, n: int) -> tuple[GenWord | None, int]:
+    """A shortest word for g over the signed generators, and the states
+    stored (past SEARCH_STATES, with the next layer's products, on a give-up).
+
+    Breadth-first from the identity and from g, growing the side with the
+    smaller last layer until the last layers meet; a state packs the
+    images of the (at most 16) moved points into a uint64 key.  None when
+    g moves a point the generators fix, more than 16 points move, a side
+    is exhausted (g is not in the group), or past SEARCH_STATES.
+    """
+    imgs = np.array([p.images for p in generators] + [g.images]).reshape(-1, n)
+    moved = (imgs[:-1] != np.arange(n)).any(axis=0)
+    if moved.sum() > 16 or (imgs[-1] != np.arange(n))[~moved].any():
+        return None, 0
+    rows = np.full((len(imgs), 16), np.arange(16), np.uint8)  # moved points renumbered, padded
+    rows[:, :moved.sum()] = (np.cumsum(moved) - 1)[imgs[:, moved]]
+    # signed generator 2*label is the label's generator, 2*label+1 its inverse; g comes last
+    signed = np.stack([rows, np.argsort(rows, axis=1)], axis=1).reshape(-1, 16)[:-1]
+    tables = (signed[:, np.arange(256) & 15] | signed[:, np.arange(256) >> 4] << 4).astype(np.uint8)
+
+    def times(keys):  # each state times each table, table-major: a gather of its bytes
+        return np.take(tables, keys.view(np.uint8), axis=1).view(np.uint64).ravel()
+
+    def member(keys, layer):
+        return layer[np.searchsorted(layer, keys) % len(layer)] == keys
+
+    def path(layers, key):  # signed generators from a state past these layers back to the root
+        out = []
+        for layer in reversed(layers):  # the parent: the first neighbor in the layer before
+            nbrs = times(np.array([key], np.uint64))
+            out.append(int(np.flatnonzero(member(nbrs, layer))[0]) ^ 1)
+            key = nbrs[out[-1] ^ 1]
+        return out
+
+    ident = np.frombuffer(bytes(range(0x10, 0x100, 0x22)), np.uint64)  # images 0..15
+    sides = [[ident], [times(ident)[-1:]]]  # the layers from the identity and from g
+    tables = tables[:-1]
+    while True:
+        side, other = sorted(sides, key=lambda layers: len(layers[-1]))
+        stored = sum(map(len, sides[0] + sides[1]))
+        hit = np.flatnonzero(member(side[-1], other[-1]))
+        if len(hit):  # meet = forward word = g * backward word, so g = forward * backward^-1
+            fwd, bwd = (path(layers[:-1], side[-1][hit[0]]) for layers in sides)
+            return tuple((j >> 1, (-1) ** j) for j in fwd[::-1] + [j ^ 1 for j in bwd]), stored
+        stored += len(tables) * len(side[-1])  # the products, counted before they are made
+        if stored > SEARCH_STATES:
+            return None, stored
+        cand = times(side[-1])
+        for layer in side[-2:]:  # neighbors lie in the layers before, at and after
+            cand = cand[~member(cand, layer)]
+        if not len(cand):  # this side is closed: g is not in the group
+            return None, stored
+        cand.sort()
+        side.append(cand[np.append(True, cand[1:] != cand[:-1])])
 
 
 def _capped(word: GenWord) -> GenWord:

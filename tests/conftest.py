@@ -489,10 +489,18 @@ def small_exchange(small_instance):
 
 def random_group_exchange(n, word_len, seed):
     """An instance whose A generators are three random braid words, so
-    their permutations generate S_n or A_n, with an exchange over it."""
+    their permutations generate S_n or A_n, with an exchange over it and
+    Alice's key."""
     rng = random.Random(seed)
     pub, priv, _ = ttp_generate(n, GF2m(4), 3, 20, rng=rng)
     pub = InstancePublic(pub.params, [random_word(n, word_len, rng) for _ in range(3)], pub.c_gens)
-    _, amsg = alice_round(pub, rng)
+    asec, amsg = alice_round(pub, rng)
     _, bmsg = bob_round(pub, priv, rng)
-    return pub, Transcript(amsg, bmsg)
+    return pub, Transcript(amsg, bmsg), derive_key_alice(asec, bmsg, pub)
+
+
+def random_alice_perm(transcript, seed):
+    """The transcript with Alice's permutation replaced by a random one:
+    in S_n, far from the identity in generator letters."""
+    msg = transcript.alice_msg
+    return Transcript(MatPerm(msg.mat, Perm.random(msg.perm.n, random.Random(seed))), transcript.bob_msg)

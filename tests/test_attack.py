@@ -24,7 +24,8 @@ from cbkap.attack import (
 from cbkap.braid import BraidWord, MatPerm, e_multiply, word_eval_pair, word_perm
 from cbkap.field import GF2m, SingularMatrix
 from cbkap.linalg import InvertibleSampleFailed, NoSolution, algebra_closure
-from cbkap.perm import Perm, WordTooLong
+from cbkap import perm as perm_mod
+from cbkap.perm import NotInGroup, Perm, WordTooLong, shortest_word
 from cbkap.protocol import (
     InstancePublic,
     Transcript,
@@ -34,7 +35,7 @@ from cbkap.protocol import (
     ttp_generate,
 )
 
-from conftest import random_group_exchange
+from conftest import random_alice_perm, random_group_exchange
 
 
 def fresh_exchange(pub, priv, seed):
@@ -210,13 +211,13 @@ def test_split_pure_part_and_reconstruction(small_instance, small_field):
     word, residual, residual_inv, twisted = factor_permutation(
         pub, transcript.alice_msg, Perm.identity(n)
     )
-    scale, scoeffs, _ = solve_scale(residual_inv, pub, pure, random.Random(12))
+    scale, _, _ = solve_scale(residual_inv, pub, pure, random.Random(12))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
     assert np.array_equal(
         part, small_field.mat_mul(small_field.mat_inv(scale), residual)
     )
     assert np.array_equal(pure.basis.combine(pcoeffs), part)
-    artifacts = AttackArtifacts(word, residual, scale, scoeffs, part, pcoeffs, twisted)
+    artifacts = AttackArtifacts(word, residual, scale, part, pcoeffs, twisted)
     assert verify_reconstruction(pub, transcript.alice_msg, artifacts)
     # degenerate split: scale = residual makes the pure part the identity
     ident, icoeffs = split_pure_part(residual, residual, pure, small_field)
@@ -266,9 +267,9 @@ def test_recover_key_matches_single_state_assembly(small_instance, small_field):
     pure = precompute_pure_basis(pub, random.Random(215))
     h = transcript.bob_msg.perm
     word, residual, residual_inv, twisted_word = factor_permutation(pub, transcript.alice_msg, h)
-    scale, scoeffs, _ = solve_scale(residual_inv, pub, pure, random.Random(216))
+    scale, _, _ = solve_scale(residual_inv, pub, pure, random.Random(216))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
-    artifacts = AttackArtifacts(word, residual, scale, scoeffs, part, pcoeffs, twisted_word)
+    artifacts = AttackArtifacts(word, residual, scale, part, pcoeffs, twisted_word)
     n = pub.params.n
     seed = MatPerm(small_field.identity(n), h)
     images = [e_multiply(seed, w, pub.params).mat for _, w in pure.closure.generators]
@@ -353,13 +354,17 @@ def test_transcript_requires_both_messages(small_instance):
             Transcript(*half)
 
 
-# Both instances generate S_16.  Uncapped, the first has a strong
-# generator of 136,215 generator letters, and the second builds within
-# the cap (13,246) but factors Alice's permutation into 22,879 letters:
-# that word alone is 1.4M braid letters to stream.
+# Both instances generate S_16.  Alice's honest permutation is a word of
+# 9 and 13 generator letters, which the shortest-word search finds; a
+# random element of S_16 is beyond its state cap, so the chain factors
+# it.  Uncapped, the first chain has a strong generator of 136,215
+# generator letters, and the second builds within the cap (13,246) but
+# factors the random permutation into 18,631 letters: that word alone
+# would be over 10^6 braid letters to stream.
 @pytest.mark.parametrize("word_len, seed", [(101, 30), (61, 31)], ids=["build", "factor"])
 def test_attack_stops_at_chain_word_cap(word_len, seed):
-    pub, transcript = random_group_exchange(16, word_len, seed)
+    pub, transcript, _ = random_group_exchange(16, word_len, seed)
+    transcript = random_alice_perm(transcript, seed)
     t0 = time.process_time()
     with pytest.raises(AttackFailed) as err:
         attack_run(pub, transcript, random.Random(seed))
@@ -367,6 +372,69 @@ def test_attack_stops_at_chain_word_cap(word_len, seed):
     assert isinstance(err.value.__cause__, WordTooLong)
     assert err.value.stage == "factor" and err.value.stats.failed_stage == "factor"
     assert err.value.stats.candidates == 0 and err.value.stats.factor_seconds > 0
+    assert err.value.stats.search_states > perm_mod.SEARCH_STATES  # the search gave up
+
+
+@pytest.mark.parametrize("word_len, seed", [(101, 30), (61, 31)])
+def test_attack_recovers_key_over_random_generators(word_len, seed):
+    # the chain-cap instances above, with Alice's honest permutation: a
+    # word of a few generator letters, which the search finds
+    pub, transcript, key = random_group_exchange(16, word_len, seed)
+    recovered, stats = attack_run(pub, transcript, random.Random(seed))
+    assert recovered == key.key
+    assert 0 < stats.factor_letters <= 13 * word_len
+    assert 0 < stats.search_states <= perm_mod.SEARCH_STATES
+
+
+@pytest.mark.parametrize("n, seed", [(24, 1), (24, 2), (28, 1)])
+def test_attack_recovers_key_beyond_full_size(n, seed):
+    # 8 generators of 650 letters over GF(2^8), as at full size; the
+    # stabilizer chain's words here run to 10^5-10^7 braid letters, or
+    # past its cap at n=28, while shortest words stay under 10^4
+    rng = random.Random(seed)
+    pub, priv, _ = ttp_generate(n, GF2m(8), 8, 650, rng=rng)
+    asec, amsg = alice_round(pub, rng)
+    _, bmsg = bob_round(pub, priv, rng)
+    key = derive_key_alice(asec, bmsg, pub)
+    recovered, stats = attack_run(pub, Transcript(amsg, bmsg), random.Random(seed))
+    assert recovered == key.key
+    assert stats.factor_letters <= 10_000
+
+
+def test_attack_on_unreachable_permutation_fails_at_factor():
+    # an odd permutation of the moved points is outside the A_6 that the
+    # A generators of this n=12 instance generate: the search exhausts the
+    # group, and the chain's NotInGroup ends the attack at stage factor
+    rng = random.Random(4)
+    pub, priv, _ = ttp_generate(12, GF2m(8), 8, 250, rng=rng)
+    _, transcript, _ = fresh_exchange(pub, priv, 5)
+    moved = [x for x in range(12) if any(p(x) != x for p in pub.a_perms)]
+    assert len(moved) == 6
+    images = list(range(12))
+    images[moved[0]], images[moved[1]] = moved[1], moved[0]
+    bad = Transcript(MatPerm(transcript.alice_msg.mat, Perm(images)), transcript.bob_msg)
+    word, states = shortest_word(pub.a_perms, bad.alice_msg.perm, 12)
+    assert word is None and 360 <= states <= perm_mod.SEARCH_STATES  # one side holds all of A_6
+    with pytest.raises(AttackFailed) as err:
+        attack_run(pub, bad, random.Random(6))
+    assert err.value.stage == "factor" and err.value.stats.candidates == 0
+    assert isinstance(err.value.__cause__, GNotExpressible)
+    assert isinstance(err.value.__cause__.__cause__, NotInGroup)
+    assert err.value.stats.search_states == states
+
+
+def test_attack_falls_back_to_chain_word(full_instance, monkeypatch):
+    # with the search's state cap lowered it gives up, the chain factors
+    # the permutation instead, and the same key comes out
+    pub, priv, _ = full_instance
+    _, transcript, key = fresh_exchange(pub, priv, 7)
+    searched, s_stats = attack_run(pub, transcript, random.Random(8))
+    assert 4 < s_stats.search_states <= perm_mod.SEARCH_STATES
+    monkeypatch.setattr(perm_mod, "SEARCH_STATES", 4)
+    chained, c_stats = attack_run(pub, transcript, random.Random(8))
+    assert searched == chained == key.key
+    assert c_stats.search_states > perm_mod.SEARCH_STATES  # the search gave up
+    assert s_stats.factor_letters < c_stats.factor_letters
 
 
 def test_attack_on_singular_message_fails_at_factor(small_instance):
@@ -400,9 +468,9 @@ def test_extension_grows_small_basis(small_instance, small_field):
     word, residual, residual_inv, twisted = factor_permutation(
         pub, transcript.alice_msg, transcript.bob_msg.perm
     )
-    scale, scoeffs, _ = solve_scale(residual_inv, pub, pure, random.Random(27))
+    scale, _, _ = solve_scale(residual_inv, pub, pure, random.Random(27))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
-    artifacts = AttackArtifacts(word, residual, scale, scoeffs, part, pcoeffs, twisted)
+    artifacts = AttackArtifacts(word, residual, scale, part, pcoeffs, twisted)
     assert recover_key(pub, transcript, pure, artifacts) == key.key
 
 

@@ -20,7 +20,7 @@ from cbkap.field import GF2m
 from cbkap.formats import FormatError
 from cbkap.protocol import Transcript, alice_round, bob_round, derive_key_alice, ttp_generate
 
-from conftest import random_group_exchange
+from conftest import random_alice_perm, random_group_exchange
 
 
 def run(*argv):
@@ -427,9 +427,11 @@ def test_attack_on_singular_message_fails_at_factor(tmp_path, capsys):
 
 
 def test_attack_stops_at_chain_word_cap(tmp_path, capsys):
-    # A generators whose permutations generate S_16: the stabilizer chain
+    # A generators whose permutations generate S_16 and a random Alice
+    # permutation, beyond the shortest-word search: the stabilizer chain
     # stops at its word cap, a stage-factor failure (exit 3) with stats
-    pub, transcript = random_group_exchange(16, 101, 30)
+    pub, transcript, _ = random_group_exchange(16, 101, 30)
+    transcript = random_alice_perm(transcript, 30)
     formats.save_instance_public(tmp_path / "public.json", pub)
     formats.save_transcript(tmp_path / "transcript.json", transcript, pub.params)
     out = tmp_path / "out"
@@ -440,6 +442,7 @@ def test_attack_stops_at_chain_word_cap(tmp_path, capsys):
     assert "stage factor" in capsys.readouterr().err
     _, stats = formats.load_envelope(out / "stats.json", expect_kind="stats")
     assert stats["failed_stage"] == "factor" and stats["candidates"] == 0
+    assert stats["search_states"] > cbkap.perm.SEARCH_STATES  # the chain's failure, not the search's
     assert not (out / "key_recovered.json").exists()
 
 

@@ -14,6 +14,7 @@ from cbkap.perm import (
     WordTooLong,
     evaluate_genword,
     invert_genword,
+    shortest_word,
 )
 from cbkap.protocol import ttp_generate
 
@@ -335,3 +336,97 @@ def test_chain_caps_word_letters(monkeypatch):
     with pytest.raises(WordTooLong):
         chain.factor(g)
     assert g in chain  # membership tracks no word
+
+
+def alternating_gens(n, points):
+    """The 3-cycles (p0 p1 p) for the later points p: they generate the
+    alternating group on the given points, fixing the rest of 0..n-1."""
+    gens = []
+    for p in points[2:]:
+        img = list(range(n))
+        img[points[0]], img[points[1]], img[p] = points[1], p, points[0]
+        gens.append(Perm(img))
+    return gens
+
+
+def bfs_distances(gens, n):
+    """Brute force: generator letters from the identity to every element."""
+    dist = {Perm.identity(n): 0}
+    frontier = list(dist)
+    signed = [q for g in gens for q in (g, g.inverse())]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for q in signed:
+                r = p * q
+                if r not in dist:
+                    dist[r] = dist[p] + 1
+                    nxt.append(r)
+        frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("alternating", k) for k in (3, 4, 5, 6, 7)]
+    + [("alternating_on_some", 8), ("symmetric", 6), ("random", 6), ("random", 7)]
+    + [("intransitive", n) for n in (4, 7, 8)]
+    + [("wreath", 8), ("trivial", 5)],
+)
+def test_shortest_word_has_bfs_length(kind, n):
+    rng = random.Random(50 * n + len(kind))
+    if kind == "alternating":
+        gens = alternating_gens(n, list(range(n)))
+    elif kind == "alternating_on_some":  # A_5 on 5 of the 8 points
+        gens = alternating_gens(n, [6, 1, 3, 7, 4])
+    else:
+        gens = seeded_group(kind, n, rng)
+    dist = bfs_distances(gens, n)
+    elements = list(dist)
+    targets = elements if len(elements) <= 400 else rng.sample(elements, 60) + gens
+    for g in targets:
+        word, states = shortest_word(gens, g, n)
+        assert word is not None and len(word) == dist[g]
+        assert evaluate_genword(word, gens, n) == g
+        assert 0 < states <= 2 * len(elements)
+
+
+def test_shortest_word_of_identity_is_empty():
+    gens = alternating_gens(6, list(range(6)))
+    assert shortest_word(gens, Perm.identity(6), 6)[0] == ()
+    assert shortest_word([Perm.identity(4)], Perm.identity(4), 4)[0] == ()
+
+
+def test_shortest_word_refuses_a_point_outside_the_support():
+    # the generators move 0..4; g also moves 5, so no state is stored
+    gens = alternating_gens(8, list(range(5)))
+    g = gens[0] * Perm.transposition(8, 5)
+    assert shortest_word(gens, g, 8) == (None, 0)
+    # a state packs 16 images into 64 bits: a 16-cycle is searched, while
+    # a 17-cycle is left to the chain
+    for k, found in ((16, ((0, 1),)), (17, None)):
+        cycle = Perm(list(range(1, k)) + [0, k])
+        assert shortest_word([cycle], cycle, k + 1)[0] == found
+        assert StabilizerChain([cycle], k + 1).factor(cycle) == ((0, 1),)
+
+
+def test_shortest_word_exhausts_the_group_on_a_non_member():
+    # an odd permutation of the support is outside A_6
+    gens = alternating_gens(6, list(range(6)))
+    word, states = shortest_word(gens, Perm.transposition(6, 2), 6)
+    assert word is None and 360 <= states <= perm.SEARCH_STATES  # one side holds all of A_6
+    with pytest.raises(NotInGroup):
+        StabilizerChain(gens, 6).factor(Perm.transposition(6, 2))
+
+
+def test_shortest_word_gives_up_past_the_state_cap(monkeypatch):
+    # S_7 from a transposition and a 7-cycle: the reversal needs many
+    # letters, so a cap of 50 states is reached first
+    gens = seeded_group("symmetric", 7, None)
+    g = Perm(range(6, -1, -1))
+    word, states = shortest_word(gens, g, 7)
+    assert word is not None and len(word) > 4 and states > 50
+    monkeypatch.setattr(perm, "SEARCH_STATES", 50)
+    word, states = shortest_word(gens, g, 7)
+    # at most 50 states stored, and a layer of at most 4 products each refused
+    assert word is None and 50 < states <= 50 + 4 * 50
