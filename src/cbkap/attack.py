@@ -9,7 +9,12 @@ shared key exactly, without recovering either party's secret:
   factors it when that search gives up), expand the word to a braid
   word, and peel the message matrix down to a residual matrix ("gamma")
   with identity permutation part.  The same stream evaluates the word
-  from (I, h), h the permutation of Bob's message.
+  from (I, h), h the permutation of Bob's message.  Every product of A
+  generators here and below (this word, the candidates, the key
+  assembly's re-streams) is built from the generators' conjugate form
+  ``P . cores . P^-1`` (``InstancePublic.a_form``): the shared
+  conjugator P is not streamed at the junctions, and adjacent inverse
+  generator letters cancel first.
 * precompute: collect pure words (products over the A generator words
   whose permutation part is the identity) by powering short random
   products with small permutation order, and keep their matrix images
@@ -130,7 +135,7 @@ class AttackStats:
     dim_v: int = 0
     candidates: int = 0
     enlargements: int = 0
-    factor_letters: int = 0
+    factor_letters: int = 0  # braid letters of the factored word, P cancelled at its junctions
     search_states: int = 0  # perm.shortest_word's count, met or given up
     scale_tries: int = 0
     precompute_seconds: float = 0.0
@@ -201,9 +206,10 @@ class AttackArtifacts:
 
 
 def _expand(pub: InstancePublic, gen_word) -> BraidWord:
-    """The braid word of a word over the A generators."""
-    gens = pub.a_gens
-    return BraidWord.concat(*(gens[k] if e > 0 else gens[k].inverse() for k, e in gen_word))
+    """The braid word of a word over the A generators, from their
+    conjugate form: ``P . cores . P^-1``, with the shared conjugator P
+    cancelled at every junction (``InstancePublic.a_form``)."""
+    return pub.a_form.product(gen_word)
 
 
 def _candidate_words(pub: InstancePublic, rng):
@@ -297,7 +303,7 @@ def factor_permutation(
     Writes the permutation as a shortest word over the permutation images
     of the A generators (its state count to stats.search_states), with a
     stabilizer chain only when that search gives up, and expands the word
-    to a braid word (inverse labels become reversed-inverted words).  The
+    to a braid word with the conjugator cancelled (see _expand).  The
     residual is the message matrix times the inverse of the word's
     evaluated matrix, which is exactly the message E-multiplied by the
     inverse pair.  The residual's inverse, which every scale try

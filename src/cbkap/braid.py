@@ -36,9 +36,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
-from operator import attrgetter
-from typing import Iterable, Iterator
+from itertools import groupby, islice
+from operator import attrgetter, neg
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .perm import Perm
 
 __all__ = [
     "BraidWord",
+    "ConjugateForm",
     "free_reduce",
     "word_perm",
     "random_word",
@@ -67,6 +68,9 @@ class _Repeat:
         self.body = body
         self.count = count
 
+    def __neg__(self) -> "_Repeat":
+        return _Repeat(self.body.inverse(), self.count)
+
 
 class BraidWord:
     """An immutable braid word stored as a tree of parts.
@@ -74,10 +78,12 @@ class BraidWord:
     Parts are letters (signed ints), shared subwords, or repetitions of a
     subword.  Concatenation and powers are O(1) and share structure, so
     very long witness words occupy memory proportional to the number of
-    nodes, not letters.  Only :meth:`letters` walks the tree.
+    nodes, not letters.  Only :meth:`letters` walks the tree.  A word
+    whose parts are all letters is flat (``_flat``), so its letters can be
+    sliced from its parts.
     """
 
-    __slots__ = ("_parts", "_length")
+    __slots__ = ("_parts", "_length", "_flat")
 
     def __init__(self, letters: Iterable[int] = ()):
         parts = []
@@ -88,20 +94,23 @@ class BraidWord:
             parts.append(x)
         self._parts = tuple(parts)
         self._length = len(self._parts)
+        self._flat = True
 
     @classmethod
-    def _from_parts(cls, parts: tuple, length: int) -> "BraidWord":
+    def _from_parts(cls, parts: tuple, length: int, flat: bool = False) -> "BraidWord":
+        """A word of the given parts; ``flat`` says they are all letters."""
         w = cls.__new__(cls)
         w._parts = parts
         w._length = length
+        w._flat = flat
         return w
 
     @classmethod
     def concat(cls, *words: "BraidWord") -> "BraidWord":
-        words = tuple(w for w in words if len(w) > 0)
+        words = tuple(w for w in words if w._length)
         if len(words) == 1:
             return words[0]
-        return cls._from_parts(words, sum(len(w) for w in words))
+        return cls._from_parts(words, sum(w._length for w in words))
 
     def __add__(self, other: "BraidWord") -> "BraidWord":
         return BraidWord.concat(self, other)
@@ -115,15 +124,12 @@ class BraidWord:
         return BraidWord._from_parts((_Repeat(self, count),), count * len(self))
 
     def inverse(self) -> "BraidWord":
-        parts = []
-        for part in reversed(self._parts):
-            if isinstance(part, int):
-                parts.append(-part)
-            elif isinstance(part, _Repeat):
-                parts.append(_Repeat(part.body.inverse(), part.count))
-            else:
-                parts.append(part.inverse())
-        return BraidWord._from_parts(tuple(parts), self._length)
+        """Parts reversed and negated: a letter flips its sign, a subword or
+        repetition inverts (``-part``)."""
+        parts = tuple(map(neg, reversed(self._parts)))
+        return BraidWord._from_parts(parts, self._length, self._flat)
+
+    __neg__ = inverse
 
     def letters(self) -> Iterator[int]:
         """Stream the letters without expanding the tree.  A repetition of
@@ -159,6 +165,85 @@ def free_reduce(word: BraidWord) -> BraidWord:
         else:
             out.append(x)
     return BraidWord(out)
+
+
+def _common_prefix(seqs: list) -> tuple:
+    """The longest common prefix of some iterables of letters, read no
+    further than the first mismatch; for tuples, that of the least and the
+    greatest."""
+    if all(type(s) is tuple for s in seqs):
+        seqs = [min(seqs, default=()), max(seqs, default=())]
+    out = []
+    for column in zip(*seqs):
+        if column.count(column[0]) < len(column):
+            break
+        out.append(column[0])
+    return tuple(out)
+
+
+class ConjugateForm:
+    """A generator set written as ``P . core_k . P^-1`` with one shared
+    conjugator P, so that products of the generators stream without the
+    ``P^-1 P`` pair at each junction.
+
+    P is the longest word that every generator and every inverse starts
+    with, capped at half the shortest generator, so each signed generator
+    is P, its core and P^-1 letter for letter, whatever its shape.
+    Generators ``z u z^-1`` (``protocol.ttp_generate``) share what free
+    reduction left of z.  Finding P reads each generator only as far as P
+    reaches; a core is made on first use and shared by every product after
+    it, and a generator that is not flat is expanded only when P is not
+    empty, so memory stays O(generator letters).
+    """
+
+    __slots__ = ("prefix", "suffix", "_gens", "_cores")
+
+    def __init__(self, gens: Sequence[BraidWord]):
+        self._gens = gens = tuple(gens)
+        cap = min((g._length for g in gens), default=0) // 2
+        prefix = _common_prefix([g._parts[:cap] if g._flat else islice(g.letters(), cap) for g in gens])
+        # every generator ends with P^-1: its last letters, reversed, are -P
+        tails = [g._parts[: -cap - 1 : -1] if g._flat else map(neg, (-g).letters()) for g in gens]
+        p = len(_common_prefix([tuple(map(neg, prefix)), *tails]))
+        self.prefix = BraidWord._from_parts(prefix[:p], p, True)
+        self.suffix = -self.prefix
+        self._cores = [None] * (2 * len(gens))
+
+    def __len__(self) -> int:
+        """The number of generators."""
+        return len(self._gens)
+
+    def core(self, j: int) -> BraidWord:
+        """The core of signed generator j: of generator j // 2 for even j,
+        of its inverse for odd j; with P empty, the stored generator and its
+        inverse."""
+        core = self._cores[j]
+        if core is None:
+            if j & 1:
+                core = -self.core(j - 1)
+            else:
+                core, p = self._gens[j >> 1], self.prefix._length
+                if p:
+                    stop = core._length - p
+                    mid = core._parts[p:stop] if core._flat else tuple(islice(core.letters(), p, stop))
+                    core = BraidWord._from_parts(mid, stop - p, True)
+            self._cores[j] = core
+        return core
+
+    def product(self, gen_word: Iterable[tuple[int, int]]) -> BraidWord:
+        """The braid word of a product of signed generators (label,
+        exponent +-1): ``P . cores . P^-1``, after adjacent inverse
+        generator letters cancel; the empty product is the empty word."""
+        signed = []
+        for k, e in gen_word:
+            j = 2 * k + (e < 0)
+            if signed and signed[-1] == j ^ 1:
+                signed.pop()
+            else:
+                signed.append(j)
+        if not signed:
+            return BraidWord()
+        return BraidWord.concat(self.prefix, *map(self.core, signed), self.suffix)
 
 
 def word_perm(word: BraidWord, n: int) -> Perm:

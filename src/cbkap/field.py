@@ -4,8 +4,9 @@ Field elements are plain Python ints in [0, 2^m), read as polynomial
 bit-vectors over GF(2) (bit k = coefficient of x^k).  Addition is XOR,
 multiplication is carry-less polynomial multiplication reduced modulo an
 irreducible modulus.  A ``GF2m`` instance owns the modulus and a single
-log/antilog table pair built over a primitive element; all arithmetic is
-exact, with no tolerances anywhere.
+log/antilog table pair built over a primitive element, shared with every
+other live instance of that modulus; all arithmetic is exact, with no
+tolerances anywhere.
 
 Matrices are numpy arrays of the field's unsigned dtype and are always
 passed around together with their ``GF2m``.  Every object here is
@@ -13,6 +14,8 @@ immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -27,6 +30,10 @@ __all__ = [
 
 # the most log sums one GF2m.dot step materializes, unless one row needs more
 DOT_BLOCK = 1 << 17
+
+# every live field by (degree, modulus): a field is constructed for every
+# file header read, and shares the tables of a live one of its modulus
+_FIELDS: "weakref.WeakValueDictionary[tuple[int, int], GF2m]" = weakref.WeakValueDictionary()
 
 
 class NonInvertibleFieldElement(ZeroDivisionError):
@@ -104,9 +111,11 @@ class GF2m:
 
     Scalar operations use one log/antilog table pair over a primitive
     element; every vector and matrix product goes through :meth:`mul_arr`,
-    which uses the numpy copies of the same tables.  Construction is
+    which uses the numpy copies of the same tables.  Building them is
     O(2^m), so the degree is capped at 16 (the protocol sizes of interest
-    are m <= 8).
+    are m <= 8); a field constructed while another of its modulus is alive
+    validates the modulus and shares that one's tables, so the cache never
+    holds a field nothing else refers to.
     """
 
     def __init__(self, degree: int, modulus: int | None = None):
@@ -124,7 +133,13 @@ class GF2m:
         self.modulus = modulus
         self.order = 1 << degree
         self.dtype = np.uint8 if degree <= 8 else np.uint16
-        self._build_tables()
+        twin = _FIELDS.get((degree, modulus))
+        if twin is None:
+            self._build_tables()
+            _FIELDS[degree, modulus] = self
+        else:
+            self._exp, self._log, self._inv = twin._exp, twin._log, twin._inv
+            self._exp_np, self._log_np = twin._exp_np, twin._log_np
 
     def _mul_slow(self, a: int, b: int) -> int:
         return _poly_mod(_clmul(a, b), self.modulus)
@@ -166,6 +181,8 @@ class GF2m:
         self._exp_np[: 2 * (q - 1)] = exp
         log_dtype = np.uint16 if 4 * q <= 1 << 16 else np.int32
         self._log_np = np.array([2 * (q - 1)] + log[1:], dtype=log_dtype)
+        # shared by every field of this modulus
+        self._exp_np.flags.writeable = self._log_np.flags.writeable = False
 
     # -- scalar operations -------------------------------------------------
 

@@ -116,8 +116,9 @@ def word_from_json(obj) -> BraidWord:
     nested arrays or MAX_WORD_LETTERS letters (counted, not streamed)."""
     if not isinstance(obj, list):
         raise FormatError("braid word must be an array")
-    # one frame per open array: [remaining items, parts, letters, repetition count]
-    stack = [[iter(obj), [], 0, None]]
+    # one frame per open array: [remaining items, parts, letters, repetition
+    # count, whether every part is a letter]
+    stack = [[iter(obj), [], 0, None, True]]
     while True:
         frame = stack[-1]
         for item in frame[0]:
@@ -137,17 +138,18 @@ def word_from_json(obj) -> BraidWord:
                 raise FormatError(f"bad braid word element: {item!r}")
             if len(stack) >= MAX_WORD_DEPTH:
                 raise FormatError(f"braid word nested more than {MAX_WORD_DEPTH} arrays deep")
-            stack.append([iter(body), [], 0, count])
+            stack.append([iter(body), [], 0, count, True])
             break
         else:
-            _, parts, length, count = stack.pop()
+            _, parts, length, count, flat = stack.pop()
             if length > MAX_WORD_LETTERS:
                 raise FormatError(f"braid word longer than {MAX_WORD_LETTERS} letters")
-            word = BraidWord._from_parts(tuple(parts), length)
+            word = BraidWord._from_parts(tuple(parts), length, flat)
             if not stack:
                 return word
             stack[-1][1].append(word if count is None else _Repeat(word, count))
             stack[-1][2] += length * (count or 1)
+            stack[-1][4] = False
 
 
 def matrix_to_json(mat: np.ndarray) -> list[int]:
@@ -197,13 +199,17 @@ def _save(path, kind: str, params: EvalParams, **body) -> None:
 
 def _load(path, kind: str, build, params: EvalParams | None = None):
     """Read a payload of the given kind and its n/field header, check the
-    header against params when given, and return build(payload, n,
-    field); a malformed payload raises FormatError."""
+    header against params when given (and reuse their field), and return
+    build(payload, n, field); a malformed payload raises FormatError."""
     _, payload = load_envelope(path, expect_kind=kind)
     try:
-        field = GF2m(int(payload["field"]["degree"]), int(payload["field"]["modulus"]))
+        degree, modulus = int(payload["field"]["degree"]), int(payload["field"]["modulus"])
         n = int(payload["n"])
-        if params is not None and (field != params.field or n != params.n):
+        if params is None:
+            field = GF2m(degree, modulus)
+        elif (degree, modulus, n) == (params.field.degree, params.field.modulus, params.n):
+            field = params.field
+        else:
             raise FormatError(f"{kind} does not match the public parameters")
         return build(payload, n, field)
     except (KeyError, TypeError, ValueError) as exc:

@@ -15,10 +15,15 @@ structural properties the protocol needs:
 Both parties run the same round on their own generators: an invertible
 combination of the scaling matrices (C for Alice, D for Bob) and a
 product of 10 to 20 braid generators or inverses (A for Alice, B for
-Bob), published as ``c . eval(word)``.  Each derives the key the same
-way from the other's message, and both keys agree exactly, which is
-checked by tests and by the command-line driver on every exchange.  A
-Transcript always holds both messages: the attack needs both.
+Bob), published as ``c . eval(word)``.  The product is built from the
+generators' conjugate form ``P . cores . P^-1`` (``braid.ConjugateForm``,
+cached on the instance as ``a_form`` and ``b_form``), so the conjugator
+the generators share is streamed once per word rather than twice per
+factor; the word is the same braid, so messages and keys are those of
+the plain concatenation.  Each derives the key the same way from the
+other's message, and both keys agree exactly, which is checked by tests
+and by the command-line driver on every exchange.  A Transcript always
+holds both messages: the attack needs both.
 
 Public and private material live in separate structures (and separate
 files on disk) so the attack harness can be blinded by construction.
@@ -33,6 +38,7 @@ import numpy as np
 
 from .braid import (
     BraidWord,
+    ConjugateForm,
     EvalParams,
     MatPerm,
     e_multiply,
@@ -97,6 +103,12 @@ class InstancePublic:
         use (the attack needs it; generation and the protocol do not)."""
         return algebra_closure(self.c_gens, self.params.field).mats
 
+    @cached_property
+    def a_form(self) -> ConjugateForm:
+        """The A generators as ``P . core . P^-1``, built on first use:
+        Alice's round and the attack stream their products from it."""
+        return ConjugateForm(self.a_gens)
+
 
 @dataclass
 class InstancePrivate:
@@ -105,6 +117,11 @@ class InstancePrivate:
 
     b_gens: list[BraidWord]
     d_gens: list[np.ndarray]
+
+    @cached_property
+    def b_form(self) -> ConjugateForm:
+        """The B generators as ``P . core . P^-1``, built on first use."""
+        return ConjugateForm(self.b_gens)
 
 
 @dataclass
@@ -240,28 +257,28 @@ def _sample_scale(field: GF2m, gens: list[np.ndarray], rng) -> np.ndarray:
 PRODUCT_FACTORS = (10, 20)
 
 
-def _round(params: EvalParams, scale_gens, word_gens, rng) -> tuple[PartySecret, MatPerm]:
+def _round(params: EvalParams, scale_gens, form: ConjugateForm, rng) -> tuple[PartySecret, MatPerm]:
     """One party's secret and message: an invertible element of the
-    algebra the scale generators span, a product word over the braid
-    generators, and the state ``scale . eval(word)``."""
+    algebra the scale generators span, a product of the braid generators
+    (built from their conjugate form, so the shared conjugator cancels at
+    every junction), and the state ``scale . eval(word)``."""
     scale = _sample_scale(params.field, scale_gens, rng)
-    parts = []
-    for _ in range(rng.randint(*PRODUCT_FACTORS)):
-        w = word_gens[rng.randrange(len(word_gens))]
-        parts.append(w if rng.random() < 0.5 else w.inverse())
-    word = BraidWord.concat(*parts)
+    word = form.product(
+        (rng.randrange(len(form)), 1 if rng.random() < 0.5 else -1)
+        for _ in range(rng.randint(*PRODUCT_FACTORS))
+    )
     msg = e_multiply(MatPerm(scale, Perm.identity(params.n)), word, params)
     return PartySecret(scale, word), msg
 
 
 def alice_round(pub: InstancePublic, rng) -> tuple[PartySecret, MatPerm]:
     """Alice's secret and message, over C and the A generators."""
-    return _round(pub.params, pub.c_gens, pub.a_gens, rng)
+    return _round(pub.params, pub.c_gens, pub.a_form, rng)
 
 
 def bob_round(pub: InstancePublic, priv: InstancePrivate, rng) -> tuple[PartySecret, MatPerm]:
     """Bob's secret and message, over D and the B generators."""
-    return _round(pub.params, priv.d_gens, priv.b_gens, rng)
+    return _round(pub.params, priv.d_gens, priv.b_form, rng)
 
 
 def derive_key_alice(secret: PartySecret, msg: MatPerm, pub: InstancePublic) -> SharedKey:

@@ -716,3 +716,26 @@ def test_instance_refuses_unbounded_generator_word(small_instance):
         with pytest.raises(ValueError, match="longer than"):
             InstancePublic(pub.params, [huge] + pub.a_gens[1:], pub.c_gens)
     assert time.perf_counter() - t0 < 1.0
+
+
+def concatenating_expand(pub, gen_word):
+    """The braid word of a generator word as the plain concatenation of
+    the stored generator words and their inverses."""
+    gens = pub.a_gens
+    return BraidWord.concat(*(gens[k] if e > 0 else gens[k].inverse() for k, e in gen_word))
+
+
+@pytest.mark.parametrize("n, word_len, seed", [(12, 250, 1), (12, 250, 2), (20, 24, 1), (20, 24, 2)])
+def test_conjugate_form_keeps_attack_outputs(n, word_len, seed, monkeypatch):
+    # the benchmark's two workload sizes: streaming P . cores . P^-1
+    # instead of the plain concatenation changes only the letters streamed
+    pub, priv, _ = ttp_generate(n, GF2m(8), 8, word_len, rng=random.Random(seed))
+    _, transcript, key = fresh_exchange(pub, priv, seed)
+    formed, f_stats = attack_run(pub, transcript, random.Random(seed))
+    monkeypatch.setattr(attack_mod, "_expand", concatenating_expand)
+    plain, p_stats = attack_run(pub, transcript, random.Random(seed))
+    assert formed == plain == key.key
+    assert (f_stats.dim_v, f_stats.candidates, f_stats.search_states, f_stats.scale_tries) == (
+        p_stats.dim_v, p_stats.candidates, p_stats.search_states, p_stats.scale_tries
+    )
+    assert f_stats.factor_letters < p_stats.factor_letters

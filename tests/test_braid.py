@@ -5,6 +5,7 @@ import pytest
 
 from cbkap.braid import (
     BraidWord,
+    ConjugateForm,
     EvalParams,
     MatPerm,
     colored_burau,
@@ -17,7 +18,8 @@ from cbkap.braid import (
 )
 from cbkap.field import GF2m
 from cbkap.perm import Perm
-from cbkap.protocol import MAX_WORD_LETTERS, InstancePublic
+from cbkap.formats import word_from_json
+from cbkap.protocol import MAX_WORD_LETTERS, InstancePublic, ttp_generate
 
 
 def params_for(field, n, rng):
@@ -347,3 +349,112 @@ def test_word_eval_invertible_on_long_words():
     for _ in range(5):
         w = random_word(8, 1000, rng)
         assert fld.is_invertible(word_eval_pair(w, params).mat)
+
+
+def signed_words(gens):
+    return [w for g in gens for w in (g, g.inverse())]
+
+
+def assert_decomposes(form, gens):
+    """Every signed generator is P, its core and P^-1 letter for letter,
+    P no longer than half the shortest generator."""
+    signed = signed_words(gens)
+    p = letters(form.prefix)
+    assert letters(form.suffix) == [-x for x in reversed(p)]
+    assert 2 * len(p) <= min(map(len, signed), default=0)
+    for j, w in enumerate(signed):
+        assert p + letters(form.core(j)) + letters(form.suffix) == letters(w)
+
+
+@pytest.mark.parametrize("n, word_len, seed", [(8, 100, 0), (12, 250, 1), (20, 24, 2)])
+def test_conjugate_form_of_generated_sets(n, word_len, seed):
+    # A and B generators are z u z^-1, freely reduced: P is what reduction
+    # left of z, and no longer prefix is shared by every signed generator
+    pub, priv, debug = ttp_generate(n, GF2m(8), 8, word_len, rng=random.Random(seed))
+    z = letters(free_reduce(debug.conjugator))
+    for gens, form in ((pub.a_gens, pub.a_form), (priv.b_gens, priv.b_form)):
+        assert_decomposes(form, gens)
+        p = len(form.prefix)
+        assert 0 < p and letters(form.prefix)[: len(z)] == z[:p]
+        assert len({letters(w)[p] for w in signed_words(gens)}) > 1
+    assert pub.a_form is pub.a_form and priv.b_form is priv.b_form  # built once
+
+
+def test_conjugate_form_without_shared_conjugator():
+    gens = [BraidWord([1, 2, 3]), BraidWord([2, 1]), random_word(6, 40, random.Random(3))]
+    form = ConjugateForm(gens)
+    assert len(form.prefix) == 0 and len(form) == 3
+    assert all(form.core(2 * k) is g for k, g in enumerate(gens))
+    assert_decomposes(form, gens)
+    # a repetition-compressed word stays compressed: its core is the
+    # stored object, its inverse a repetition of the inverted body
+    w = BraidWord([1, 2]).power(65536)
+    form = ConjugateForm([w, BraidWord([-2, 1, 2])])
+    assert len(form.prefix) == 0 and form.core(0) is w
+    assert len(form.core(1)._parts) == 1 and len(form.core(1)) == len(w)
+    product = form.product([(0, 1), (0, 1)])
+    assert product._parts == (w, w) and len(product) == 2 * len(w)
+
+
+def test_conjugate_form_of_tree_words():
+    # words that are not flat are read through the tree, as far as P goes
+    z = BraidWord([4, 5, -3])
+    gens = [BraidWord.concat(z, BraidWord([1, 2]).power(100), z.inverse()), z + BraidWord([3]) + -z]
+    form = ConjugateForm(gens)
+    assert letters(form.prefix) == [4, 5, -3]
+    assert_decomposes(form, gens)
+    decoded = [word_from_json([[4], {"body": [1], "count": 3}, [-4]]), word_from_json([4, 3, -4])]
+    form = ConjugateForm(decoded)
+    assert letters(form.prefix) == [4]
+    assert_decomposes(form, decoded)
+    rng = random.Random(4)
+    for _ in range(30):
+        trees = [random_tree(6, rng, 2) for _ in range(rng.randint(1, 3))]
+        for gens in (trees, [t.inverse() for t in trees]):
+            assert_decomposes(ConjugateForm(gens), gens)
+
+
+@pytest.mark.parametrize("gens, prefix", [
+    ([BraidWord([1, -1])], [1]),  # unreduced: P would overlap P^-1 without the cap
+    ([BraidWord([1, 2, -2, -1])], [1, 2]),
+    ([BraidWord([1, 2, -1]), BraidWord([1, -1])], [1]),
+    ([BraidWord([2]), BraidWord([2, 5, -2])], []),  # a single letter: half of it is empty
+    ([BraidWord([3]), BraidWord([3])], []),
+    ([BraidWord(), BraidWord([1, 2, -1])], []),
+    ([], []),
+])
+def test_conjugate_form_is_capped_at_half_the_shortest_word(gens, prefix):
+    form = ConjugateForm(gens)
+    assert letters(form.prefix) == prefix
+    assert_decomposes(form, gens)
+
+
+def plain_product(gens, gen_word):
+    return BraidWord.concat(*(gens[k] if e > 0 else gens[k].inverse() for k, e in gen_word))
+
+
+def test_conjugate_form_products_match_plain_concatenation():
+    rng = random.Random(5)
+    fld = GF2m(5)
+    pub, _, _ = ttp_generate(8, fld, 4, 60, rng=rng)
+    sets = [pub.a_gens, [random_word(8, rng.randint(1, 12), rng) for _ in range(3)]]
+    for gens in sets:
+        form = ConjugateForm(gens)
+        p = len(form.prefix)
+        gen_words = [[], [(0, 1), (0, -1)], [(1, -1), (2, 1), (2, -1), (1, 1)], [(0, 1)]]
+        for _ in range(40):
+            word = [(rng.randrange(len(gens)), rng.choice((1, -1))) for _ in range(rng.randint(1, 10))]
+            at = rng.randrange(len(word) + 1)  # an adjacent inverse pair somewhere
+            k = rng.randrange(len(gens))
+            gen_words.append(word[:at] + [(k, 1), (k, -1)][:: rng.choice((1, -1))] + word[at:])
+            gen_words.append(word)
+        for gen_word in gen_words:
+            got, plain = form.product(gen_word), plain_product(gens, gen_word)
+            assert word_perm(got, 8) == word_perm(plain, 8)
+            states = [MatPerm(fld.random_matrix(rng, 8), Perm.random(8, rng)) for _ in range(3)]
+            assert e_multiply(states, got, pub.params) == e_multiply(states, plain, pub.params)
+            assert len(got) <= len(plain)
+        # without cancelling pairs, P and P^-1 drop out at every junction
+        word = [(0, 1), (1, 1), (0, -1)]
+        assert len(form.product(word)) == len(plain_product(gens, word)) - 4 * p
+    assert len(ConjugateForm(pub.a_gens).product([(3, 1), (3, -1)])) == 0

@@ -122,6 +122,20 @@ def test_envelope_kind_and_version_checks(tmp_path, small_instance, small_exchan
         formats.load_envelope(p)
 
 
+def test_headers_checked_against_params_reuse_their_field(tmp_path, small_instance, small_exchange):
+    pub, _, _ = small_instance
+    _, alice_msg, _, bob_msg, _ = small_exchange
+    p = tmp_path / "tr.json"
+    formats.save_transcript(p, Transcript(alice_msg, bob_msg), pub.params)
+    assert formats.load_transcript(p, pub.params).alice_msg.mat.dtype == pub.params.field.dtype
+    doc = json.loads(p.read_text())
+    for header in ({"degree": 5, "modulus": 0x21}, {"degree": 6, "modulus": 0x43}, {"degree": 5}, "x"):
+        doc["payload"]["field"] = header  # reducible, another field, incomplete, malformed
+        p.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            formats.load_transcript(p, pub.params)
+
+
 @pytest.fixture(scope="module")
 def tiny_files(tmp_path_factory):
     """A valid public instance, transcript and key small enough that a

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import numpy as np
@@ -52,6 +53,20 @@ def test_modulus_choices():
         GF2m(8, 0x101)
     with pytest.raises(ValueError):
         GF2m(8, 0x7)  # degree mismatch
+
+
+def test_tables_are_built_once_per_field():
+    a, b = GF2m(8), GF2m(8, AES_MODULUS)
+    assert a._exp_np is b._exp_np and a._log is b._log
+    assert GF2m(8, 0x11D)._exp_np is not a._exp_np  # another modulus, other tables
+    with pytest.raises(ValueError):
+        a._exp_np[0] = 1  # shared, so read-only
+    with pytest.raises(ValueError):
+        GF2m(8, 0x101)  # a cached degree still validates its modulus
+    # the cache holds only fields something else refers to
+    GF2m(7, 0x89)  # not the default modulus, which a fixture may hold
+    gc.collect()
+    assert (7, 0x89) not in field._FIELDS
 
 
 def test_mul_identities():

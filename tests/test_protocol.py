@@ -3,10 +3,13 @@ import random
 import numpy as np
 import pytest
 
+from cbkap import protocol
 from cbkap.braid import BraidWord, MatPerm, e_multiply, word_eval_pair, word_perm
+from cbkap.field import GF2m
 from cbkap.linalg import algebra_closure
 from cbkap.perm import Perm
 from cbkap.protocol import (
+    PRODUCT_FACTORS,
     PartySecret,
     SharedKey,
     alice_round,
@@ -136,3 +139,35 @@ def test_independent_commuting_d(small_field):
     asec, amsg = alice_round(pub, rng)
     bsec, bmsg = bob_round(pub, priv, rng)
     assert derive_key_alice(asec, bmsg, pub) == derive_key_bob(bsec, amsg, pub)
+
+
+def concatenated_round(params, scale_gens, word_gens, rng):
+    """A party round whose word concatenates the generator words and
+    their inverses as stored, with rng drawn as the library's round draws it."""
+    scale = protocol._sample_scale(params.field, scale_gens, rng)
+    parts = []
+    for _ in range(rng.randint(*PRODUCT_FACTORS)):
+        w = word_gens[rng.randrange(len(word_gens))]
+        parts.append(w if rng.random() < 0.5 else w.inverse())
+    word = BraidWord.concat(*parts)
+    return PartySecret(scale, word), e_multiply(MatPerm(scale, Perm.identity(params.n)), word, params)
+
+
+@pytest.mark.parametrize("n, word_len", [(12, 250), (20, 24)])
+def test_rounds_match_concatenated_words(n, word_len):
+    # the conjugate form drops P^-1 P at every junction of the message
+    # words; messages, keys and the draws stay those of the plain words
+    pub, priv, _ = ttp_generate(n, GF2m(8), 8, word_len, rng=random.Random(n))
+    for seed in range(5):
+        rng, ref = random.Random(seed), random.Random(seed)
+        asec, amsg = alice_round(pub, rng)
+        bsec, bmsg = bob_round(pub, priv, rng)
+        ref_asec, ref_amsg = concatenated_round(pub.params, pub.c_gens, pub.a_gens, ref)
+        ref_bsec, ref_bmsg = concatenated_round(pub.params, priv.d_gens, priv.b_gens, ref)
+        assert rng.getstate() == ref.getstate()
+        assert (amsg, bmsg) == (ref_amsg, ref_bmsg)
+        for sec, ref_sec in ((asec, ref_asec), (bsec, ref_bsec)):
+            assert np.array_equal(sec.matrix, ref_sec.matrix)
+            assert len(sec.word) < len(ref_sec.word)
+        key = derive_key_alice(asec, bmsg, pub)
+        assert key == derive_key_bob(bsec, amsg, pub) == derive_key_alice(ref_asec, ref_bmsg, pub)
