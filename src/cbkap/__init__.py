@@ -15,7 +15,6 @@ from .braid import (
     BraidWord,
     EvalParams,
     MatPerm,
-    colored_burau,
     e_multiply,
     free_reduce,
     random_word,

@@ -26,9 +26,6 @@ words with repetition structure without expansion.  ``e_multiply`` also
 streams one word over a stack of states, each with its own starting
 permutation (twist), packed into the same columns: one translate per run
 of states sharing a twist.
-
-``colored_burau`` is the symbolic reference implementation of the pair
-map over Laurent polynomials, kept for small n as an independent oracle.
 """
 
 from __future__ import annotations
@@ -56,8 +53,6 @@ __all__ = [
     "e_multiply",
     "word_eval_pair",
     "left_mul",
-    "SymbolicMatrix",
-    "colored_burau",
 ]
 
 
@@ -452,141 +447,3 @@ def e_multiply(
 def word_eval_pair(word: BraidWord, params: EvalParams) -> MatPerm:
     """The evaluated pair image of a word: E-multiplication from (I, e)."""
     return e_multiply(MatPerm.identity(params.field, params.n), word, params)
-
-
-# ---------------------------------------------------------------------------
-# Symbolic oracle (small n only)
-# ---------------------------------------------------------------------------
-
-
-class SymbolicMatrix:
-    """Matrix of multivariate Laurent polynomials in t_1..t_n.
-
-    Entries map integer exponent vectors to nonzero field coefficients.
-    Signs are applied through the field's negation so the same code is
-    correct beyond characteristic 2.  Used as a test oracle at small n;
-    nothing in the protocol or attack path depends on it.
-    """
-
-    __slots__ = ("field", "n", "entries")
-
-    def __init__(self, field: GF2m, n: int, entries=None):
-        self.field = field
-        self.n = n
-        if entries is None:
-            entries = [[{} for _ in range(n)] for _ in range(n)]
-        self.entries = entries
-
-    @classmethod
-    def identity(cls, field: GF2m, n: int) -> "SymbolicMatrix":
-        m = cls(field, n)
-        zero = (0,) * n
-        for i in range(n):
-            m.entries[i][i] = {zero: 1}
-        return m
-
-    @classmethod
-    def generator(cls, field: GF2m, n: int, letter: int) -> "SymbolicMatrix":
-        """The symbolic matrix of a single signed Artin generator."""
-        i = abs(letter)
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"letter {letter} out of range for n={n}")
-        m = cls.identity(field, n)
-        r = i - 1
-        one = (0,) * n
-        if letter > 0:
-            t_i = tuple(1 if k == r else 0 for k in range(n))
-            if r > 0:
-                m.entries[r][r - 1] = {t_i: 1}
-            m.entries[r][r] = {t_i: field.neg(1)}
-            m.entries[r][r + 1] = {one: 1}
-        else:
-            t_next_inv = tuple(-1 if k == r + 1 else 0 for k in range(n))
-            if r > 0:
-                m.entries[r][r - 1] = {one: 1}
-            m.entries[r][r] = {t_next_inv: field.neg(1)}
-            m.entries[r][r + 1] = {t_next_inv: 1}
-        return m
-
-    def substitute_perm(self, g: Perm) -> "SymbolicMatrix":
-        """Apply the substitution t_i -> t_{g^-1(i)} to every entry."""
-        out = SymbolicMatrix(self.field, self.n)
-        for i in range(self.n):
-            for j in range(self.n):
-                src = self.entries[i][j]
-                if src:
-                    out.entries[i][j] = {
-                        tuple(e[g(k)] for k in range(self.n)): c for e, c in src.items()
-                    }
-        return out
-
-    def mul(self, other: "SymbolicMatrix") -> "SymbolicMatrix":
-        fld = self.field
-        n = self.n
-        out = SymbolicMatrix(fld, n)
-        for i in range(n):
-            row = self.entries[i]
-            for k in range(n):
-                left = row[k]
-                if not left:
-                    continue
-                for j in range(n):
-                    right = other.entries[k][j]
-                    if not right:
-                        continue
-                    acc = out.entries[i][j]
-                    for e1, c1 in left.items():
-                        for e2, c2 in right.items():
-                            e = tuple(a + b for a, b in zip(e1, e2))
-                            c = acc.get(e, 0) ^ fld.mul(c1, c2)
-                            if c:
-                                acc[e] = c
-                            else:
-                                acc.pop(e, None)
-        return out
-
-    def evaluate(self, tau, perm: Perm | None = None) -> np.ndarray:
-        """Substitute values for the variables (optionally permuted first:
-        t_i -> tau[perm^-1(i)]) and return the dense matrix."""
-        fld = self.field
-        values = list(tau)
-        if perm is not None:
-            pinv = perm.inverse()
-            values = [tau[pinv(i)] for i in range(self.n)]
-        out = fld.zeros(self.n)
-        for i in range(self.n):
-            for j in range(self.n):
-                acc = 0
-                for e, c in self.entries[i][j].items():
-                    term = c
-                    for k, exp in enumerate(e):
-                        if exp:
-                            term = fld.mul(term, fld.pow(values[k], exp))
-                    acc ^= term
-                out[i, j] = acc
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymbolicMatrix)
-            and other.n == self.n
-            and other.field == self.field
-            and other.entries == self.entries
-        )
-
-
-def colored_burau(word: BraidWord, n: int, field: GF2m) -> tuple[SymbolicMatrix, Perm]:
-    """The symbolic pair image of a word (test oracle; n <= 8).
-
-    Multiplies out ``(A, g)(x_letter, s_i) = (A * g(x_letter), g s_i)``
-    letter by letter over Laurent polynomials.
-    """
-    if n > 8:
-        raise ValueError("symbolic evaluation is guarded to n <= 8")
-    A = SymbolicMatrix.identity(field, n)
-    g = Perm.identity(n)
-    for letter in word.letters():
-        x = SymbolicMatrix.generator(field, n, letter)
-        A = A.mul(x.substitute_perm(g))
-        g = g * Perm.transposition(n, abs(letter) - 1)
-    return A, g

@@ -255,26 +255,29 @@ class GF2m:
 
     def mat_inv(self, a: np.ndarray) -> np.ndarray:
         """Inverse by Gauss-Jordan elimination, pivoting on the first
-        nonzero entry of each column.  Raises SingularMatrix on failure."""
+        nonzero entry of each column.  Raises SingularMatrix on failure.
+
+        Each column is one rank-1 update: with ``row`` the pivot row over
+        its pivot ``pv`` and ``f`` the column, except ``pv ^ 1`` at the
+        pivot, XOR-ing in ``f (x) row`` clears the column from every other
+        row and leaves ``row`` as the pivot row (characteristic 2).  Columns
+        left of the pivot are already cleared in ``row`` and are skipped."""
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
         n = a.shape[0]
         aug = np.concatenate([a.astype(self.dtype), self.identity(n)], axis=1)
         for col in range(n):
-            rows = np.nonzero(aug[col:, col])[0]
-            if rows.size == 0:
+            rows = np.flatnonzero(aug[col:, col])
+            if not rows.size:
                 raise SingularMatrix("matrix is singular")
             piv = col + int(rows[0])
             if piv != col:
                 aug[[col, piv]] = aug[[piv, col]]
-            pv = int(aug[col, col])
-            if pv != 1:
-                aug[col] = self.mul_vec(aug[col], self._inv[pv])
-            factors = aug[:, col].copy()
-            factors[col] = 0
-            nz = factors != 0
-            if nz.any():
-                aug[nz] ^= self.mul_arr(factors[nz][:, None], aug[col][None, :])
+            f = aug[:, col].copy()
+            pv = int(f[col])
+            row = self.mul_arr(aug[col, col:], self._inv[pv])
+            f[col] = pv ^ 1
+            aug[:, col:] ^= self.mul_arr(f[:, None], row)
         return aug[:, n:]
 
     def is_invertible(self, a: np.ndarray) -> bool:

@@ -227,18 +227,29 @@ class AlgebraClosure:
         """Replay the recipes with substitute generator matrices.
 
         With gen_images[i] the twisted image of generator i, returns the
-        twisted image of every basis element, in basis order.
+        twisted image of every basis element, in basis order.  A run of
+        products by one generator whose factors all come before the run
+        (``_drain`` emits one per block) is one stacked product.
         """
         fld = self.basis.field
+        recipes = self.recipes
         out: list[np.ndarray] = []
-        for recipe in self.recipes:
-            kind = recipe[0]
+        k = 0
+        while k < len(recipes):
+            kind = recipes[k][0]
             if kind == "one":
                 out.append(fld.identity(self.basis.n))
+                k += 1
             elif kind == "gen":
-                out.append(gen_images[recipe[1]])
+                out.append(gen_images[recipes[k][1]])
+                k += 1
             else:
-                out.append(fld.mat_mul(gen_images[recipe[1]], out[recipe[2]]))
+                gi, end = recipes[k][1], k + 1
+                while end < len(recipes) and recipes[end][:2] == ("gb", gi) and recipes[end][2] < k:
+                    end += 1
+                factors = np.stack([out[r[2]] for r in recipes[k:end]])
+                out.extend(fld.mat_mul(gen_images[gi], factors))
+                k = end
         return out
 
 

@@ -31,7 +31,7 @@ files on disk) so the attack harness can be blinded by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
@@ -99,8 +99,9 @@ class InstancePublic:
 
     @cached_property
     def c_algebra(self) -> list[np.ndarray]:
-        """A basis of the algebra the C generators span, computed on first
-        use (the attack needs it; generation and the protocol do not)."""
+        """A basis of the algebra the C generators span: kept from
+        generation, or computed on first use for a loaded instance.
+        Alice's round samples her scale from it; the attack solves over it."""
         return algebra_closure(self.c_gens, self.params.field).mats
 
     @cached_property
@@ -117,6 +118,15 @@ class InstancePrivate:
 
     b_gens: list[BraidWord]
     d_gens: list[np.ndarray]
+    _d_algebra: list[np.ndarray] | None = dc_field(default=None, init=False, repr=False, compare=False)
+
+    def d_algebra(self, field: GF2m) -> list[np.ndarray]:
+        """A basis of the algebra the D generators span over the field of
+        the public parameters: kept from generation, or computed on first
+        use.  Bob's round samples his scale from it."""
+        if self._d_algebra is None:
+            self._d_algebra = algebra_closure(self.d_gens, field).mats
+        return self._d_algebra
 
     @cached_property
     def b_form(self) -> ConjugateForm:
@@ -217,13 +227,17 @@ def ttp_generate(
         kappa_word = random_word(n, word_len, rng)
         kappa = word_eval_pair(kappa_word, params).mat
         # the algebra kappa spans has the dimension of its minimal polynomial
-        if field.is_invertible(kappa) and algebra_closure([kappa], field).dim >= 3:
-            break
+        if field.is_invertible(kappa):
+            c_algebra = algebra_closure([kappa], field).mats
+            if len(c_algebra) >= 3:
+                break
     c_gens = [kappa]
-    d_gens = [_sample_scale(field, [kappa], rng) if d_polynomial else kappa]
+    d_gens = [_sample_scale(field, c_algebra, rng) if d_polynomial else kappa]
 
     pub = InstancePublic(params, a_gens, c_gens)
+    pub.c_algebra = c_algebra  # what the cached property would compute
     priv = InstancePrivate(b_gens, d_gens)
+    priv._d_algebra = algebra_closure(d_gens, field).mats if d_polynomial else c_algebra
     debug = TTPDebug(z, [u for _, u in a_pairs], [u for _, u in b_pairs], kappa_word)
 
     # Construction guarantees the commuting properties; spot-check one
@@ -243,12 +257,12 @@ def ttp_generate(
     return pub, priv, debug
 
 
-def _sample_scale(field: GF2m, gens: list[np.ndarray], rng) -> np.ndarray:
-    """Random invertible element of the algebra spanned by the generators."""
-    basis = algebra_closure(gens, field)
+def _sample_scale(field: GF2m, basis: list[np.ndarray], rng) -> np.ndarray:
+    """Random invertible combination of an algebra's basis matrices: one
+    coefficient per basis matrix per try."""
+    stack = np.stack(basis)
     while True:
-        coeffs = [rng.randrange(field.order) for _ in range(basis.dim)]
-        c = basis.combine(coeffs)
+        c = field.dot([rng.randrange(field.order) for _ in basis], stack)
         if field.is_invertible(c):
             return c
 
@@ -257,12 +271,13 @@ def _sample_scale(field: GF2m, gens: list[np.ndarray], rng) -> np.ndarray:
 PRODUCT_FACTORS = (10, 20)
 
 
-def _round(params: EvalParams, scale_gens, form: ConjugateForm, rng) -> tuple[PartySecret, MatPerm]:
-    """One party's secret and message: an invertible element of the
-    algebra the scale generators span, a product of the braid generators
-    (built from their conjugate form, so the shared conjugator cancels at
-    every junction), and the state ``scale . eval(word)``."""
-    scale = _sample_scale(params.field, scale_gens, rng)
+def _round(params: EvalParams, scale_basis, form: ConjugateForm, rng) -> tuple[PartySecret, MatPerm]:
+    """One party's secret and message: an invertible element of the scale
+    algebra, sampled from its basis (built once per instance), a product
+    of the braid generators (built from their conjugate form, so the
+    shared conjugator cancels at every junction), and the state
+    ``scale . eval(word)``."""
+    scale = _sample_scale(params.field, scale_basis, rng)
     word = form.product(
         (rng.randrange(len(form)), 1 if rng.random() < 0.5 else -1)
         for _ in range(rng.randint(*PRODUCT_FACTORS))
@@ -273,12 +288,12 @@ def _round(params: EvalParams, scale_gens, form: ConjugateForm, rng) -> tuple[Pa
 
 def alice_round(pub: InstancePublic, rng) -> tuple[PartySecret, MatPerm]:
     """Alice's secret and message, over C and the A generators."""
-    return _round(pub.params, pub.c_gens, pub.a_form, rng)
+    return _round(pub.params, pub.c_algebra, pub.a_form, rng)
 
 
 def bob_round(pub: InstancePublic, priv: InstancePrivate, rng) -> tuple[PartySecret, MatPerm]:
     """Bob's secret and message, over D and the B generators."""
-    return _round(pub.params, priv.d_gens, priv.b_form, rng)
+    return _round(pub.params, priv.d_algebra(pub.params.field), priv.b_form, rng)
 
 
 def derive_key_alice(secret: PartySecret, msg: MatPerm, pub: InstancePublic) -> SharedKey:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cbkap.braid import BraidWord, MatPerm, random_word
-from cbkap.field import GF2m
+from cbkap.field import GF2m, SingularMatrix
 from cbkap.linalg import WitnessedBasis
 from cbkap.perm import NotInGroup, Perm, invert_genword
 from cbkap.protocol import (
@@ -177,6 +177,46 @@ def sequential_drain(gens, field, n):
                         recipes.append(("gb", gi, bi))
                 done[gi] = size
     return basis, recipes
+
+
+def reference_mat_inv(field, a):
+    """Reference for GF2m.mat_inv: the earlier Gauss-Jordan elimination,
+    which per column swaps the pivot row up, scales it with ``mul_vec``
+    and clears the column from the rows that are nonzero there."""
+    n = a.shape[0]
+    aug = np.concatenate([a.astype(field.dtype), field.identity(n)], axis=1)
+    for col in range(n):
+        rows = np.nonzero(aug[col:, col])[0]
+        if rows.size == 0:
+            raise SingularMatrix("matrix is singular")
+        piv = col + int(rows[0])
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+        pv = int(aug[col, col])
+        if pv != 1:
+            aug[col] = field.mul_vec(aug[col], field.inv(pv))
+        factors = aug[:, col].copy()
+        factors[col] = 0
+        nz = factors != 0
+        if nz.any():
+            aug[nz] ^= field.mul_arr(factors[nz][:, None], aug[col][None, :])
+    return aug[:, n:]
+
+
+def sequential_rebuild(closure, gen_images):
+    """Reference for AlgebraClosure.rebuild: the earlier replay, one
+    product per recipe."""
+    fld = closure.basis.field
+    out = []
+    for recipe in closure.recipes:
+        kind = recipe[0]
+        if kind == "one":
+            out.append(fld.identity(closure.basis.n))
+        elif kind == "gen":
+            out.append(gen_images[recipe[1]])
+        else:
+            out.append(fld.mat_mul(gen_images[recipe[1]], out[recipe[2]]))
+    return out
 
 
 def sequential_kernel(residuals, field):
@@ -419,6 +459,140 @@ def reference_e_multiply(start, word, params):
     return out[0] if single else out
 
 
+
+class SymbolicMatrix:
+    """Matrix of multivariate Laurent polynomials in t_1..t_n.
+
+    Entries map integer exponent vectors to nonzero field coefficients.
+    Signs are applied through the field's negation so the same code is
+    correct beyond characteristic 2.  The symbolic reference for the pair
+    map and E-multiplication at small n (see ``colored_burau``).
+    """
+
+    __slots__ = ("field", "n", "entries")
+
+    def __init__(self, field: GF2m, n: int, entries=None):
+        self.field = field
+        self.n = n
+        if entries is None:
+            entries = [[{} for _ in range(n)] for _ in range(n)]
+        self.entries = entries
+
+    @classmethod
+    def identity(cls, field: GF2m, n: int) -> "SymbolicMatrix":
+        m = cls(field, n)
+        zero = (0,) * n
+        for i in range(n):
+            m.entries[i][i] = {zero: 1}
+        return m
+
+    @classmethod
+    def generator(cls, field: GF2m, n: int, letter: int) -> "SymbolicMatrix":
+        """The symbolic matrix of a single signed Artin generator."""
+        i = abs(letter)
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"letter {letter} out of range for n={n}")
+        m = cls.identity(field, n)
+        r = i - 1
+        one = (0,) * n
+        if letter > 0:
+            t_i = tuple(1 if k == r else 0 for k in range(n))
+            if r > 0:
+                m.entries[r][r - 1] = {t_i: 1}
+            m.entries[r][r] = {t_i: field.neg(1)}
+            m.entries[r][r + 1] = {one: 1}
+        else:
+            t_next_inv = tuple(-1 if k == r + 1 else 0 for k in range(n))
+            if r > 0:
+                m.entries[r][r - 1] = {one: 1}
+            m.entries[r][r] = {t_next_inv: field.neg(1)}
+            m.entries[r][r + 1] = {t_next_inv: 1}
+        return m
+
+    def substitute_perm(self, g: Perm) -> "SymbolicMatrix":
+        """Apply the substitution t_i -> t_{g^-1(i)} to every entry."""
+        out = SymbolicMatrix(self.field, self.n)
+        for i in range(self.n):
+            for j in range(self.n):
+                src = self.entries[i][j]
+                if src:
+                    out.entries[i][j] = {
+                        tuple(e[g(k)] for k in range(self.n)): c for e, c in src.items()
+                    }
+        return out
+
+    def mul(self, other: "SymbolicMatrix") -> "SymbolicMatrix":
+        fld = self.field
+        n = self.n
+        out = SymbolicMatrix(fld, n)
+        for i in range(n):
+            row = self.entries[i]
+            for k in range(n):
+                left = row[k]
+                if not left:
+                    continue
+                for j in range(n):
+                    right = other.entries[k][j]
+                    if not right:
+                        continue
+                    acc = out.entries[i][j]
+                    for e1, c1 in left.items():
+                        for e2, c2 in right.items():
+                            e = tuple(a + b for a, b in zip(e1, e2))
+                            c = acc.get(e, 0) ^ fld.mul(c1, c2)
+                            if c:
+                                acc[e] = c
+                            else:
+                                acc.pop(e, None)
+        return out
+
+    def evaluate(self, tau, perm=None) -> np.ndarray:
+        """Substitute values for the variables (optionally permuted first:
+        t_i -> tau[perm^-1(i)]) and return the dense matrix."""
+        fld = self.field
+        values = list(tau)
+        if perm is not None:
+            pinv = perm.inverse()
+            values = [tau[pinv(i)] for i in range(self.n)]
+        out = fld.zeros(self.n)
+        for i in range(self.n):
+            for j in range(self.n):
+                acc = 0
+                for e, c in self.entries[i][j].items():
+                    term = c
+                    for k, exp in enumerate(e):
+                        if exp:
+                            term = fld.mul(term, fld.pow(values[k], exp))
+                    acc ^= term
+                out[i, j] = acc
+        return out
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SymbolicMatrix)
+            and other.n == self.n
+            and other.field == self.field
+            and other.entries == self.entries
+        )
+
+
+def colored_burau(word: BraidWord, n: int, field: GF2m) -> tuple[SymbolicMatrix, Perm]:
+    """The symbolic pair image of a word (test oracle; n <= 8).
+
+    Multiplies out ``(A, g)(x_letter, s_i) = (A * g(x_letter), g s_i)``
+    letter by letter over Laurent polynomials.
+    """
+    if n > 8:
+        raise ValueError("symbolic evaluation is guarded to n <= 8")
+    A = SymbolicMatrix.identity(field, n)
+    g = Perm.identity(n)
+    for letter in word.letters():
+        x = SymbolicMatrix.generator(field, n, letter)
+        A = A.mul(x.substitute_perm(g))
+        g = g * Perm.transposition(n, abs(letter) - 1)
+    return A, g
+
+
 @pytest.fixture(scope="session")
 def basis_words():
     return expand_recipes
@@ -442,6 +616,16 @@ def sequential_basis():
 @pytest.fixture(scope="session")
 def drain_reference():
     return sequential_drain
+
+
+@pytest.fixture(scope="session")
+def inverse_reference():
+    return reference_mat_inv
+
+
+@pytest.fixture(scope="session")
+def rebuild_reference():
+    return sequential_rebuild
 
 
 @pytest.fixture(scope="session")

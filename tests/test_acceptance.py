@@ -29,7 +29,6 @@ from cbkap.braid import (
     BraidWord,
     EvalParams,
     MatPerm,
-    colored_burau,
     e_multiply,
     left_mul,
     random_word,
@@ -46,6 +45,8 @@ from cbkap.protocol import (
     derive_key_bob,
     ttp_generate,
 )
+
+from conftest import colored_burau
 
 SMALL = dict(n=8, field_bits=5, gen_count=8, word_len=100)
 FULL = dict(n=16, field_bits=8, gen_count=8, word_len=650)

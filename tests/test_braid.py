@@ -8,7 +8,6 @@ from cbkap.braid import (
     ConjugateForm,
     EvalParams,
     MatPerm,
-    colored_burau,
     e_multiply,
     free_reduce,
     left_mul,
@@ -20,6 +19,8 @@ from cbkap.field import GF2m
 from cbkap.perm import Perm
 from cbkap.formats import word_from_json
 from cbkap.protocol import MAX_WORD_LETTERS, InstancePublic, ttp_generate
+
+from conftest import colored_burau
 
 
 def params_for(field, n, rng):

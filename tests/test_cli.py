@@ -345,6 +345,31 @@ def test_gen_and_protocol_files_are_pinned(tmp_path):
     assert digests == GOLDEN
 
 
+# the same run with D an invertible polynomial in kappa (gen --d-polynomial):
+# only Bob's private file, and the messages and key drawn after it, differ
+GOLDEN_D_POLYNOMIAL = dict(
+    GOLDEN,
+    **{
+        "instance_private.json": "93862922efc65f5728bd19495953c9aa8a62882cd7097055def3850b82332b4e",
+        "transcript.json": "caf6f5a6bf3481b302a21d12b2ad65f9532bbfd6461414f49aa851a300e0f02b",
+        "key_alice.json": "a9a5065fe498ab15abea077ed72df5c7ca87309073ccd71bd68dddbcfe45cfc0",
+    },
+)
+
+
+def test_d_polynomial_gen_and_protocol_files_are_pinned(tmp_path):
+    assert run(
+        "gen", "--n", 6, "--field-bits", 4, "--gens", 3, "--word-len", 20,
+        "--seed", 5, "--d-polynomial", "--out-dir", tmp_path,
+    ) == 0
+    assert run(
+        "protocol", "--public", tmp_path / "instance_public.json",
+        "--private", tmp_path / "instance_private.json", "--seed", 6, "--out-dir", tmp_path,
+    ) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN}
+    assert digests == GOLDEN_D_POLYNOMIAL
+
+
 def test_attack_flow_recovers_alice_key(tmp_path):
     pub_file, priv_file = gen_small(tmp_path)
     assert run(

@@ -213,6 +213,41 @@ def test_mat_inv():
             assert np.array_equal(fld.mat_inv(inv), m), degree
 
 
+@pytest.mark.parametrize("degree", [1, 5, 8, 16])
+def test_mat_inv_matches_reference_elimination(degree, inverse_reference):
+    # one rank-1 update per column gives the inverses, and the singular
+    # cases, of the earlier swap / scale / clear elimination
+    fld = GF2m(degree)
+    rng = random.Random(degree)
+    seen = set()
+    for n in (1, 2, 3, 12, 20):
+        mats = [fld.random_matrix(rng, n) for _ in range(6)]
+        for _ in range(4):  # singular: one row a combination of the others
+            m = fld.random_matrix(rng, n)
+            coeffs = np.array([rng.randrange(fld.order) for _ in range(n)], dtype=fld.dtype)
+            r = rng.randrange(n)
+            coeffs[r] = 0
+            m[r] = fld.dot(coeffs, m)
+            mats.append(m)
+        mats.append(fld.zeros(n))
+        mats.append(np.triu(fld.random_matrix(rng, n)))
+        mats.append(fld.random_invertible(rng, n))
+        for m in mats:
+            try:
+                want = inverse_reference(fld, m)
+            except SingularMatrix:
+                with pytest.raises(SingularMatrix):
+                    fld.mat_inv(m)
+                assert not fld.is_invertible(m)
+                seen.add("singular")
+                continue
+            got = fld.mat_inv(m)
+            assert got.dtype == fld.dtype
+            assert np.array_equal(got, want), (degree, n)
+            seen.add("invertible")
+    assert seen == {"singular", "invertible"}
+
+
 def test_det_multiplicative_via_cofactor_oracle():
     rng = random.Random(6)
     for degree in (2, 3):

@@ -335,6 +335,48 @@ def test_one_sided_closure_matches_two_sided_on_attack_sized_pure_images(
         assert_drain_matches_reference(pure.closure, gens, drain_reference)
 
 
+@pytest.mark.parametrize("kind", ["full", "triangular", "block", "single"])
+def test_batched_rebuild_matches_sequential_replay(kind, rebuild_reference, monkeypatch):
+    # a run of products by one generator is one stacked product; the lowered
+    # budget splits those products into row blocks
+    monkeypatch.setattr(field, "DOT_BLOCK", 200)
+    for degree in (1, 8):
+        fld = GF2m(degree)
+        rng = random.Random(10 * degree + len(kind))
+        for n in (2, 3, 5):
+            closure = AlgebraClosure(fld, n)
+            for mat in structured_gens(fld, n, rng, kind):
+                closure.add_generator(mat)
+            for images in ([m for m, _ in closure.generators],
+                           [fld.random_matrix(rng, n) for _ in closure.generators]):
+                got = closure.rebuild(images)
+                want = rebuild_reference(closure, images)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_batched_rebuild_on_attack_sized_closures(rebuild_reference, monkeypatch):
+    products = []
+    mat_mul = GF2m.mat_mul
+    monkeypatch.setattr(GF2m, "mat_mul", lambda self, a, b: products.append(b.ndim) or mat_mul(self, a, b))
+    for n, word_len in ((12, 250), (20, 24)):
+        fld = GF2m(8)
+        rng = random.Random(n)
+        pub, _, _ = ttp_generate(n, fld, 8, word_len, rng=rng)
+        pure = precompute_pure_basis(pub, random.Random(n + 1))
+        images = [fld.random_matrix(rng, n) for _ in pure.closure.generators]
+        products.clear()
+        got = pure.closure.rebuild(images)
+        # one stacked product per block the drain sifted in
+        gb = sum(r[0] == "gb" for r in pure.closure.recipes)
+        assert products.count(3) == len(products) < gb
+        want = rebuild_reference(pure.closure, images)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        # the untwisted images give the basis back
+        assert all(np.array_equal(a, b) for a, b in zip(
+            pure.closure.rebuild([m for m, _ in pure.closure.generators]), pure.basis.mats, strict=True
+        ))
+
+
 def make_pure_closure(field, n, rng, gen_count=4, word_len=12):
     """Closure of images of pure braid words, with witnesses."""
     params = EvalParams(field, n, tuple(rng.randrange(2, field.order) for _ in range(n)))

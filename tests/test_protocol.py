@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from cbkap import protocol
+from cbkap import formats, linalg, protocol
 from cbkap.braid import BraidWord, MatPerm, e_multiply, word_eval_pair, word_perm
 from cbkap.field import GF2m
 from cbkap.linalg import algebra_closure
@@ -142,9 +142,15 @@ def test_independent_commuting_d(small_field):
 
 
 def concatenated_round(params, scale_gens, word_gens, rng):
-    """A party round whose word concatenates the generator words and
-    their inverses as stored, with rng drawn as the library's round draws it."""
-    scale = protocol._sample_scale(params.field, scale_gens, rng)
+    """A party round with no instance caches: a fresh closure of the scale
+    generators, and a word that concatenates the generator words and their
+    inverses as stored, with rng drawn as the library's round draws it."""
+    fld = params.field
+    basis = algebra_closure(scale_gens, fld)
+    while True:
+        scale = basis.combine([rng.randrange(fld.order) for _ in range(basis.dim)])
+        if fld.is_invertible(scale):
+            break
     parts = []
     for _ in range(rng.randint(*PRODUCT_FACTORS)):
         w = word_gens[rng.randrange(len(word_gens))]
@@ -153,11 +159,17 @@ def concatenated_round(params, scale_gens, word_gens, rng):
     return PartySecret(scale, word), e_multiply(MatPerm(scale, Perm.identity(params.n)), word, params)
 
 
-@pytest.mark.parametrize("n, word_len", [(12, 250), (20, 24)])
-def test_rounds_match_concatenated_words(n, word_len):
+@pytest.mark.parametrize(
+    "n, word_len, d_polynomial",
+    [(12, 250, False), (20, 24, False), (8, 100, True)],
+    ids=["12-250", "20-24", "8-100-d_polynomial"],
+)
+def test_rounds_match_concatenated_words(n, word_len, d_polynomial):
     # the conjugate form drops P^-1 P at every junction of the message
-    # words; messages, keys and the draws stay those of the plain words
-    pub, priv, _ = ttp_generate(n, GF2m(8), 8, word_len, rng=random.Random(n))
+    # words, and the scale comes from the basis cached on the instance;
+    # messages, scales, keys and the draws stay those of the plain words
+    # over a fresh closure per round
+    pub, priv, _ = ttp_generate(n, GF2m(8), 8, word_len, rng=random.Random(n), d_polynomial=d_polynomial)
     for seed in range(5):
         rng, ref = random.Random(seed), random.Random(seed)
         asec, amsg = alice_round(pub, rng)
@@ -171,3 +183,65 @@ def test_rounds_match_concatenated_words(n, word_len):
             assert len(sec.word) < len(ref_sec.word)
         key = derive_key_alice(asec, bmsg, pub)
         assert key == derive_key_bob(bsec, amsg, pub) == derive_key_alice(ref_asec, ref_bmsg, pub)
+
+
+def same_mats(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("d_polynomial", [False, True])
+def test_cached_scale_bases_equal_fresh_closures(tmp_path, d_polynomial):
+    field = GF2m(8)
+    pub, priv, _ = ttp_generate(8, field, 4, 60, rng=random.Random(11), d_polynomial=d_polynomial)
+    loaded_pub, loaded_priv = save_and_load(tmp_path, pub, priv)
+    for p, q in ((pub, priv), (loaded_pub, loaded_priv)):
+        c_basis = p.c_algebra
+        d_basis = q.d_algebra(p.params.field)
+        assert same_mats(c_basis, algebra_closure(p.c_gens, field).mats)
+        assert same_mats(d_basis, algebra_closure(q.d_gens, field).mats)
+        assert q.d_algebra(p.params.field) is d_basis  # cached
+        if d_polynomial:
+            assert not np.array_equal(q.d_gens[0], p.c_gens[0])
+            assert d_basis is not c_basis
+    # with D = C generation hands Bob Alice's basis
+    assert (priv.d_algebra(field) is pub.c_algebra) == (not d_polynomial)
+
+
+def save_and_load(tmp_path, pub, priv):
+    formats.save_instance_public(tmp_path / "pub.json", pub)
+    formats.save_instance_private(tmp_path / "priv.json", priv, pub.params)
+    loaded = formats.load_instance_public(tmp_path / "pub.json")
+    return loaded, formats.load_instance_private(tmp_path / "priv.json", loaded.params)
+
+
+@pytest.mark.parametrize("d_polynomial", [False, True])
+def test_exchanges_build_no_closure_once_cached(tmp_path, monkeypatch, d_polynomial):
+    counts = {"closures": 0, "generators": 0}
+    closure, add_generator = linalg.algebra_closure, linalg.AlgebraClosure.add_generator
+
+    def counted_closure(*args):
+        counts["closures"] += 1
+        return closure(*args)
+
+    def counted_add(self, *args):
+        counts["generators"] += 1
+        return add_generator(self, *args)
+
+    monkeypatch.setattr(protocol, "algebra_closure", counted_closure)
+    monkeypatch.setattr(linalg.AlgebraClosure, "add_generator", counted_add)
+
+    def exchange(pub, priv, seed):
+        counts.update(closures=0, generators=0)
+        rng = random.Random(seed)
+        asec, amsg = alice_round(pub, rng)
+        bsec, bmsg = bob_round(pub, priv, rng)
+        assert derive_key_alice(asec, bmsg, pub) == derive_key_bob(bsec, amsg, pub)
+        return dict(counts)
+
+    pub, priv, _ = ttp_generate(8, GF2m(8), 4, 60, rng=random.Random(12), d_polynomial=d_polynomial)
+    none = {"closures": 0, "generators": 0}
+    assert exchange(pub, priv, 1) == exchange(pub, priv, 2) == none
+    # loaded from files: one closure of one generator per side, once
+    loaded_pub, loaded_priv = save_and_load(tmp_path, pub, priv)
+    assert exchange(loaded_pub, loaded_priv, 3) == {"closures": 2, "generators": 2}
+    assert exchange(loaded_pub, loaded_priv, 4) == none
