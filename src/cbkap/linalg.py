@@ -7,14 +7,15 @@ length n^2; every computation is exact Gaussian elimination over the
 field.
 
 A basis keeps its raw matrices verbatim next to their span in reduced
-row-echelon form, stacked in one (dim, n^2) array, and the (dim, dim)
-change-of-basis transform.  Sifting, membership, coefficient extraction
-and insertion are each a fixed number of whole-array field operations
-(``GF2m.dot``), O(dim * n^2) work per vector with no per-row loop; the
-closure and the membership solver sift whole stacks of products at once
-through the same echelon code.  The closure keeps the braid word of each
-generator plus one recipe per basis element; together they give a pure
-word for every basis element without storing it.
+row-echelon form, stored only on the coordinates some basis matrix uses,
+and the (dim, dim) change-of-basis transform.  Sifting, membership,
+coefficient extraction and insertion are each a fixed number of
+whole-array field operations (``GF2m.dot``), O(dim * |support|) work per
+vector with no per-row loop; the closure and the membership solver sift
+whole stacks of products at once through the same echelon code.  The
+closure keeps the braid word of each generator plus one recipe per basis
+element; together they give a pure word for every basis element without
+storing it.
 """
 
 from __future__ import annotations
@@ -56,20 +57,26 @@ class WitnessedBasis:
     """Linearly independent matrices, kept in insertion order.
 
     Next to the raw matrices it keeps their span in reduced row-echelon
-    form: (dim, n^2) echelon rows whose pivot columns are unit columns, and
-    the (dim, dim) transform with echelon rows = transform . raw vectors.
-    A vector's pivot entries are then its coordinates over the echelon
+    form: echelon rows whose pivot columns are unit columns, and the
+    (dim, dim) transform with echelon rows = transform . raw vectors.  A
+    vector's pivot entries are then its coordinates over the echelon
     rows, so sifting, expressing and inserting are each a fixed number of
     whole-array operations.  The residual of a sift is the one vector of
     the coset that is zero on every pivot column, so pivots, basis order
     and coefficients do not depend on how the echelon is stored.
 
-    Rows, transform and pivots live in preallocated arrays, updated in
-    place, whose capacity doubles when full.  :meth:`add_block` sifts a
-    whole stack with one ``dot`` (cut into blocks of at most
-    ``field.DOT_BLOCK`` log sums) and then inserts its vectors in order,
-    clearing each new pivot column from the rest of the stack; ``add`` is
-    a one-matrix block, so the result equals one ``add`` per matrix.
+    Rows are stored on the support only, the sorted coordinates some
+    stored matrix uses: a residual is zero off it, so its first nonzero
+    there is its pivot, work per vector is O(dim * |support|), and a
+    matrix nonzero off it is outside the span.  One preallocated array
+    holds each echelon row on the support followed by its transform row;
+    it doubles when full and is re-laid when the support widens.
+    :meth:`add_block` sifts a whole stack with one ``dot`` (cut into
+    blocks of at most ``field.DOT_BLOCK`` log sums) and then inserts its
+    vectors in order, clearing each new pivot column from the old rows
+    and transforms with one rank-1 update and from the rest of the stack
+    with another; ``add`` is a one-matrix block, so the result equals one
+    ``add`` per matrix.
 
     Stores no witness words: :class:`AlgebraClosure` keeps the generator
     words and recipes that give one for each element.  The name is kept
@@ -81,10 +88,12 @@ class WitnessedBasis:
         self.field = field
         self.n = n
         self.mats: list[np.ndarray] = []
-        # the first dim entries of each buffer are in use; capacity n to start
-        self._rowbuf = np.zeros((n, n * n), dtype=field.dtype)
-        self._tfbuf = np.zeros((n, n), dtype=field.dtype)
+        self._support = np.zeros(0, dtype=np.intp)
+        # row j: echelon row j on the support, then transform row j; the
+        # first dim rows are in use, capacity n to start
+        self._buf = np.zeros((n, n), dtype=field.dtype)
         self._pivbuf = np.zeros(n, dtype=np.intp)
+        self._one = np.ones(1, dtype=field.dtype)
 
     @property
     def dim(self) -> int:
@@ -92,11 +101,15 @@ class WitnessedBasis:
 
     @property
     def _rows(self) -> np.ndarray:
-        return self._rowbuf[: self.dim]
+        """The echelon rows at full width, (dim, n^2)."""
+        rows = np.zeros((self.dim, self.n * self.n), dtype=self.field.dtype)
+        rows[:, self._support] = self._buf[: self.dim, : len(self._support)]
+        return rows
 
     @property
     def _tf(self) -> np.ndarray:
-        return self._tfbuf[: self.dim, : self.dim]
+        w = len(self._support)
+        return self._buf[: self.dim, w : w + self.dim]
 
     @property
     def _pivots(self) -> np.ndarray:
@@ -106,37 +119,66 @@ class WitnessedBasis:
         """(residuals, combos) of a (k, n^2) stack, with vecs = residuals +
         combos . echelon rows; the combos are the pivot entries."""
         combo = vecs[:, self._pivots]
-        return vecs ^ self.field.dot(combo, self._rows), combo
+        res = vecs.copy()
+        res[:, self._support] ^= self.field.dot(combo, self._buf[: self.dim, : len(self._support)])
+        return res, combo
+
+    def _combo(self, mat: np.ndarray) -> np.ndarray | None:
+        """The pivot entries of a matrix in the span, None outside it."""
+        vec = mat.reshape(-1).astype(self.field.dtype)
+        on = vec[self._support]
+        if np.count_nonzero(on) != np.count_nonzero(vec):
+            return None
+        combo = vec[self._pivots]
+        if (on ^ self.field.dot(combo, self._buf[: self.dim, : len(on)])).any():
+            return None
+        return combo
+
+    def _widen(self, used: np.ndarray) -> None:
+        """Add the coordinates flagged in ``used`` to the support."""
+        used[self._support] = True
+        support = np.flatnonzero(used)
+        w, cap = len(self._support), len(self._pivbuf)
+        buf = np.zeros((cap, len(support) + cap), dtype=self.field.dtype)
+        buf[:, np.searchsorted(support, self._support)] = self._buf[:, :w]
+        buf[:, len(support) :] = self._buf[:, w:]
+        self._buf, self._support = buf, support
 
     def add_block(self, mats) -> np.ndarray:
         """Sift a stack of matrices in, in order, as one ``add`` each
         would; returns per matrix whether it grew the span."""
         fld = self.field
         vecs = np.array(mats, dtype=fld.dtype).reshape(len(mats), self.n * self.n)
-        res, _ = self._sift(vecs)
+        on = vecs.take(self._support, axis=1)
+        if np.count_nonzero(on) != np.count_nonzero(vecs):
+            self._widen(vecs.any(axis=0))
+            on = vecs.take(self._support, axis=1)
+        w = len(self._support)
+        res = on ^ fld.dot(vecs.take(self._pivots, axis=1), self._buf[: self.dim, :w])
         grew = np.zeros(len(vecs), dtype=bool)
-        live = np.flatnonzero(res.any(axis=1))
+        # only the nonzero residuals are kept, with their indices in the stack
+        live = res.any(axis=1).nonzero()[0]
+        res = res[live]
         while live.size:
             i, d = live[0], self.dim
             if d == len(self._pivbuf):  # full: double the capacity
-                self._rowbuf = np.pad(self._rowbuf, ((0, d), (0, 0)))
-                self._tfbuf = np.pad(self._tfbuf, ((0, d), (0, d)))
+                self._buf = np.pad(self._buf, ((0, d), (0, d)))
                 self._pivbuf = np.pad(self._pivbuf, (0, d))
-            piv = np.flatnonzero(res[i])[0]
-            inv_piv = fld.inv(int(res[i, piv]))
-            # res[i] = raw_new + (combo . tf) . raw_old in characteristic 2, with
+            pos = res[0].nonzero()[0][0]
+            # res[0] = raw_new + (combo . tf) . raw_old in characteristic 2, with
             # combo the pivot entries of raw_new, which gives the transform row
-            row = fld.mul_arr(res[i], inv_piv)
-            tf_row = fld.mul_arr(np.append(fld.dot(vecs[i, self._pivots], self._tf), 1), inv_piv)
+            tf = fld.dot(vecs[i].take(self._pivots), self._buf[:d, w : w + d])
+            row = fld.mul_arr(np.concatenate((res[0], tf, self._one)), fld.inv(int(res[0, pos])))
             # clear the new pivot column from the old rows and the later vectors
-            col = self._rowbuf[:d, piv, None].copy()
-            self._rowbuf[:d] ^= fld.mul_arr(col, row)
-            self._tfbuf[:d, : d + 1] ^= fld.mul_arr(col, tf_row)
-            res[i + 1 :] ^= fld.mul_arr(res[i + 1 :, piv, None], row)
-            self._rowbuf[d], self._tfbuf[d, : d + 1], self._pivbuf[d] = row, tf_row, piv
+            self._buf[:d, : w + d + 1] ^= fld.mul_arr(self._buf[:d, pos, None], row)
+            self._buf[d, : w + d + 1], self._pivbuf[d] = row, self._support[pos]
             self.mats.append(vecs[i].reshape(self.n, self.n))
             grew[i] = True
-            live = i + 1 + np.flatnonzero(res[i + 1 :].any(axis=1))
+            res, live = res[1:], live[1:]
+            if live.size:
+                res ^= fld.mul_arr(res[:, pos, None], row[:w])
+                keep = res.any(axis=1)
+                res, live = res[keep], live[keep]
         return grew
 
     def add(self, mat: np.ndarray) -> bool:
@@ -144,18 +186,17 @@ class WitnessedBasis:
         return bool(self.add_block(mat[None])[0])
 
     def __contains__(self, mat: np.ndarray) -> bool:
-        residual, _ = self._sift(mat.reshape(1, -1).astype(self.field.dtype))
-        return not residual.any()
+        return self._combo(mat) is not None
 
     def express(self, mat: np.ndarray) -> np.ndarray:
         """Coefficients over the raw basis matrices, exact.
 
         Raises NotInSpan when the matrix lies outside the span.
         """
-        residual, combo = self._sift(mat.reshape(1, -1).astype(self.field.dtype))
-        if residual.any():
+        combo = self._combo(mat)
+        if combo is None:
             raise NotInSpan("matrix is outside the span of the basis")
-        return self.field.dot(combo[0], self._tf)
+        return self.field.dot(combo, self._tf)
 
     def combine(self, coeffs: Sequence[int]) -> np.ndarray:
         """The matrix sum of coeff_i * basis_i."""

@@ -112,10 +112,12 @@ def test_witnessed_basis_express():
 def random_inputs(field, n, rng, count):
     """Matrices with repeats: fresh random ones, duplicates, the zero
     matrix, scalar multiples and combinations of earlier inputs, so that
-    most sets are rank-deficient."""
+    most sets are rank-deficient; and zero patterns: sparse matrices,
+    matrices on a block of rows and columns, and matrices nonzero only
+    where every earlier input is zero, which widen the span's support."""
     out = []
     for _ in range(count):
-        kind = rng.randrange(5) if out else 0
+        kind = rng.randrange(8) if out else rng.choice((0, 5, 6))
         if kind == 0:
             m = field.random_matrix(rng, n)
         elif kind == 1:
@@ -124,12 +126,30 @@ def random_inputs(field, n, rng, count):
             m = field.zeros(n)
         elif kind == 3:
             m = field.mul_vec(rng.choice(out), rng.randrange(field.order))
-        else:
+        elif kind == 4:
             m = field.zeros(n)
             for a in rng.sample(out, min(3, len(out))):
                 m ^= field.mul_vec(a, rng.randrange(field.order))
+        elif kind == 5:
+            m = field.random_matrix(rng, n)
+            m[np.array([[rng.random() < 0.7 for _ in range(n)] for _ in range(n)])] = 0
+        elif kind == 6:
+            m = field.zeros(n)
+            rows, cols = rng.sample(range(n), rng.randint(1, n)), rng.sample(range(n), rng.randint(1, n))
+            m[np.ix_(rows, cols)] = field.random_matrix(rng, n)[: len(rows), : len(cols)]
+        else:
+            m = off_support(field, n, rng, out)
         out.append(m)
     return out
+
+
+def off_support(field, n, rng, mats):
+    """A matrix that is random where every one of mats is zero and zero
+    elsewhere: off the support of a basis of mats."""
+    m = field.random_matrix(rng, n)
+    if len(mats):
+        m[np.any(mats, axis=0)] = 0
+    return m
 
 
 def scalar_combination(field, coeffs, vectors):
@@ -154,6 +174,7 @@ def test_stacked_basis_matches_sequential_reference(sequential_basis, monkeypatc
         assert fld.zeros(3) in empty and fld.identity(3) not in empty
         assert empty.express(fld.zeros(3)).shape == (0,)
         assert np.array_equal(empty.combine([]), fld.zeros(3))
+        widened_later = off_probes = 0
         for _ in range(12):
             n = rng.choice((2, 3))
             basis, ref = WitnessedBasis(fld, n), sequential_basis(fld, n)
@@ -161,6 +182,12 @@ def test_stacked_basis_matches_sequential_reference(sequential_basis, monkeypatc
             while inputs:
                 k = rng.randrange(1, 6)
                 block, inputs = inputs[:k], inputs[k:]
+                # a later matrix of the block is nonzero where the basis and
+                # the matrices before it are all zero
+                used = np.any(basis.mats + block[:1], axis=0)
+                for m in block[1:]:
+                    widened_later += bool((m.astype(bool) & ~used).any())
+                    used |= m.astype(bool)
                 want = [ref.add(m) for m in block]
                 if len(block) == 1:
                     assert basis.add(block[0]) == want[0]
@@ -168,6 +195,19 @@ def test_stacked_basis_matches_sequential_reference(sequential_basis, monkeypatc
                     assert basis.add_block(np.stack(block)).tolist() == want
                 assert basis.dim == ref.dim
                 assert list(basis._pivots) == ref.pivots
+                # the rows are stored on the support: the coordinates some
+                # stored matrix uses
+                support = np.flatnonzero(np.any(basis.mats, axis=0)) if basis.mats else []
+                assert np.array_equal(basis._support, support)
+                assert basis._buf.shape[1] == len(support) + len(basis._pivbuf)
+                # off the support, alone and added to a member of the span
+                off = off_support(fld, n, rng, basis.mats)
+                if off.any():
+                    off_probes += 1
+                    for p in (off, off ^ ref.combine([rng.randrange(fld.order) for _ in range(ref.dim)])):
+                        assert p not in ref and p not in basis
+                        with pytest.raises(NotInSpan):
+                            basis.express(p)
             assert all(np.array_equal(a, b) for a, b in zip(basis.mats, ref.mats, strict=True))
             rows, tf = ref.reduced()
             assert np.array_equal(basis._rows, rows) and np.array_equal(basis._tf, tf)
@@ -191,6 +231,7 @@ def test_stacked_basis_matches_sequential_reference(sequential_basis, monkeypatc
             for _ in range(4):
                 coeffs = [rng.randrange(fld.order) for _ in range(basis.dim)]
                 assert np.array_equal(basis.combine(coeffs), ref.combine(coeffs))
+        assert widened_later and off_probes
 
 
 def test_solve_membership_matches_sequential_kernel(sequential_basis, kernel_reference, monkeypatch):
@@ -333,6 +374,13 @@ def test_one_sided_closure_matches_two_sided_on_attack_sized_pure_images(
         assert all(m in two for m in pure.basis.mats)
         assert all(m in pure.basis for m in two.mats)
         assert_drain_matches_reference(pure.closure, gens, drain_reference)
+        # the echelon rows are stored only as wide as the support, which at
+        # n=20 is well short of the n^2 coordinates
+        basis = pure.basis
+        support = np.flatnonzero(np.any(basis.mats, axis=0))
+        assert np.array_equal(basis._support, support)
+        assert basis._buf.shape[1] == len(support) + len(basis._pivbuf)
+        assert n < 20 or len(support) < n * n // 2
 
 
 @pytest.mark.parametrize("kind", ["full", "triangular", "block", "single"])
