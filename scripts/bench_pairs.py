@@ -4,10 +4,12 @@
     python3 scripts/bench_pairs.py --parent HEAD --label smoke --pairs 1 --smoke --out /tmp
 
 For each seed, runs ``--pairs`` pairs of ``perfbench/run.py --trace 0``
-per workload of ``BENCHMARK.json``: one run in a checkout of the parent commit and one in the
-working tree, the side that goes first alternating from pair to pair and
-the workloads interleaved within a pair, so that a drift in the speed of
-the machine falls on both sides alike.  The parent checkout is the
+per workload of ``BENCHMARK.json``, each run as long as its
+``run_seconds`` (``--smoke``: tiny sizes, no minimum time): one run in a
+checkout of the parent commit and one in the working tree, the side that
+goes first alternating from pair to pair and the workloads interleaved
+within a pair, so that a drift in the speed of the machine falls on both
+sides alike.  The parent checkout is the
 commit's files extracted with ``git archive`` into a temporary
 directory, removed at the end.
 
@@ -100,14 +102,13 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--smoke", action="store_true", help="tiny sizes and no minimum time")
     ap.add_argument("--out", type=Path, default=ROOT)
     args = ap.parse_args(argv)
-    seconds = 0 if args.smoke else args.seconds
     commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                             capture_output=True, text=True).stdout.strip()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = 0 if args.smoke else spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))

@@ -115,24 +115,21 @@ class WitnessedBasis:
     def _pivots(self) -> np.ndarray:
         return self._pivbuf[: self.dim]
 
-    def _sift(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(residuals, combos) of a (k, n^2) stack, with vecs = residuals +
-        combos . echelon rows; the combos are the pivot entries."""
-        combo = vecs[:, self._pivots]
-        res = vecs.copy()
-        res[:, self._support] ^= self.field.dot(combo, self._buf[: self.dim, : len(self._support)])
-        return res, combo
+    def _reduce(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(residuals on the support, combos) of a (k, n^2) stack, with
+        vecs = residuals + combos . echelon rows; the combos are the pivot
+        entries."""
+        combo = vecs.take(self._pivots, axis=1)
+        on = vecs.take(self._support, axis=1)
+        return on ^ self.field.dot(combo, self._buf[: self.dim, : len(self._support)]), combo
 
-    def _combo(self, mat: np.ndarray) -> np.ndarray | None:
-        """The pivot entries of a matrix in the span, None outside it."""
-        vec = mat.reshape(-1).astype(self.field.dtype)
-        on = vec[self._support]
-        if np.count_nonzero(on) != np.count_nonzero(vec):
-            return None
-        combo = vec[self._pivots]
-        if (on ^ self.field.dot(combo, self._buf[: self.dim, : len(on)])).any():
-            return None
-        return combo
+    def _sift(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_reduce` with the residuals at full width: off the
+        support they are the vectors themselves."""
+        on, combo = self._reduce(vecs)
+        res = vecs.copy()
+        res[:, self._support] = on
+        return res, combo
 
     def _widen(self, used: np.ndarray) -> None:
         """Add the coordinates flagged in ``used`` to the support."""
@@ -149,12 +146,10 @@ class WitnessedBasis:
         would; returns per matrix whether it grew the span."""
         fld = self.field
         vecs = np.array(mats, dtype=fld.dtype).reshape(len(mats), self.n * self.n)
-        on = vecs.take(self._support, axis=1)
-        if np.count_nonzero(on) != np.count_nonzero(vecs):
+        if np.count_nonzero(vecs.take(self._support, axis=1)) != np.count_nonzero(vecs):
             self._widen(vecs.any(axis=0))
-            on = vecs.take(self._support, axis=1)
+        res, _ = self._reduce(vecs)
         w = len(self._support)
-        res = on ^ fld.dot(vecs.take(self._pivots, axis=1), self._buf[: self.dim, :w])
         grew = np.zeros(len(vecs), dtype=bool)
         # only the nonzero residuals are kept, with their indices in the stack
         live = res.any(axis=1).nonzero()[0]
@@ -186,17 +181,18 @@ class WitnessedBasis:
         return bool(self.add_block(mat[None])[0])
 
     def __contains__(self, mat: np.ndarray) -> bool:
-        return self._combo(mat) is not None
+        residual, _ = self._sift(mat.reshape(1, -1).astype(self.field.dtype))
+        return not residual.any()
 
     def express(self, mat: np.ndarray) -> np.ndarray:
         """Coefficients over the raw basis matrices, exact.
 
         Raises NotInSpan when the matrix lies outside the span.
         """
-        combo = self._combo(mat)
-        if combo is None:
+        residual, combo = self._sift(mat.reshape(1, -1).astype(self.field.dtype))
+        if residual.any():
             raise NotInSpan("matrix is outside the span of the basis")
-        return self.field.dot(combo, self._tf)
+        return self.field.dot(combo[0], self._tf)
 
     def combine(self, coeffs: Sequence[int]) -> np.ndarray:
         """The matrix sum of coeff_i * basis_i."""
