@@ -18,8 +18,13 @@ working tree): every result line with its seed, workload, pair and side,
 and per seed, workload and end-to-end metric of ``BENCHMARK.json`` the
 median and quartiles of each side, the change relative to the parent and
 the number of pairs the working tree won.  ``clear`` is true when the
-medians lie further apart than the parent's quartile spread.  Exits 1
-when a run fails or reports a key that was not recovered exactly.
+medians lie further apart than the parent's quartile spread.
+``within_bound`` is the no-regression verdict: true when the change's
+median is no worse than the parent's by more than the metric's
+``bound`` (a fraction of the parent's median), ``"unresolved"`` when the
+parent's quartile spread is wider than that bound, unless every change
+run beats every parent run.  Exits 1 when a run fails or reports a key
+that was not recovered exactly.
 """
 
 from __future__ import annotations
@@ -82,6 +87,13 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 lower = m["better"] == "lower"
                 pm, cm = statistics.median(parent), statistics.median(change)
                 pq = quartiles(parent)
+                allowed = m["bound"] * abs(pm)
+                if all((b < a) if lower else (b > a) for a in parent for b in change):
+                    within = True
+                elif pq[1] - pq[0] > allowed:
+                    within = "unresolved"
+                else:
+                    within = (cm - pm if lower else pm - cm) <= allowed
                 rows[m["name"]] = {
                     "parent_median": pm,
                     "parent_quartiles": pq,
@@ -91,6 +103,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                     "wins": sum((b < a) if lower else (b > a) for a, b in both),
                     "pairs": len(both),
                     "clear": abs(cm - pm) > pq[1] - pq[0],
+                    "within_bound": within,
                 }
             out.setdefault(str(seed), {})[workload] = rows
     return out

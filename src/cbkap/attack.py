@@ -205,13 +205,6 @@ class AttackArtifacts:
     twisted_word: np.ndarray
 
 
-def _expand(pub: InstancePublic, gen_word) -> BraidWord:
-    """The braid word of a word over the A generators, from their
-    conjugate form: ``P . cores . P^-1``, with the shared conjugator P
-    cancelled at every junction (``InstancePublic.a_form``)."""
-    return pub.a_form.product(gen_word)
-
-
 def _candidate_words(pub: InstancePublic, rng):
     """Yield an endless stream of candidate words, each a product of 2 to
     10 random A generators or inverses, with its permutation composed from
@@ -221,7 +214,7 @@ def _candidate_words(pub: InstancePublic, rng):
             (rng.randrange(len(pub.a_gens)), 1 if rng.random() < 0.5 else -1)
             for _ in range(rng.randint(2, 10))
         ]
-        yield _expand(pub, gen_word), evaluate_genword(gen_word, pub.a_perms, pub.params.n)
+        yield pub.a_form.product(gen_word), evaluate_genword(gen_word, pub.a_perms, pub.params.n)
 
 
 def _power_image(params: EvalParams, w: BraidWord, g: Perm, h: Perm) -> np.ndarray:
@@ -286,8 +279,6 @@ def precompute_pure_basis(
     products: one collection round, up to config.max_candidates
     candidates, run to its end by extend_pure_basis calls."""
     config = config or AttackConfig()
-    if not pub.a_gens:
-        raise ValueError("instance has no A generators")
     pure = PureBasis(AlgebraClosure(pub.params.field, pub.params.n))
     while extend_pure_basis(pub, pure, rng, config.max_candidates - pure.candidates, config):
         pass
@@ -303,7 +294,7 @@ def factor_permutation(
     Writes the permutation as a shortest word over the permutation images
     of the A generators (its state count to stats.search_states), with a
     stabilizer chain only when that search gives up, and expands the word
-    to a braid word with the conjugator cancelled (see _expand).  The
+    to a braid word with the conjugator cancelled (see pub.a_form).  The
     residual is the message matrix times the inverse of the word's
     evaluated matrix, which is exactly the message E-multiplied by the
     inverse pair.  The residual's inverse, which every scale try
@@ -323,7 +314,7 @@ def factor_permutation(
             gen_word = StabilizerChain(pub.a_perms, n).factor(msg.perm)
         except NotInGroup as exc:
             raise GNotExpressible(str(exc)) from exc
-    word = _expand(pub, gen_word)
+    word = pub.a_form.product(gen_word)
     fld = params.field
     starts = [MatPerm(fld.identity(n), t) for t in (Perm.identity(n), twist)]
     ev, twisted = e_multiply(starts, word, params)

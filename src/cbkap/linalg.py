@@ -7,12 +7,13 @@ length n^2; every computation is exact Gaussian elimination over the
 field.
 
 A basis keeps its raw matrices verbatim next to their span in reduced
-row-echelon form, stored only on the coordinates some basis matrix uses,
-and the (dim, dim) change-of-basis transform.  Sifting, membership,
-coefficient extraction and insertion are each a fixed number of
-whole-array field operations (``GF2m.dot``), O(dim * |support|) work per
-vector with no per-row loop; the closure and the membership solver sift
-whole stacks of products at once through the same echelon code.  The
+row-echelon form, stored only on the coordinates some basis matrix uses.
+Sifting, membership and insertion are each a fixed number of whole-array
+field operations (``GF2m.dot``), O(dim * |support|) work per vector with
+no per-row loop; the closure and the membership solver sift whole stacks
+of products at once through the same echelon code.  Coefficients over the
+raw matrices come from the change-of-basis transform, which is derived
+when they are asked for (one ``mat_inv`` per call), not stored.  The
 closure keeps the braid word of each generator plus one recipe per basis
 element; together they give a pure word for every basis element without
 storing it.
@@ -57,26 +58,26 @@ class WitnessedBasis:
     """Linearly independent matrices, kept in insertion order.
 
     Next to the raw matrices it keeps their span in reduced row-echelon
-    form: echelon rows whose pivot columns are unit columns, and the
-    (dim, dim) transform with echelon rows = transform . raw vectors.  A
-    vector's pivot entries are then its coordinates over the echelon
-    rows, so sifting, expressing and inserting are each a fixed number of
-    whole-array operations.  The residual of a sift is the one vector of
-    the coset that is zero on every pivot column, so pivots, basis order
-    and coefficients do not depend on how the echelon is stored.
+    form: echelon rows whose pivot columns are unit columns.  A vector's
+    pivot entries are then its coordinates over the echelon rows, so
+    sifting and inserting are each a fixed number of whole-array
+    operations.  The residual of a sift is the one vector of the coset
+    that is zero on every pivot column, so pivots, basis order and
+    coefficients do not depend on how the echelon is stored.  The
+    change-of-basis transform is not stored: :meth:`express` derives it
+    once per call (see ``_tf``).
 
     Rows are stored on the support only, the sorted coordinates some
     stored matrix uses: a residual is zero off it, so its first nonzero
     there is its pivot, work per vector is O(dim * |support|), and a
-    matrix nonzero off it is outside the span.  One preallocated array
-    holds each echelon row on the support followed by its transform row;
-    it doubles when full and is re-laid when the support widens.
-    :meth:`add_block` sifts a whole stack with one ``dot`` (cut into
-    blocks of at most ``field.DOT_BLOCK`` log sums) and then inserts its
-    vectors in order, clearing each new pivot column from the old rows
-    and transforms with one rank-1 update and from the rest of the stack
-    with another; ``add`` is a one-matrix block, so the result equals one
-    ``add`` per matrix.
+    matrix nonzero off it is outside the span.  The rows are the first dim
+    rows of one preallocated array, which doubles when full and is re-laid
+    when the support widens.  :meth:`add_block` sifts a whole
+    stack with one ``dot`` (cut into blocks of at most ``field.DOT_BLOCK``
+    log sums) and then inserts its vectors in order, clearing each new
+    pivot column from the old rows with one rank-1 update and from the
+    rest of the stack with another; ``add`` is a one-matrix block, so the
+    result equals one ``add`` per matrix.
 
     Stores no witness words: :class:`AlgebraClosure` keeps the generator
     words and recipes that give one for each element.  The name is kept
@@ -89,11 +90,9 @@ class WitnessedBasis:
         self.n = n
         self.mats: list[np.ndarray] = []
         self._support = np.zeros(0, dtype=np.intp)
-        # row j: echelon row j on the support, then transform row j; the
-        # first dim rows are in use, capacity n to start
-        self._buf = np.zeros((n, n), dtype=field.dtype)
+        # row j: echelon row j on the support; capacity n to start
+        self._buf = np.zeros((n, 0), dtype=field.dtype)
         self._pivbuf = np.zeros(n, dtype=np.intp)
-        self._one = np.ones(1, dtype=field.dtype)
 
     @property
     def dim(self) -> int:
@@ -103,13 +102,17 @@ class WitnessedBasis:
     def _rows(self) -> np.ndarray:
         """The echelon rows at full width, (dim, n^2)."""
         rows = np.zeros((self.dim, self.n * self.n), dtype=self.field.dtype)
-        rows[:, self._support] = self._buf[: self.dim, : len(self._support)]
+        rows[:, self._support] = self._buf[: self.dim]
         return rows
 
     @property
     def _tf(self) -> np.ndarray:
-        w = len(self._support)
-        return self._buf[: self.dim, w : w + self.dim]
+        """The (dim, dim) transform with echelon rows = transform . raw
+        vectors.  The echelon rows are unit columns at the pivots, so it is
+        the inverse of the raw vectors' pivot columns, unique because the
+        raw vectors are independent."""
+        raw = np.array(self.mats, dtype=self.field.dtype).reshape(self.dim, self.n * self.n)
+        return self.field.mat_inv(raw.take(self._pivots, axis=1))
 
     @property
     def _pivots(self) -> np.ndarray:
@@ -121,7 +124,7 @@ class WitnessedBasis:
         entries."""
         combo = vecs.take(self._pivots, axis=1)
         on = vecs.take(self._support, axis=1)
-        return on ^ self.field.dot(combo, self._buf[: self.dim, : len(self._support)]), combo
+        return on ^ self.field.dot(combo, self._buf[: self.dim]), combo
 
     def _sift(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`_reduce` with the residuals at full width: off the
@@ -135,10 +138,8 @@ class WitnessedBasis:
         """Add the coordinates flagged in ``used`` to the support."""
         used[self._support] = True
         support = np.flatnonzero(used)
-        w, cap = len(self._support), len(self._pivbuf)
-        buf = np.zeros((cap, len(support) + cap), dtype=self.field.dtype)
-        buf[:, np.searchsorted(support, self._support)] = self._buf[:, :w]
-        buf[:, len(support) :] = self._buf[:, w:]
+        buf = np.zeros((len(self._pivbuf), len(support)), dtype=self.field.dtype)
+        buf[:, np.searchsorted(support, self._support)] = self._buf
         self._buf, self._support = buf, support
 
     def add_block(self, mats) -> np.ndarray:
@@ -149,7 +150,6 @@ class WitnessedBasis:
         if np.count_nonzero(vecs.take(self._support, axis=1)) != np.count_nonzero(vecs):
             self._widen(vecs.any(axis=0))
         res, _ = self._reduce(vecs)
-        w = len(self._support)
         grew = np.zeros(len(vecs), dtype=bool)
         # only the nonzero residuals are kept, with their indices in the stack
         live = res.any(axis=1).nonzero()[0]
@@ -157,21 +157,18 @@ class WitnessedBasis:
         while live.size:
             i, d = live[0], self.dim
             if d == len(self._pivbuf):  # full: double the capacity
-                self._buf = np.pad(self._buf, ((0, d), (0, d)))
+                self._buf = np.pad(self._buf, ((0, d), (0, 0)))
                 self._pivbuf = np.pad(self._pivbuf, (0, d))
             pos = res[0].nonzero()[0][0]
-            # res[0] = raw_new + (combo . tf) . raw_old in characteristic 2, with
-            # combo the pivot entries of raw_new, which gives the transform row
-            tf = fld.dot(vecs[i].take(self._pivots), self._buf[:d, w : w + d])
-            row = fld.mul_arr(np.concatenate((res[0], tf, self._one)), fld.inv(int(res[0, pos])))
+            row = fld.mul_arr(res[0], fld.inv(int(res[0, pos])))
             # clear the new pivot column from the old rows and the later vectors
-            self._buf[:d, : w + d + 1] ^= fld.mul_arr(self._buf[:d, pos, None], row)
-            self._buf[d, : w + d + 1], self._pivbuf[d] = row, self._support[pos]
+            self._buf[:d] ^= fld.mul_arr(self._buf[:d, pos, None], row)
+            self._buf[d], self._pivbuf[d] = row, self._support[pos]
             self.mats.append(vecs[i].reshape(self.n, self.n))
             grew[i] = True
             res, live = res[1:], live[1:]
             if live.size:
-                res ^= fld.mul_arr(res[:, pos, None], row[:w])
+                res ^= fld.mul_arr(res[:, pos, None], row)
                 keep = res.any(axis=1)
                 res, live = res[keep], live[keep]
         return grew
@@ -184,15 +181,18 @@ class WitnessedBasis:
         residual, _ = self._sift(mat.reshape(1, -1).astype(self.field.dtype))
         return not residual.any()
 
-    def express(self, mat: np.ndarray) -> np.ndarray:
-        """Coefficients over the raw basis matrices, exact.
+    def express(self, mats: np.ndarray) -> np.ndarray:
+        """Coefficients over the raw basis matrices, exact: a (dim,) vector
+        for one matrix, a (k, dim) array for a (k, n, n) stack.
 
-        Raises NotInSpan when the matrix lies outside the span.
+        Raises NotInSpan when a matrix lies outside the span.
         """
-        residual, combo = self._sift(mat.reshape(1, -1).astype(self.field.dtype))
+        vecs = mats.reshape(-1, self.n * self.n).astype(self.field.dtype)
+        residual, combo = self._sift(vecs)
         if residual.any():
             raise NotInSpan("matrix is outside the span of the basis")
-        return self.field.dot(combo[0], self._tf)
+        coeffs = self.field.dot(combo, self._tf)
+        return coeffs if mats.ndim == 3 else coeffs[0]
 
     def combine(self, coeffs: Sequence[int]) -> np.ndarray:
         """The matrix sum of coeff_i * basis_i."""
@@ -337,10 +337,9 @@ def solve_membership(
     if not dependent.size:
         raise NoSolution("no nonzero combination of the kappa basis lands in span(V)")
     # a dependent residual is a combination of the independent ones before it
-    _, combo = rest._sift(residuals[dependent])
     kernel = np.zeros((len(dependent), len(kappas)), dtype=field.dtype)
     kernel[np.arange(len(dependent)), dependent] = 1
-    kernel[:, kept] = field.dot(combo, rest._tf)
+    kernel[:, kept] = rest.express(residuals[dependent].reshape(-1, V.n, V.n))
     return SolutionSpace(list(kernel))
 
 

@@ -77,16 +77,18 @@ MAX_WORD_LETTERS = 1 << 17
 @dataclass
 class InstancePublic:
     """What Alice (and the adversary) sees: evaluation parameters, the A
-    generator braid words, and the C generator matrices.  ``a_perms``
-    holds the generators' permutation parts, computed once here, which
-    also checks their letter ranges; each word's length is capped at
-    MAX_WORD_LETTERS."""
+    generator braid words, and the C generator matrices, neither list
+    empty.  ``a_perms`` holds the generators' permutation parts, computed
+    once here, which also checks their letter ranges; each word's length
+    is capped at MAX_WORD_LETTERS."""
 
     params: EvalParams
     a_gens: list[BraidWord]
     c_gens: list[np.ndarray]
 
     def __post_init__(self):
+        if not (self.a_gens and self.c_gens):
+            raise ValueError("need at least one A and one C generator")
         for w in self.a_gens:
             # the stored count, not len(), which overflows past sys.maxsize
             if w._length > MAX_WORD_LETTERS:
@@ -114,11 +116,16 @@ class InstancePublic:
 @dataclass
 class InstancePrivate:
     """Bob's side: the B generator braid words and the D generator
-    matrices (D = C unless the generator was asked for an override)."""
+    matrices (D = C unless the generator was asked for an override),
+    neither list empty."""
 
     b_gens: list[BraidWord]
     d_gens: list[np.ndarray]
     _d_algebra: list[np.ndarray] | None = dc_field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not (self.b_gens and self.d_gens):
+            raise ValueError("need at least one B and one D generator")
 
     def d_algebra(self, field: GF2m) -> list[np.ndarray]:
         """A basis of the algebra the D generators span over the field of

@@ -718,11 +718,17 @@ def test_instance_refuses_unbounded_generator_word(small_instance):
     assert time.perf_counter() - t0 < 1.0
 
 
-def concatenating_expand(pub, gen_word):
-    """The braid word of a generator word as the plain concatenation of
-    the stored generator words and their inverses."""
-    gens = pub.a_gens
-    return BraidWord.concat(*(gens[k] if e > 0 else gens[k].inverse() for k, e in gen_word))
+class ConcatenatingForm:
+    """Stands in for ``InstancePublic.a_form``: the braid word of a
+    generator word as the plain concatenation of the stored generator
+    words and their inverses."""
+
+    def __init__(self, gens):
+        self.gens = gens
+
+    def product(self, gen_word):
+        gens = self.gens
+        return BraidWord.concat(*(gens[k] if e > 0 else gens[k].inverse() for k, e in gen_word))
 
 
 @pytest.mark.parametrize("n, word_len, seed", [(12, 250, 1), (12, 250, 2), (20, 24, 1), (20, 24, 2)])
@@ -732,7 +738,7 @@ def test_conjugate_form_keeps_attack_outputs(n, word_len, seed, monkeypatch):
     pub, priv, _ = ttp_generate(n, GF2m(8), 8, word_len, rng=random.Random(seed))
     _, transcript, key = fresh_exchange(pub, priv, seed)
     formed, f_stats = attack_run(pub, transcript, random.Random(seed))
-    monkeypatch.setattr(attack_mod, "_expand", concatenating_expand)
+    monkeypatch.setattr(pub, "a_form", ConcatenatingForm(pub.a_gens))
     plain, p_stats = attack_run(pub, transcript, random.Random(seed))
     assert formed == plain == key.key
     assert (f_stats.dim_v, f_stats.candidates, f_stats.search_states, f_stats.scale_tries) == (

@@ -501,6 +501,85 @@ def test_attack_refuses_private_material(tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize("key", ["a_gens", "c_gens", "b_gens", "d_gens"])
+def test_empty_generator_lists_are_refused_at_load(tmp_path, capsys, key):
+    # an instance with no generators of one kind is a format error (exit
+    # 2) for every command that loads it, before any stage runs
+    pub_file, priv_file = gen_small(tmp_path)
+    assert run(
+        "protocol", "--public", pub_file, "--private", priv_file,
+        "--seed", 21, "--out-dir", tmp_path,
+    ) == 0
+    private = key in ("b_gens", "d_gens")
+    doc = json.loads((priv_file if private else pub_file).read_text())
+    doc["payload"][key] = []
+    bad = tmp_path / f"empty_{key}.json"
+    bad.write_text(json.dumps(doc))
+    pub = formats.load_instance_public(pub_file)
+    with pytest.raises(FormatError, match="at least one"):
+        if private:
+            formats.load_instance_private(bad, pub.params)
+        else:
+            formats.load_instance_public(bad)
+    out = tmp_path / "out"
+    public, secret = (pub_file, bad) if private else (bad, priv_file)
+    assert run(
+        "protocol", "--public", public, "--private", secret, "--seed", 1, "--out-dir", out,
+    ) == 2
+    if not private:
+        assert run(
+            "attack", "--public", bad, "--transcript", tmp_path / "transcript.json",
+            "--seed", 1, "--out-dir", out,
+        ) == 2
+    assert "at least one" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def flip_first_entry(mat):
+    mat[0] ^= 1
+
+
+def swap_first_images(perm):
+    perm[0], perm[1] = perm[1], perm[0]
+
+
+@pytest.mark.parametrize(
+    "party, part, tamper",
+    [
+        ("alice", "mat", flip_first_entry),
+        ("alice", "perm", swap_first_images),
+        ("bob", "perm", swap_first_images),
+    ],
+    ids=["alice_matrix_entry", "alice_perm_swap", "bob_perm_swap"],
+)
+def test_attack_on_tampered_transcript_fails_at_a_stage_or_gives_another_key(
+    tmp_path, capsys, party, part, tamper
+):
+    # a tampered message either stops the attack at a named stage (exit 3
+    # with stats.json) or yields a key that differs from Alice's (exit 0,
+    # then verify exits 1); an unexpected exception fails the test
+    pub_file, priv_file = gen_small(tmp_path)
+    assert run(
+        "protocol", "--public", pub_file, "--private", priv_file,
+        "--seed", 21, "--out-dir", tmp_path,
+    ) == 0
+    doc = json.loads((tmp_path / "transcript.json").read_text())
+    tamper(doc["payload"][party][part])
+    bad = tmp_path / "tampered_transcript.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = run("attack", "--public", pub_file, "--transcript", bad, "--seed", 1, "--out-dir", out)
+    assert code in (0, 3)
+    _, stats = formats.load_envelope(out / "stats.json", expect_kind="stats")
+    if code == 3:
+        assert stats["failed_stage"] is not None
+        assert f"stage {stats['failed_stage']}" in capsys.readouterr().err
+        assert not (out / "key_recovered.json").exists()
+    else:
+        assert code == 0 and stats["failed_stage"] is None
+        assert run("verify", out / "key_recovered.json", tmp_path / "key_alice.json") == 1
+
+
 def hostile_public(tmp_path, a_gen_json):
     """A small instance, its transcript, and a copy of the public file
     whose first A generator is replaced by the given JSON text."""

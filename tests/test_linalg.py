@@ -173,8 +173,11 @@ def test_stacked_basis_matches_sequential_reference(sequential_basis, monkeypatc
         assert empty.add_block(np.zeros((0, 3, 3), dtype=fld.dtype)).shape == (0,)
         assert fld.zeros(3) in empty and fld.identity(3) not in empty
         assert empty.express(fld.zeros(3)).shape == (0,)
+        assert empty.express(np.zeros((2, 3, 3), dtype=fld.dtype)).shape == (2, 0)
+        with pytest.raises(NotInSpan):
+            empty.express(np.stack([fld.zeros(3), fld.identity(3)]))
         assert np.array_equal(empty.combine([]), fld.zeros(3))
-        widened_later = off_probes = 0
+        widened_later = off_probes = stacked_outside = 0
         for _ in range(12):
             n = rng.choice((2, 3))
             basis, ref = WitnessedBasis(fld, n), sequential_basis(fld, n)
@@ -199,7 +202,7 @@ def test_stacked_basis_matches_sequential_reference(sequential_basis, monkeypatc
                 # stored matrix uses
                 support = np.flatnonzero(np.any(basis.mats, axis=0)) if basis.mats else []
                 assert np.array_equal(basis._support, support)
-                assert basis._buf.shape[1] == len(support) + len(basis._pivbuf)
+                assert basis._buf.shape[1] == len(support)
                 # off the support, alone and added to a member of the span
                 off = off_support(fld, n, rng, basis.mats)
                 if off.any():
@@ -228,10 +231,21 @@ def test_stacked_basis_matches_sequential_reference(sequential_basis, monkeypatc
                 else:
                     with pytest.raises(NotInSpan):
                         basis.express(p)
+            # a stack gives its per-matrix results; one matrix outside the
+            # span puts the whole stack outside
+            members = [p for p in probes if p in ref]
+            want = np.array([ref.express(p) for p in members], dtype=fld.dtype)
+            assert np.array_equal(basis.express(np.stack(members)), want.reshape(len(members), ref.dim))
+            outside = [p for p in probes if p not in ref]
+            if outside:
+                stacked_outside += 1
+                members.insert(len(members) // 2, outside[0])
+                with pytest.raises(NotInSpan):
+                    basis.express(np.stack(members))
             for _ in range(4):
                 coeffs = [rng.randrange(fld.order) for _ in range(basis.dim)]
                 assert np.array_equal(basis.combine(coeffs), ref.combine(coeffs))
-        assert widened_later and off_probes
+        assert widened_later and off_probes and stacked_outside
 
 
 def test_solve_membership_matches_sequential_kernel(sequential_basis, kernel_reference, monkeypatch):
@@ -379,7 +393,7 @@ def test_one_sided_closure_matches_two_sided_on_attack_sized_pure_images(
         basis = pure.basis
         support = np.flatnonzero(np.any(basis.mats, axis=0))
         assert np.array_equal(basis._support, support)
-        assert basis._buf.shape[1] == len(support) + len(basis._pivbuf)
+        assert basis._buf.shape[1] == len(support)
         assert n < 20 or len(support) < n * n // 2
 
 
