@@ -320,7 +320,7 @@ def factor_permutation(
     ev, twisted = e_multiply(starts, word, params)
     if ev.perm != msg.perm:  # pragma: no cover - both factor exactly
         raise GNotExpressible("factored word does not reproduce the permutation")
-    residual = fld.mat_mul(msg.mat, fld.mat_inv(ev.mat))
+    residual = fld.solve(ev.mat.T, msg.mat.T).T  # residual . ev = msg
     return word, residual, fld.mat_inv(residual), twisted.mat
 
 
@@ -355,7 +355,7 @@ def split_pure_part(
     expression still fails the collected V was too small
     (AlphaPrimeOutsideV) and the caller enlarges it.
     """
-    part = field.mat_mul(field.mat_inv(scale), residual)
+    part = field.solve(scale, residual)
     try:
         coeffs = pure.basis.express(part)
     except NotInSpan as exc:

@@ -148,7 +148,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", type=lambda s: int(s, 0), default=None,
                    help="irreducible modulus bits (default: smallest for the degree)")
     p.add_argument("--gens", type=int, default=8, help="generators per side (default 8)")
-    p.add_argument("--word-len", type=int, default=650, help="generator word length (default 650)")
+    p.add_argument("--word-len", type=int, default=650,
+                   help="generator and kappa word length, at least 2 (default 650)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--d-polynomial", action="store_true",

@@ -253,36 +253,44 @@ class GF2m:
             raise ValueError("matrix dimension mismatch")
         return self.dot(a, b.swapaxes(0, -2)).swapaxes(0, -2)
 
-    def mat_inv(self, a: np.ndarray) -> np.ndarray:
-        """Inverse by Gauss-Jordan elimination, pivoting on the first
-        nonzero entry of each column.  Raises SingularMatrix on failure.
+    def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The x with a . x = b, for a square a and an (n, k) b, by
+        Gauss-Jordan elimination on [a | b], pivoting on the first nonzero
+        entry of each column.  Raises SingularMatrix when a is singular.
 
         Each column is one rank-1 update: with ``row`` the pivot row over
         its pivot ``pv`` and ``f`` the column, except ``pv ^ 1`` at the
         pivot, XOR-ing in ``f (x) row`` clears the column from every other
-        row and leaves ``row`` as the pivot row (characteristic 2).  Columns
-        left of the pivot are already cleared in ``row`` and are skipped."""
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("matrix must be square")
-        n = a.shape[0]
-        aug = np.concatenate([a.astype(self.dtype), self.identity(n)], axis=1)
+        row and leaves ``row`` as the pivot row (characteristic 2).  No
+        column at or left of the pivot is read again.  With k = 0 only the
+        rows below each pivot are cleared: a rank check."""
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or len(b) != len(a):
+            raise ValueError("matrix dimension mismatch")
+        n = len(a)
+        aug = np.concatenate([a, b], axis=1).astype(self.dtype, copy=False)
         for col in range(n):
-            rows = np.flatnonzero(aug[col:, col])
-            if not rows.size:
-                raise SingularMatrix("matrix is singular")
-            piv = col + int(rows[0])
-            if piv != col:
+            if not aug[col, col]:
+                rows = np.flatnonzero(aug[col:, col])
+                if not rows.size:
+                    raise SingularMatrix("matrix is singular")
+                piv = col + int(rows[0])
                 aug[[col, piv]] = aug[[piv, col]]
-            f = aug[:, col].copy()
-            pv = int(f[col])
-            row = self.mul_arr(aug[col, col:], self._inv[pv])
-            f[col] = pv ^ 1
-            aug[:, col:] ^= self.mul_arr(f[:, None], row)
+            top = col if aug.shape[1] == n else 0
+            pv = int(aug[col, col])
+            row = self.mul_arr(aug[col, col + 1 :], self._inv[pv])
+            f = aug[top:, col]  # a view: column col is not read again
+            f[col - top] = pv ^ 1
+            aug[top:, col + 1 :] ^= self.mul_arr(f[:, None], row)
         return aug[:, n:]
 
+    def mat_inv(self, a: np.ndarray) -> np.ndarray:
+        """Inverse: :meth:`solve` against the identity."""
+        return self.solve(a, self.identity(len(a)))
+
     def is_invertible(self, a: np.ndarray) -> bool:
+        """:meth:`solve` with no right-hand side: a rank check."""
         try:
-            self.mat_inv(a)
+            self.solve(a, self.zeros(len(a), 0))
             return True
         except SingularMatrix:
             return False

@@ -12,11 +12,10 @@ Sifting, membership and insertion are each a fixed number of whole-array
 field operations (``GF2m.dot``), O(dim * |support|) work per vector with
 no per-row loop; the closure and the membership solver sift whole stacks
 of products at once through the same echelon code.  Coefficients over the
-raw matrices come from the change-of-basis transform, which is derived
-when they are asked for (one ``mat_inv`` per call), not stored.  The
-closure keeps the braid word of each generator plus one recipe per basis
-element; together they give a pure word for every basis element without
-storing it.
+raw matrices are solved for when asked for (one ``GF2m.solve`` per call);
+no change-of-basis transform is stored.  The closure keeps the braid word
+of each generator plus one recipe per basis element; together they give a
+pure word for every basis element without storing it.
 """
 
 from __future__ import annotations
@@ -63,9 +62,9 @@ class WitnessedBasis:
     sifting and inserting are each a fixed number of whole-array
     operations.  The residual of a sift is the one vector of the coset
     that is zero on every pivot column, so pivots, basis order and
-    coefficients do not depend on how the echelon is stored.  The
-    change-of-basis transform is not stored: :meth:`express` derives it
-    once per call (see ``_tf``).
+    coefficients do not depend on how the echelon is stored.  No
+    change-of-basis transform is stored: :meth:`express` solves for the
+    coefficients over the raw matrices' pivot columns, once per call.
 
     Rows are stored on the support only, the sorted coordinates some
     stored matrix uses: a residual is zero off it, so its first nonzero
@@ -104,15 +103,6 @@ class WitnessedBasis:
         rows = np.zeros((self.dim, self.n * self.n), dtype=self.field.dtype)
         rows[:, self._support] = self._buf[: self.dim]
         return rows
-
-    @property
-    def _tf(self) -> np.ndarray:
-        """The (dim, dim) transform with echelon rows = transform . raw
-        vectors.  The echelon rows are unit columns at the pivots, so it is
-        the inverse of the raw vectors' pivot columns, unique because the
-        raw vectors are independent."""
-        raw = np.array(self.mats, dtype=self.field.dtype).reshape(self.dim, self.n * self.n)
-        return self.field.mat_inv(raw.take(self._pivots, axis=1))
 
     @property
     def _pivots(self) -> np.ndarray:
@@ -191,7 +181,9 @@ class WitnessedBasis:
         residual, combo = self._sift(vecs)
         if residual.any():
             raise NotInSpan("matrix is outside the span of the basis")
-        coeffs = self.field.dot(combo, self._tf)
+        # coeffs . raw = vecs on the pivot columns, where raw is independent
+        raw = np.array(self.mats, dtype=self.field.dtype).reshape(self.dim, self.n * self.n)
+        coeffs = self.field.solve(raw.take(self._pivots, axis=1).T, combo.T).T
         return coeffs if mats.ndim == 3 else coeffs[0]
 
     def combine(self, coeffs: Sequence[int]) -> np.ndarray:

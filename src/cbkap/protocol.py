@@ -201,8 +201,8 @@ def ttp_generate(
         raise ValueError("need n >= 4 for two nontrivial strand blocks")
     if gen_count < 2:
         raise ValueError("need at least 2 generators per side")
-    if word_len < 1:
-        raise ValueError("word_len must be >= 1")
+    if word_len < 2:  # one letter's matrix spans an algebra of dim <= 2
+        raise ValueError("word_len must be >= 2")
 
     # policy: avoid 0 and 1 to dodge degenerate evaluations; over GF(2)
     # the only nonzero value is 1, which is still a valid instance
@@ -233,11 +233,10 @@ def ttp_generate(
     while True:
         kappa_word = random_word(n, word_len, rng)
         kappa = word_eval_pair(kappa_word, params).mat
-        # the algebra kappa spans has the dimension of its minimal polynomial
-        if field.is_invertible(kappa):
-            c_algebra = algebra_closure([kappa], field).mats
-            if len(c_algebra) >= 3:
-                break
+        # invertible: letter determinants are +-t or +-1/t, t != 0 (InstancePublic checks)
+        c_algebra = algebra_closure([kappa], field).mats
+        if len(c_algebra) >= 3:
+            break
     c_gens = [kappa]
     d_gens = [_sample_scale(field, c_algebra, rng) if d_polynomial else kappa]
 

@@ -269,6 +269,17 @@ def test_gen_usage_errors(tmp_path, capsys):
     assert "modulus 0x101 is not irreducible" in capsys.readouterr().err
 
 
+def test_gen_refuses_one_letter_words(tmp_path, capsys):
+    # a one-letter kappa could never span an algebra of dim >= 3: exit 2
+    # at once, with nothing written, rather than redrawing forever
+    out = tmp_path / "one"
+    argv = ["gen", "--n", 7, "--field-bits", 5, "--seed", 1, "--out-dir", out]
+    assert run(*argv, "--word-len", 1) == 2
+    assert "word_len must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*argv, "--word-len", 2) == 0
+
+
 def test_protocol_and_verify_flow(tmp_path):
     pub_file, priv_file = gen_small(tmp_path)
     assert run(

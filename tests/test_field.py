@@ -248,6 +248,91 @@ def test_mat_inv_matches_reference_elimination(degree, inverse_reference):
     assert seen == {"singular", "invertible"}
 
 
+def shuffled_lu(fld, rng, n):
+    """An invertible matrix built without the code under test: L . U, L
+    unit lower and U upper triangular with a nonzero diagonal, with its
+    first n-1 rows shuffled.  The leading (n-1) x (n-1) block of those
+    rows stays invertible, and the first pivot needs a row swap whenever
+    another row comes first."""
+    lower = np.tril(fld.random_matrix(rng, n), -1) ^ fld.identity(n)
+    diag = np.array([rng.randrange(1, fld.order) for _ in range(n)], dtype=fld.dtype)
+    upper = np.triu(fld.random_matrix(rng, n), 1) ^ np.diag(diag)
+    order = rng.sample(range(n - 1), n - 1) + [n - 1]
+    if order[0]:
+        lower[order[0], 0] = 0
+    return fld.mat_mul(lower, upper)[order]
+
+
+@pytest.mark.parametrize("degree", range(1, 17))
+def test_solve_matches_reference_inverse(degree, inverse_reference):
+    # degrees 1-16 cover both element dtypes (uint8 up to 8) and both log
+    # table dtypes (uint16 up to 14); widths 0, 1 and n of the right side
+    fld = GF2m(degree)
+    rng = random.Random(200 + degree)
+    for n in (0, 1, 2, 5, 12, 20):
+        a = shuffled_lu(fld, rng, n) if n else fld.zeros(0)
+        inv = inverse_reference(fld, a)
+        for k in (0, 1, n):
+            b = np.array([rng.randrange(fld.order) for _ in range(n * k)], dtype=fld.dtype)
+            b = b.reshape(n, k)
+            got = fld.solve(a, b)
+            assert got.shape == (n, k) and got.dtype == fld.dtype
+            assert np.array_equal(got, fld.mat_mul(inv, b)), (degree, n, k)
+        assert np.array_equal(fld.mat_inv(a), inv)
+        assert fld.is_invertible(a)
+
+
+def singular_last_pivot(fld, rng, n):
+    """Matrices whose elimination fails at the last column only: a last
+    row that combines the others and a zero last column (each on a
+    matrix whose first n-1 columns are independent), and the zero matrix."""
+    m = shuffled_lu(fld, rng, n)
+    dependent = m.copy()
+    coeffs = np.array([rng.randrange(fld.order) for _ in range(n - 1)], dtype=fld.dtype)
+    dependent[-1] = fld.dot(coeffs, m[:-1])
+    zero_col = m.copy()
+    zero_col[:, -1] = 0
+    return [dependent, zero_col, fld.zeros(n)]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 8, 16])
+def test_singular_matrices_are_refused_at_the_last_pivot(degree):
+    fld = GF2m(degree)
+    rng = random.Random(300 + degree)
+    for n in (1, 2, 5, 12, 20):
+        for m in singular_last_pivot(fld, rng, n):
+            assert not fld.is_invertible(m)
+            with pytest.raises(SingularMatrix):
+                fld.mat_inv(m)
+            for k in (0, 1, n):
+                with pytest.raises(SingularMatrix):
+                    fld.solve(m, fld.zeros(n, k))
+
+
+def test_solve_and_rank_check_leave_arguments_unmodified():
+    fld = GF2m(8)
+    rng = random.Random(9)
+    for n in (2, 5, 12):
+        for m in [shuffled_lu(fld, rng, n)] + singular_last_pivot(fld, rng, n):
+            b = fld.random_matrix(rng, n)
+            m_before, b_before = m.copy(), b.copy()
+            fld.is_invertible(m)
+            try:
+                fld.solve(m, b)
+                fld.mat_inv(m)
+            except SingularMatrix:
+                pass
+            assert np.array_equal(m, m_before) and np.array_equal(b, b_before)
+
+
+def test_solve_shape_checks():
+    fld = GF2m(4)
+    for a, b in [(fld.zeros(2, 3), fld.zeros(2, 1)), (fld.zeros(3), fld.zeros(2, 1)),
+                 (fld.zeros(3), np.zeros(3, dtype=fld.dtype))]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fld.solve(a, b)
+
+
 def test_det_multiplicative_via_cofactor_oracle():
     rng = random.Random(6)
     for degree in (2, 3):

@@ -213,7 +213,7 @@ def test_stacked_basis_matches_sequential_reference(sequential_basis, monkeypatc
                             basis.express(p)
             assert all(np.array_equal(a, b) for a, b in zip(basis.mats, ref.mats, strict=True))
             rows, tf = ref.reduced()
-            assert np.array_equal(basis._rows, rows) and np.array_equal(basis._tf, tf)
+            assert np.array_equal(basis._rows, rows)
             # reduced echelon: every pivot column is a unit column
             assert rows.shape == (basis.dim, n * n)
             assert np.array_equal(rows[:, basis._pivots], np.eye(basis.dim, dtype=fld.dtype))
@@ -414,6 +414,31 @@ def test_batched_rebuild_matches_sequential_replay(kind, rebuild_reference, monk
                 got = closure.rebuild(images)
                 want = rebuild_reference(closure, images)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_express_matches_inverse_of_pivot_columns():
+    # express solves coeffs . raw = vecs on the pivot columns; the pivot
+    # entries times the inverse of the raw matrices' pivot columns give the
+    # same coefficients, which are unique
+    rng = random.Random(17)
+    bases = [WitnessedBasis(GF2m(8), 3)]
+    for n, word_len in ((12, 250), (20, 24)):
+        fld = GF2m(8)
+        pub, _, _ = ttp_generate(n, fld, 8, word_len, rng=random.Random(n))
+        bases += [precompute_pure_basis(pub, random.Random(n + 1)).basis,
+                  algebra_closure(pub.c_gens, fld)]
+    for basis in bases:
+        fld, n, dim = basis.field, basis.n, basis.dim
+        coeffs = np.array([rng.randrange(fld.order) for _ in range(4 * dim)], dtype=fld.dtype)
+        coeffs = coeffs.reshape(4, dim)
+        stack = np.array([basis.combine(c) for c in coeffs]).reshape(4, n, n)
+        raw = np.array(basis.mats, dtype=fld.dtype).reshape(dim, n * n)
+        pivots = basis._pivots
+        old = fld.dot(stack.reshape(4, n * n)[:, pivots], fld.mat_inv(raw[:, pivots]))
+        got = basis.express(stack)
+        assert got.shape == (4, dim) and np.array_equal(got, old) and np.array_equal(got, coeffs)
+        assert np.array_equal(basis.express(stack[0]), old[0])
+    assert bases[0].dim == 0 and max(b.dim for b in bases) == 82
 
 
 def test_batched_rebuild_on_attack_sized_closures(rebuild_reference, monkeypatch):

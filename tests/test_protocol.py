@@ -30,8 +30,22 @@ def test_ttp_validation(small_field):
         ttp_generate(8, small_field, gen_count=1, rng=rng)
     with pytest.raises(ValueError):
         ttp_generate(8, small_field, word_len=0, rng=rng)
+    # one letter's matrix spans an algebra of dim <= 2, which the kappa
+    # redraw (dim >= 3) would never leave
+    with pytest.raises(ValueError, match="word_len must be >= 2"):
+        ttp_generate(8, small_field, word_len=1, rng=rng)
     with pytest.raises(ValueError):
         ttp_generate(8, small_field)  # rng is mandatory
+
+
+def test_generation_checks_kappa_once(monkeypatch):
+    # kappa is invertible by construction, so only InstancePublic checks it
+    field = GF2m(8)
+    checked = []
+    real = GF2m.is_invertible
+    monkeypatch.setattr(GF2m, "is_invertible", lambda self, a: checked.append(a) or real(self, a))
+    pub, _, _ = ttp_generate(8, field, gen_count=2, word_len=20, rng=random.Random(3))
+    assert sum(m is pub.c_gens[0] for m in checked) == 1
 
 
 def test_ttp_shapes(small_instance, small_field):
