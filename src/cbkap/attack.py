@@ -16,15 +16,15 @@ shared key exactly, without recovering either party's secret:
   conjugator P is not streamed at the junctions, and adjacent inverse
   generator letters cancel first.
 * precompute: collect pure words (products over the A generator words
-  whose permutation part is the identity) by powering short random
-  products with small permutation order, and keep their matrix images
-  as a witnessed basis V closed under products; the image of w^r comes
-  from one stream of w over the twists g^k (g the permutation of w).
-  One collection call returns at the first candidate that grows V, or
-  at the end of the round, when a run of candidates in a row adds no
-  dimension.  Steps 2 and 3 are tried after every such call (unless V
-  is unchanged since a try that only a larger V can pass), and
-  collection stops at the first success.
+  whose permutation part is the identity) by raising short random
+  products whose permutation has order r <= n to the r-th power, and
+  keep their matrix images as a witnessed basis V closed under
+  products; the image of w^r comes from one stream of w over the twists
+  g^k (g the permutation of w).  One collection call returns at the
+  first candidate that grows V, or at the end of the round, when a run
+  of candidates in a row adds no dimension.  Steps 2 and 3 are tried
+  after every such call (unless V is unchanged since a try that only a
+  larger V can pass), and collection stops at the first success.
 * step 2: solve the linear system for coefficients over the C algebra
   basis whose combination both lands in span(V) after normalizing by
   gamma^-1 and is invertible (random solutions are invertible with
@@ -40,10 +40,11 @@ shared key exactly, without recovering either party's secret:
   honest transcript, the output equals the shared key exactly.
 
 When a round ends without success (the collected V was too small), the
-pipeline starts another round of up to twice the first round's
-candidate count, up to a configured number of enlargements.  A failed
-try never ends the pipeline early, so the candidates it consumes are a
-prefix of those a full collection would draw from the same seed.
+pipeline starts another round, up to a configured number of
+enlargements; all rounds together draw at most MAX_CANDIDATES
+candidates.  A failed try never ends the pipeline early, so the
+candidates it consumes are a prefix of those a full collection would
+draw from the same seed.
 
 Each stage's time, a failing stage's included, is added up in
 AttackStats by its ``stage`` meter.
@@ -117,17 +118,21 @@ class AttackFailed(RuntimeError):
         stats.failed_stage = stage
 
 
+# Candidates in a row of permutation order above n before collection gives
+# up, and candidates one attack draws over all its rounds.  Neither binds on
+# honest instances: the most any measured attack drew is 22 candidates.
+FILTER_BUDGET = 512
+MAX_CANDIDATES = 4096
+
+
 @dataclass
 class AttackConfig:
-    order_cap: int | None = None  # permutation-order filter; defaults to n
-    stall: int = 4  # consecutive no-growth candidates before stopping
-    filter_budget: int = 512  # consecutive order-filter rejections tolerated
-    max_candidates: int = 4096  # hard safety cap per collection round
-    enlargement_rounds: int = 3  # precomputation resumptions on failure
+    stall: int = 4  # consecutive no-growth candidates that end a round
+    enlargement_rounds: int = 3  # rounds run after the first one fails
 
     def __post_init__(self):
-        if self.stall < 1:
-            raise ValueError("stall must be >= 1")
+        if self.stall < 1 or self.enlargement_rounds < 0:
+            raise ValueError("need stall >= 1 and enlargement_rounds >= 0")
 
 
 @dataclass
@@ -228,47 +233,39 @@ def _power_image(params: EvalParams, w: BraidWord, g: Perm, h: Perm) -> np.ndarr
     return functools.reduce(fld.mat_mul, [image.mat for image in images])
 
 
-def extend_pure_basis(
-    pub: InstancePublic, pure: PureBasis, rng, extra_candidates: int, config: AttackConfig
-) -> int:
+def extend_pure_basis(pub: InstancePublic, pure: PureBasis, rng, config: AttackConfig) -> int:
     """Feed pure candidates into the closure until one grows V, or the
     round ends: a stall (config.stall candidates in a row add nothing) or
-    extra_candidates consumed.  Returns the dimension growth, so 0 means
+    MAX_CANDIDATES drawn in all.  Returns the dimension growth, so 0 means
     the round has ended.
 
     Candidates are short random products over the A generators; those
-    whose permutation part has order above the cap (default n) are
-    discarded, the rest are raised to that order to become pure words.
-    Stopping at a growth loses no state, so a later call resumes the same
-    round: the stall and rejection counts are zero right after a growth,
-    and rng is drawn only as candidates are consumed.
+    whose permutation part has order above n are discarded, the rest are
+    raised to that order to become pure words.  FILTER_BUDGET discards in
+    a row raise PureElementSearchExhausted.  Stopping at a growth loses
+    no state, so a later call resumes the same round: the stall and
+    rejection counts are zero right after a growth, and rng is drawn only
+    as candidates are consumed.
     """
-    params = pub.params
-    n = params.n
-    order_cap = config.order_cap if config.order_cap is not None else n
+    params, n = pub.params, pub.params.n
     stream = _candidate_words(pub, rng)
     before = pure.dim
-    consumed = stall = rejections = 0
-    try:
-        while stall < config.stall and consumed < extra_candidates:
-            word, g = next(stream)
-            r = g.order()
-            if r > order_cap:
-                rejections += 1
-                if rejections >= config.filter_budget:
-                    raise PureElementSearchExhausted(
-                        f"{rejections} candidates in a row exceeded order {order_cap}"
-                    )
-                continue
-            rejections = 0
-            consumed += 1
-            mat = _power_image(params, word, g, Perm.identity(n))
-            if pure.closure.add_generator(mat, word.power(r)):
-                pure.powers.append((word, g))
-                break
-            stall += 1
-    finally:  # counted also when the order filter gives up
-        pure.candidates += consumed
+    stall = rejections = 0
+    while stall < config.stall and pure.candidates < MAX_CANDIDATES:
+        word, g = next(stream)
+        r = g.order()
+        if r > n:
+            rejections += 1
+            if rejections >= FILTER_BUDGET:
+                raise PureElementSearchExhausted(f"{rejections} draws of order > {n} in a row")
+            continue
+        rejections = 0
+        pure.candidates += 1
+        mat = _power_image(params, word, g, Perm.identity(n))
+        if pure.closure.add_generator(mat, word.power(r)):
+            pure.powers.append((word, g))
+            break
+        stall += 1
     return pure.dim - before
 
 
@@ -276,11 +273,11 @@ def precompute_pure_basis(
     pub: InstancePublic, rng, config: AttackConfig | None = None
 ) -> PureBasis:
     """Collect a witnessed basis of pure-word images, closed under
-    products: one collection round, up to config.max_candidates
-    candidates, run to its end by extend_pure_basis calls."""
+    products: one collection round, run to its end by extend_pure_basis
+    calls."""
     config = config or AttackConfig()
     pure = PureBasis(AlgebraClosure(pub.params.field, pub.params.n))
-    while extend_pure_basis(pub, pure, rng, config.max_candidates - pure.candidates, config):
+    while extend_pure_basis(pub, pure, rng, config):
         pass
     return pure
 
@@ -409,12 +406,12 @@ def attack_run(
 ) -> tuple[MatPerm, AttackStats]:
     """Run the full pipeline against a public instance and transcript.
 
-    Factors first, then collects pure candidates round by round, trying
-    the scale and split steps after every candidate that grows V and at
-    the end of a round, unless V is unchanged since a try that failed for
-    want of a larger V; the first success ends collection.  A round
-    that ends without success is followed by an enlargement round of up
-    to twice the first round's candidate count.  Terminal failures raise
+    Factors first, then collects pure candidates in one loop, trying the
+    scale and split steps after every collection call, unless V is
+    unchanged since a try that failed for want of a larger V; the first
+    success ends collection.  A call that returns without growth ends a
+    round, and the next round is an enlargement, up to
+    config.enlargement_rounds of them.  Terminal failures raise
     AttackFailed tagged with the stage name and carrying the statistics
     so far, the failing stage's time included.
     """
@@ -454,29 +451,22 @@ def attack_run(
         # V only grows, so an unchanged dim means an unchanged V: a try
         # there after a settled failure would fail again
         outcome = settled = None
-        cap = config.max_candidates
-        for round_no in range(config.enlargement_rounds + 1):
-            stats.enlargements = round_no
-            start, grew = pure.candidates, True
-            while grew:  # without growth the round is over
-                with stats.stage("precompute", PureElementSearchExhausted):
-                    extra = cap - (pure.candidates - start)
-                    grew = extend_pure_basis(pub, pure, rng_candidates, extra, config) > 0
-                if pure.dim == settled:
-                    continue
+        while True:
+            with stats.stage("precompute", PureElementSearchExhausted):
+                grew = extend_pure_basis(pub, pure, rng_candidates, config) > 0
+            if pure.dim != settled:
                 outcome = linear_steps()
                 if isinstance(outcome, AttackArtifacts):
                     break
                 # a failed sampling can pass on a resample; the other
                 # failures settle this V
                 settled = None if isinstance(outcome[1], InvertibleSampleFailed) else pure.dim
-            if isinstance(outcome, AttackArtifacts):
-                break
-            if round_no == 0:
-                cap = 2 * max(pure.candidates, 1)
-        else:
-            stage, exc = outcome
-            raise AttackFailed(stage, str(exc), stats) from exc
+            if grew:
+                continue
+            if stats.enlargements == config.enlargement_rounds:
+                stage, exc = outcome
+                raise AttackFailed(stage, str(exc), stats) from exc
+            stats.enlargements += 1
 
         with stats.stage("audit"):
             if not verify_reconstruction(pub, transcript.alice_msg, outcome):

@@ -156,24 +156,27 @@ def matrix_to_json(mat: np.ndarray) -> list[int]:
     return [int(v) for v in mat.reshape(-1)]
 
 
+def _int(v, what: str) -> int:
+    """v if it is a JSON integer (an int, not a bool), else FormatError."""
+    if type(v) is not int:
+        raise FormatError(f"{what} must be an integer: {v!r}")
+    return v
+
+
 def matrix_from_json(obj, n: int, field: GF2m) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != n * n:
         raise FormatError(f"matrix must be a row-major array of {n * n} integers")
-    vals = []
     for v in obj:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < field.order:
+        if not 0 <= _int(v, "field element") < field.order:
             raise FormatError(f"bad field element {v!r}")
-        vals.append(v)
-    return np.array(vals, dtype=field.dtype).reshape(n, n)
+    return np.array(obj, dtype=field.dtype).reshape(n, n)
 
 
 def perm_from_json(obj, n: int) -> Perm:
     if not isinstance(obj, list) or len(obj) != n:
         raise FormatError(f"permutation must be a 1-based image array of length {n}")
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in obj):
-        raise FormatError(f"permutation images must be integers: {obj!r}")
     try:
-        return Perm.from_one_line(obj)
+        return Perm.from_one_line([_int(v, "permutation image") for v in obj])
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad permutation: {exc}") from exc
 
@@ -203,8 +206,8 @@ def _load(path, kind: str, build, params: EvalParams | None = None):
     build(payload, n, field); a malformed payload raises FormatError."""
     _, payload = load_envelope(path, expect_kind=kind)
     try:
-        degree, modulus = int(payload["field"]["degree"]), int(payload["field"]["modulus"])
-        n = int(payload["n"])
+        degree, modulus = (_int(payload["field"][k], f"field {k}") for k in ("degree", "modulus"))
+        n = _int(payload["n"], "n")
         if params is None:
             field = GF2m(degree, modulus)
         elif (degree, modulus, n) == (params.field.degree, params.field.modulus, params.n):
@@ -225,7 +228,8 @@ def save_instance_public(path, pub: InstancePublic) -> None:
 
 def load_instance_public(path) -> InstancePublic:
     def build(payload, n, field):
-        params = EvalParams(field, n, tuple(int(t) for t in payload["tau"]))
+        # only an array passes: a string's or an object's items are strings
+        params = EvalParams(field, n, tuple(_int(t, "tau value") for t in payload["tau"]))
         a_gens = [word_from_json(w) for w in payload["a_gens"]]
         c_gens = [matrix_from_json(m, n, field) for m in payload["c_gens"]]
         return InstancePublic(params, a_gens, c_gens)

@@ -40,6 +40,9 @@ __all__ = [
     "sample_invertible",
 ]
 
+# draws sample_invertible makes before it raises InvertibleSampleFailed
+SAMPLE_TRIES = 64
+
 
 class NotInSpan(ValueError):
     """The matrix is outside the span of the basis."""
@@ -340,7 +343,6 @@ def sample_invertible(
     kappas: Sequence[np.ndarray],
     field: GF2m,
     rng,
-    max_tries: int = 64,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Draw solutions until the combined matrix is invertible.
 
@@ -348,12 +350,12 @@ def sample_invertible(
     contains at least one invertible combination, the invertible density
     of a matrix subspace is at least 1 - n/|F|, so the expected number of
     tries is near 1 for the protocol sizes.  Raises
-    InvertibleSampleFailed after max_tries draws.
+    InvertibleSampleFailed after SAMPLE_TRIES draws.
     """
     stack = np.stack(kappas)
-    for tries in range(1, max_tries + 1):
+    for tries in range(1, SAMPLE_TRIES + 1):
         x = space.sample(field, rng)
         c = field.dot(x, stack)
         if field.is_invertible(c):
             return c, x, tries
-    raise InvertibleSampleFailed(f"no invertible combination in {max_tries} tries")
+    raise InvertibleSampleFailed(f"no invertible combination in {SAMPLE_TRIES} tries")

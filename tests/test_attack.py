@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cbkap.attack as attack_mod
 from cbkap.attack import (
@@ -89,22 +91,53 @@ def test_pure_only_generators_accepted_directly(small_field):
         assert word_perm(w, 8).is_identity()
 
 
-def test_order_filter_exhaustion(small_instance):
+# on 8 strands: a 3-cycle times a disjoint 5-cycle, of order 15 > n
+ORDER_15_WORD = BraidWord([1, 2, 4, 5, 6, 7])
+
+
+def test_order_filter_exhaustion(small_instance, monkeypatch):
+    # FILTER_BUDGET candidates in a row of permutation order above n end
+    # collection
     pub, _, _ = small_instance
-    config = AttackConfig(order_cap=0, filter_budget=25)
+    high = word_perm(ORDER_15_WORD, pub.params.n)
+    assert high.order() == 15
+    drawn = []
+
+    def high_order(pub, rng):
+        while True:
+            drawn.append(1)
+            yield ORDER_15_WORD, high
+
+    monkeypatch.setattr(attack_mod, "_candidate_words", high_order)
+    monkeypatch.setattr(attack_mod, "FILTER_BUDGET", 25)
     with pytest.raises(PureElementSearchExhausted):
-        precompute_pure_basis(pub, random.Random(4), config)
+        precompute_pure_basis(pub, random.Random(4))
+    assert len(drawn) == 25
 
 
-def test_order_filter_skips_but_still_collects(small_instance):
-    # a tight cap rejects most candidates; collection still succeeds off
-    # the low-order ones and every kept word obeys the cap
+def test_order_filter_skips_but_still_collects(small_instance, monkeypatch):
+    # with a generator of order 15 added, the filter rejects candidates of
+    # order above n; collection still succeeds off the others, and every
+    # kept word is pure
     pub, _, _ = small_instance
-    config = AttackConfig(order_cap=2, filter_budget=4096)
-    pure = precompute_pure_basis(pub, random.Random(5), config)
+    pub = InstancePublic(pub.params, pub.a_gens + [ORDER_15_WORD], pub.c_gens)
+    n = pub.params.n
+    orders = []
+    original = attack_mod._candidate_words
+
+    def recording(pub, rng):
+        for word, g in original(pub, rng):
+            orders.append(g.order())
+            yield word, g
+
+    monkeypatch.setattr(attack_mod, "_candidate_words", recording)
+    pure = precompute_pure_basis(pub, random.Random(5), AttackConfig(stall=20))
     assert pure.dim >= 2
+    assert any(r > n for r in orders) and sum(r <= n for r in orders) == pure.candidates
+    for word, g in pure.powers:
+        assert g.order() <= n and word_perm(word.power(g.order()), n).is_identity()
     for _, w in pure.closure.generators:
-        assert word_perm(w, pub.params.n).is_identity()
+        assert word_perm(w, n).is_identity()
 
 
 def test_attack_with_multiple_c_generators(small_instance, small_field):
@@ -453,15 +486,15 @@ def test_attack_on_singular_message_fails_at_factor(small_instance):
     assert err.value.stats.candidates == 0 and err.value.stats.factor_seconds > 0
 
 
-def test_extension_grows_small_basis(small_instance, small_field):
+def test_extension_grows_small_basis(small_instance, small_field, monkeypatch):
     pub, priv, _ = small_instance
-    config = AttackConfig(max_candidates=1)
-    pure = precompute_pure_basis(pub, random.Random(24), config)
+    monkeypatch.setattr(attack_mod, "MAX_CANDIDATES", 1)
+    pure = precompute_pure_basis(pub, random.Random(24))
     small = pure.dim
-    rng, start, grown = random.Random(25), pure.candidates, []
+    monkeypatch.setattr(attack_mod, "MAX_CANDIDATES", pure.candidates + 40)
+    rng, grown = random.Random(25), []
     while not grown or grown[-1]:  # each call returns at a growth or the round end
-        extra = 40 - (pure.candidates - start)
-        grown.append(extend_pure_basis(pub, pure, rng, extra, AttackConfig()))
+        grown.append(extend_pure_basis(pub, pure, rng, AttackConfig()))
     assert pure.dim == small + sum(grown)
     assert all(g > 0 for g in grown[:-1])
     _, transcript, key = fresh_exchange(pub, priv, 26)
@@ -489,13 +522,42 @@ def test_attack_across_parameter_space(n, degree, gens, word_len):
     assert recovered == key.key
 
 
-def test_attack_failure_reports_stage(small_instance):
+@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(4, 9),
+    degree=st.integers(1, 6),
+    gens=st.integers(2, 5),
+    word_len=st.integers(2, 40),
+    d_polynomial=st.integers(0, 9).map(lambda k: k < 3),  # 30% of instances
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attack_returns_the_exact_key_or_fails_typed(n, degree, gens, word_len, d_polynomial, seed):
+    # the success map: on an honest instance the attack either recovers
+    # Alice's key exactly or raises AttackFailed, never anything else
+    rng = random.Random(seed)
+    pub, priv, _ = ttp_generate(n, GF2m(degree), gens, word_len, rng=rng, d_polynomial=d_polynomial)
+    _, transcript, key = fresh_exchange(pub, priv, rng.getrandbits(32))
+    try:
+        recovered, _ = attack_run(pub, transcript, random.Random(seed))
+    except AttackFailed:
+        return
+    assert recovered == key.key
+
+
+def test_attack_config_refuses_settings_below_their_minimum():
+    for kwargs in ({"stall": 0}, {"enlargement_rounds": -1}):
+        with pytest.raises(ValueError):
+            AttackConfig(**kwargs)
+    assert AttackConfig(enlargement_rounds=0).enlargement_rounds == 0
+
+
+def test_attack_failure_reports_stage(small_instance, monkeypatch):
     pub, priv, _ = small_instance
     _, transcript, _ = fresh_exchange(pub, priv, 28)
-    # an empty collection round leaves V = {I}; extensions capped at zero
-    config = AttackConfig(max_candidates=0, enlargement_rounds=0)
+    # with no candidate allowed the one round is empty and leaves V = {I}
+    monkeypatch.setattr(attack_mod, "MAX_CANDIDATES", 0)
     with pytest.raises(AttackFailed) as err:
-        attack_run(pub, transcript, random.Random(29), config)
+        attack_run(pub, transcript, random.Random(29), AttackConfig(enlargement_rounds=0))
     assert err.value.stage in ("scale", "split")
     # the failure carries the statistics gathered up to it
     stats = err.value.stats
@@ -504,6 +566,10 @@ def test_attack_failure_reports_stage(small_instance):
     assert stats.factor_letters > 0 and stats.scale_seconds > 0
     assert 0 < stats.factor_seconds + stats.scale_seconds <= stats.total_seconds
     assert stats.to_dict()["failed_stage"] == err.value.stage
+    # the cap holds over all rounds: each one is empty and counts as an enlargement
+    with pytest.raises(AttackFailed) as err:
+        attack_run(pub, transcript, random.Random(29))
+    assert (err.value.stats.candidates, err.value.stats.enlargements) == (0, 3)
 
 
 def test_attack_failed_audit_counts_its_time(small_instance, monkeypatch):
@@ -544,21 +610,15 @@ def full_schedule_draws(pub, seed, config, monkeypatch):
     pure = precompute_pure_basis(pub, rng_candidates, config)
     totals = [pure.candidates]
     for _ in range(config.enlargement_rounds):
-        start = pure.candidates
-        extra = 2 * max(totals[0], 1)
-        while extend_pure_basis(pub, pure, rng_candidates, extra - (pure.candidates - start), config):
+        while extend_pure_basis(pub, pure, rng_candidates, config):
             pass
         totals.append(pure.candidates)
     monkeypatch.undo()
     return drawn, totals
 
 
-@pytest.mark.parametrize(
-    "corner,max_candidates", [("small", 4096), ("gf4_n7", 4096), ("gf4_n7", 1)]
-)
-def test_attack_draws_are_a_prefix_of_the_full_schedule(
-    small_instance, corner, max_candidates, monkeypatch
-):
+@pytest.mark.parametrize("corner,stall", [("small", 4), ("gf4_n7", 4), ("gf4_n7", 1)])
+def test_attack_draws_are_a_prefix_of_the_full_schedule(small_instance, corner, stall, monkeypatch):
     # early accept changes only where collection stops: the candidates the
     # attack draws are a prefix of those of the rounds run to their end,
     # and it stops inside the round its enlargement count names
@@ -567,7 +627,7 @@ def test_attack_draws_are_a_prefix_of_the_full_schedule(
     else:
         pub, priv, _ = ttp_generate(7, GF2m(2), 3, 40, rng=random.Random(7))
         seeds = range(8)
-    config = AttackConfig(max_candidates=max_candidates)
+    config = AttackConfig(stall=stall)
     saved = failed = 0
     for seed in seeds:
         _, transcript, key = fresh_exchange(pub, priv, 300 + seed)
@@ -587,8 +647,9 @@ def test_attack_draws_are_a_prefix_of_the_full_schedule(
         rounds_before = totals[stats.enlargements - 1] if stats.enlargements else 0
         assert rounds_before < stats.candidates <= totals[stats.enlargements]
         saved += stats.candidates < totals[stats.enlargements]
-    # one candidate per first round is too few for some instances
-    assert failed == 0 or max_candidates == 1
+    # rounds that end at the first candidate without growth are too short
+    # for some instances
+    assert failed == 0 or stall == 1
     assert saved >= (len(seeds) - failed) // 2
 
 
@@ -627,9 +688,10 @@ def test_attack_recovers_on_small_field_corners(n, degree, gens, word_len, seeds
         assert recovered == key.key
 
 
-# with one candidate per first round, seed 4 fails (see the prefix test)
-@pytest.mark.parametrize("max_candidates,seeds", [(4096, range(8)), (1, (0, 1, 2, 3, 5, 6, 7))])
-def test_attack_skips_tries_a_settled_failure_would_repeat(max_candidates, seeds, monkeypatch):
+# with rounds that end at the first candidate without growth, seeds 2 and
+# 4 fail (see the prefix test)
+@pytest.mark.parametrize("stall,seeds", [(4, range(8)), (1, (0, 1, 3, 5, 6, 7))])
+def test_attack_skips_tries_a_settled_failure_would_repeat(stall, seeds, monkeypatch):
     # V only grows: after NoSolution at some V, a round that ends without
     # growth is not tried again, so every try is at a larger V than the
     # last such failure; the attack still recovers the key
@@ -655,9 +717,7 @@ def test_attack_skips_tries_a_settled_failure_would_repeat(max_candidates, seeds
     for seed in seeds:
         tries.clear(), collections.clear()
         _, transcript, key = fresh_exchange(pub, priv, 300 + seed)
-        recovered, _ = attack_run(
-            pub, transcript, random.Random(seed), AttackConfig(max_candidates=max_candidates)
-        )
+        recovered, _ = attack_run(pub, transcript, random.Random(seed), AttackConfig(stall=stall))
         assert recovered == key.key
         assert all(b[0] > a[0] for a, b in zip(tries, tries[1:]) if a[1] is NoSolution)
         skipped += len(collections) - len(tries)
@@ -695,11 +755,23 @@ def test_exhausted_order_filter_still_counts_its_candidates(small_instance, monk
     monkeypatch.setattr(
         attack_mod, "_power_image", lambda *args: images.append(1) or power_image(*args)
     )
+    original = attack_mod._candidate_words
+
+    def then_high_order(pub, rng):
+        # 30 drawn candidates, then only permutations of order above n
+        stream = original(pub, rng)
+        for _ in range(30):
+            yield next(stream)
+        high = word_perm(ORDER_15_WORD, pub.params.n)
+        while True:
+            yield ORDER_15_WORD, high
+
+    monkeypatch.setattr(attack_mod, "_candidate_words", then_high_order)
+    monkeypatch.setattr(attack_mod, "FILTER_BUDGET", 8)
     # V is already full here, so no candidate grows it and the filter ends the call
-    config = AttackConfig(stall=10**6, order_cap=2, filter_budget=8)
     with pytest.raises(PureElementSearchExhausted):
-        extend_pure_basis(pub, pure, random.Random(50), 10**6, config)
-    assert len(images) > 0 and pure.candidates - before == len(images)
+        extend_pure_basis(pub, pure, random.Random(50), AttackConfig(stall=10**6))
+    assert len(images) == 30 and pure.candidates - before == len(images)
 
 
 def test_instance_refuses_unbounded_generator_word(small_instance):

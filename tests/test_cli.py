@@ -667,6 +667,44 @@ def test_attack_rejects_float_permutation(tmp_path):
         formats.perm_from_json([True, 2, 3], 3)
 
 
+NON_INTEGER_PUBLIC = {
+    "n_float": lambda p: p.update(n=float(p["n"])),
+    "n_string": lambda p: p.update(n=str(p["n"])),
+    "degree_float": lambda p: p["field"].update(degree=p["field"]["degree"] + 0.9),
+    "modulus_string": lambda p: p["field"].update(modulus=str(p["field"]["modulus"])),
+    "tau_floats": lambda p: p.update(tau=[float(t) for t in p["tau"]]),
+    "tau_strings": lambda p: p.update(tau=[str(t) for t in p["tau"]]),
+    "tau_true": lambda p: p.update(tau=[True] * len(p["tau"])),
+    # one digit per strand, each a nonzero field element
+    "tau_digit_string": lambda p: p.update(tau="".join(str(1 + k % 9) for k in range(p["n"]))),
+}
+
+
+@pytest.mark.parametrize("mutation", NON_INTEGER_PUBLIC)
+def test_protocol_rejects_non_integer_header_and_tau(tmp_path, mutation):
+    # values that int() converts used to load, and the run then reported
+    # "keys agree" on a file outside the integers-only format
+    pub_file, priv_file = gen_small(tmp_path)
+    doc = json.loads(pub_file.read_text())
+    NON_INTEGER_PUBLIC[mutation](doc["payload"])
+    bad = tmp_path / "bad_public.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(FormatError):
+        formats.load_instance_public(bad)
+    assert run(
+        "protocol", "--public", bad, "--private", priv_file,
+        "--seed", 21, "--out-dir", tmp_path,
+    ) == 2
+
+
+def test_matrix_loader_rejects_non_integer_elements():
+    fld = GF2m(5)
+    for vals in ([1.0, 0, 0, 1], ["1", 0, 0, 1], [True, 0, 0, 1]):
+        with pytest.raises(FormatError):
+            formats.matrix_from_json(vals, 2, fld)
+    assert formats.matrix_from_json([1, 0, 0, 1], 2, fld).tolist() == [[1, 0], [0, 1]]
+
+
 def test_eraser_seed_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("ERASER_SEED", "33")
     a = tmp_path / "a"

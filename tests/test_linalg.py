@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cbkap.attack import precompute_pure_basis
-from cbkap import field
+from cbkap import field, linalg
 from cbkap.braid import EvalParams, MatPerm, e_multiply, random_word, word_eval_pair, word_perm
 from cbkap.field import GF2m
 from cbkap.linalg import (
@@ -574,7 +574,7 @@ def test_sample_invertible_singleton():
     assert np.array_equal(c, fld.mul_vec(fld.identity(3), 12))
 
 
-def test_sample_invertible_all_singular():
+def test_sample_invertible_all_singular(monkeypatch):
     fld = GF2m(4)
     n = 3
     uppers = []
@@ -586,8 +586,9 @@ def test_sample_invertible_all_singular():
     space = SolutionSpace(
         homogeneous=[np.eye(len(uppers), dtype=fld.dtype)[k] for k in range(len(uppers))]
     )
-    with pytest.raises(InvertibleSampleFailed):
-        sample_invertible(space, uppers, fld, random.Random(1), max_tries=32)
+    monkeypatch.setattr(linalg, "SAMPLE_TRIES", 32)
+    with pytest.raises(InvertibleSampleFailed, match="in 32 tries"):
+        sample_invertible(space, uppers, fld, random.Random(1))
 
 
 def test_sample_invertible_planted_is_quick():
