@@ -6,12 +6,16 @@
 For each seed, runs ``--pairs`` pairs of ``perfbench/run.py --trace 0``
 per workload of ``BENCHMARK.json``, each run as long as its
 ``run_seconds`` (``--smoke``: tiny sizes, no minimum time): one run in a
-checkout of the parent commit and one in the working tree, the side that
-goes first alternating from pair to pair and the workloads interleaved
-within a pair, so that a drift in the speed of the machine falls on both
-sides alike.  The parent checkout is the
-commit's files extracted with ``git archive`` into a temporary
-directory, removed at the end.
+checkout of the parent commit and one in a copy of the working tree, the
+side that goes first alternating from pair to pair and the workloads
+interleaved within a pair, so that a drift in the speed of the machine
+falls on both sides alike.  The parent checkout is the commit's files
+extracted with ``git archive``, and the copy is the working tree's
+tracked and untracked files that git does not ignore (``git ls-files -co
+--exclude-standard``), so neither side carries bytecode; both run with
+``PYTHONDONTWRITEBYTECODE=1``, so every run compiles its sources alike
+(``setup_s`` times a fresh import).  Both are temporary directories,
+removed at the end.
 
 Writes ``BENCH_<label>.json`` (in ``--out``, by default the root of the
 working tree): every result line with its seed, workload, pair and side,
@@ -49,11 +53,24 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float, smoke: bool) 
     """One benchmark run in a checkout: its two output lines and exit code."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"] + (["--smoke"] if smoke else [])
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=env)
     lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
     if proc.returncode not in (0, 1) or len(lines) < 2:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}: {proc.stderr[-2000:]}")
     return {"exit": proc.returncode, "detail": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+
+
+def copy_tree(dest: Path) -> None:
+    """Copy the working tree's files that git tracks or would track, as they
+    stand, into dest: no ignored file, so no bytecode."""
+    listed = subprocess.run(["git", "ls-files", "-z", "-co", "--exclude-standard"], cwd=ROOT,
+                            check=True, capture_output=True, text=True).stdout
+    for name in filter(None, listed.split("\0")):
+        src = ROOT / name
+        if src.is_file():  # a tracked file deleted in the tree is listed too
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def machine() -> str:
@@ -124,12 +141,13 @@ def main(argv=None) -> int:
     seconds = 0 if args.smoke else spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
 
-    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, capture_output=True)
-    subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive.stdout, check=True)
-    trees = {"parent": tmp, "change": ROOT}
+    trees = {"parent": Path(tempfile.mkdtemp(prefix="bench-parent-")),
+             "change": Path(tempfile.mkdtemp(prefix="bench-change-"))}
     runs = []
     try:
+        archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, capture_output=True)
+        subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive.stdout, check=True)
+        copy_tree(trees["change"])
         for seed in args.seeds:
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -142,7 +160,8 @@ def main(argv=None) -> int:
                               f"attack_s.p50 {m['attack_s.p50']['value']:.4f} exit {run['exit']}",
                               file=sys.stderr)
     finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        for tree in trees.values():
+            shutil.rmtree(tree, ignore_errors=True)
 
     report = {
         "label": args.label,
@@ -150,7 +169,8 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
                    + (" --smoke" if args.smoke else ""),
         "method": f"per seed {args.pairs} pairs per workload, the workloads interleaved and the "
-                  "side that runs first alternating; parent from git archive, change the working tree",
+                  "side that runs first alternating; parent from git archive, change a copy of the "
+                  "working tree's unignored files; PYTHONDONTWRITEBYTECODE=1 on both sides",
         "machine": machine(),
         "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,

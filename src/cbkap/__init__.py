@@ -27,7 +27,6 @@ from .linalg import (
     InvertibleSampleFailed,
     NoSolution,
     NotInSpan,
-    SolutionSpace,
     WitnessedBasis,
     algebra_closure,
     sample_invertible,

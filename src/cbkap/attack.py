@@ -331,15 +331,19 @@ def solve_scale(
     the residual lands in span(V), given the residual's inverse.
 
     Takes the basis of the algebra the C generators span from the
-    instance (computed on the first call, see InstancePublic.c_algebra),
-    solves the linear membership system, and samples solutions until one
-    is invertible.  Returns (scale, coefficients, tries).  NoSolution
-    propagates when V is too small; callers enlarge V and retry.
+    instance (computed on the first call, see InstancePublic.c_algebra)
+    and solves the linear membership system.  Its kernel rows, combined
+    over that basis, span the admissible scales, and sample_invertible
+    draws from that stack until one is invertible: one coefficient per
+    kernel row per try.  Returns (scale, coefficients over the C basis,
+    tries).  NoSolution propagates when V is too small; callers enlarge V
+    and retry.
     """
     field = pub.params.field
-    kappas = pub.c_algebra
-    space = solve_membership(residual_inv, kappas, pure.basis, field)
-    return sample_invertible(space, kappas, field, rng)
+    kappas = np.stack(pub.c_algebra)
+    kernel = solve_membership(residual_inv, kappas, pure.basis, field)
+    scale, coeffs, tries = sample_invertible(field.dot(kernel, kappas), field, rng)
+    return scale, field.dot(coeffs, kernel), tries
 
 
 def split_pure_part(

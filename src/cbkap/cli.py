@@ -6,10 +6,11 @@ data plus a transcript) and ``verify`` (compare two key files).  Seeded
 runs are byte-identical.
 
 Exit codes: 0 success, 1 mismatch or verification failure, 2 usage or
-file-format error (a transcript without Bob's message among them), 3
-attack-stage failure.  The ``ERASER_SEED`` environment variable
-is the fallback when ``--seed`` is absent; without either, a fresh
-system seed is drawn.
+file-format error (a transcript without Bob's message among them, or a
+scale algebra in which a party's round finds no invertible element
+within the sampler's bound), 3 attack-stage failure.  The
+``ERASER_SEED`` environment variable is the fallback when ``--seed`` is
+absent; without either, a fresh system seed is drawn.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .attack import AttackConfig, AttackFailed, attack_run
+from .attack import AttackFailed, attack_run
 from .field import GF2m
 from .formats import FormatError
+from .linalg import InvertibleSampleFailed
 from .protocol import (
+    MAX_WORD_LETTERS,
     SharedKey,
     Transcript,
     alice_round,
@@ -101,10 +104,9 @@ def cmd_attack(args) -> int:
     pub = formats.load_instance_public(args.public)
     transcript = formats.load_transcript(args.transcript, pub.params)
     rng = random.Random(_resolve_seed(args.seed))
-    config = AttackConfig(stall=args.stall)
     out = Path(args.out_dir)
     try:
-        key, stats = attack_run(pub, transcript, rng, config)
+        key, stats = attack_run(pub, transcript, rng)
     except AttackFailed as exc:
         out.mkdir(parents=True, exist_ok=True)
         formats.save_stats(out / "stats.json", exc.stats.to_dict())
@@ -149,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="irreducible modulus bits (default: smallest for the degree)")
     p.add_argument("--gens", type=int, default=8, help="generators per side (default 8)")
     p.add_argument("--word-len", type=int, default=650,
-                   help="generator and kappa word length, at least 2 (default 650)")
+                   help=f"generator and kappa word length, 2 to {MAX_WORD_LETTERS} (default 650)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--d-polynomial", action="store_true",
@@ -168,8 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transcript", default="transcript.json")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--stall", type=int, default=4,
-                   help="no-growth candidates before the collection stops (default 4)")
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("verify", help="compare two key files")
@@ -188,7 +188,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError, ValueError) as exc:
+    except (FormatError, FileNotFoundError, ValueError, InvertibleSampleFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,9 +2,9 @@
 
 Provides spans, multiplicative algebra closure that records how each
 basis element was formed, membership-constrained linear solving, and
-invertible-solution sampling.  Matrices are vectorized row-major to
-length n^2; every computation is exact Gaussian elimination over the
-field.
+the one bounded draw of an invertible combination that every scale
+uses.  Matrices are vectorized row-major to length n^2; every
+computation is exact Gaussian elimination over the field.
 
 A basis keeps its raw matrices verbatim next to their span in reduced
 row-echelon form, stored only on the coordinates some basis matrix uses.
@@ -20,7 +20,6 @@ pure word for every basis element without storing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "WitnessedBasis",
     "AlgebraClosure",
     "algebra_closure",
-    "SolutionSpace",
     "solve_membership",
     "sample_invertible",
 ]
@@ -297,23 +295,12 @@ def algebra_closure(gens: Iterable[np.ndarray], field: GF2m) -> WitnessedBasis:
     return closure.basis
 
 
-@dataclass
-class SolutionSpace:
-    """A linear coefficient space: the span of the homogeneous vectors."""
-
-    homogeneous: list[np.ndarray]
-
-    def sample(self, field: GF2m, rng) -> np.ndarray:
-        coeffs = [rng.randrange(field.order) for _ in self.homogeneous]
-        return field.dot(coeffs, np.stack(self.homogeneous))
-
-
 def solve_membership(
     gamma_inv: np.ndarray,
     kappas: Sequence[np.ndarray],
     V: WitnessedBasis,
     field: GF2m,
-) -> SolutionSpace:
+) -> np.ndarray:
     """Parametrize {x : gamma_inv . sum(x_i kappa_i) lies in span(V)}.
 
     The constraint is linear: sifting each gamma_inv * kappa_i through
@@ -335,26 +322,27 @@ def solve_membership(
     kernel = np.zeros((len(dependent), len(kappas)), dtype=field.dtype)
     kernel[np.arange(len(dependent)), dependent] = 1
     kernel[:, kept] = rest.express(residuals[dependent].reshape(-1, V.n, V.n))
-    return SolutionSpace(list(kernel))
+    return kernel
 
 
 def sample_invertible(
-    space: SolutionSpace,
-    kappas: Sequence[np.ndarray],
+    mats: np.ndarray | Sequence[np.ndarray],
     field: GF2m,
     rng,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Draw solutions until the combined matrix is invertible.
+    """Draw random combinations of the matrices until one is invertible.
 
-    Returns (matrix, coefficients, tries).  When the solution space
-    contains at least one invertible combination, the invertible density
-    of a matrix subspace is at least 1 - n/|F|, so the expected number of
-    tries is near 1 for the protocol sizes.  Raises
-    InvertibleSampleFailed after SAMPLE_TRIES draws.
+    Each try draws one coefficient per matrix, ``rng.randrange(|F|)`` in
+    order, and combines them with one ``dot``.  Returns (matrix,
+    coefficients, tries).  When the span holds an invertible matrix, the
+    invertible density of a matrix subspace is at least 1 - n/|F|, so the
+    expected number of tries is near 1 for the protocol sizes.  Raises
+    InvertibleSampleFailed after SAMPLE_TRIES draws, so a span with few or
+    no invertible elements (a hostile scale algebra) ends in bounded time.
     """
-    stack = np.stack(kappas)
+    stack = np.asarray(mats, dtype=field.dtype)
     for tries in range(1, SAMPLE_TRIES + 1):
-        x = space.sample(field, rng)
+        x = np.array([rng.randrange(field.order) for _ in range(len(stack))], dtype=field.dtype)
         c = field.dot(x, stack)
         if field.is_invertible(c):
             return c, x, tries

@@ -49,7 +49,7 @@ from .braid import (
     word_perm,
 )
 from .field import GF2m
-from .linalg import algebra_closure
+from .linalg import algebra_closure, sample_invertible
 from .perm import Perm
 
 __all__ = [
@@ -201,8 +201,10 @@ def ttp_generate(
         raise ValueError("need n >= 4 for two nontrivial strand blocks")
     if gen_count < 2:
         raise ValueError("need at least 2 generators per side")
-    if word_len < 2:  # one letter's matrix spans an algebra of dim <= 2
-        raise ValueError("word_len must be >= 2")
+    # one letter's matrix spans an algebra of dim <= 2; a word above the
+    # cap would be refused by InstancePublic, but only after it was built
+    if not 2 <= word_len <= MAX_WORD_LETTERS:
+        raise ValueError(f"word_len must be >= 2 and at most {MAX_WORD_LETTERS}")
 
     # policy: avoid 0 and 1 to dodge degenerate evaluations; over GF(2)
     # the only nonzero value is 1, which is still a valid instance
@@ -238,7 +240,7 @@ def ttp_generate(
         if len(c_algebra) >= 3:
             break
     c_gens = [kappa]
-    d_gens = [_sample_scale(field, c_algebra, rng) if d_polynomial else kappa]
+    d_gens = [sample_invertible(c_algebra, field, rng)[0] if d_polynomial else kappa]
 
     pub = InstancePublic(params, a_gens, c_gens)
     pub.c_algebra = c_algebra  # what the cached property would compute
@@ -263,27 +265,19 @@ def ttp_generate(
     return pub, priv, debug
 
 
-def _sample_scale(field: GF2m, basis: list[np.ndarray], rng) -> np.ndarray:
-    """Random invertible combination of an algebra's basis matrices: one
-    coefficient per basis matrix per try."""
-    stack = np.stack(basis)
-    while True:
-        c = field.dot([rng.randrange(field.order) for _ in basis], stack)
-        if field.is_invertible(c):
-            return c
-
-
 # Each message word is a product of this many generators or inverses.
 PRODUCT_FACTORS = (10, 20)
 
 
 def _round(params: EvalParams, scale_basis, form: ConjugateForm, rng) -> tuple[PartySecret, MatPerm]:
     """One party's secret and message: an invertible element of the scale
-    algebra, sampled from its basis (built once per instance), a product
-    of the braid generators (built from their conjugate form, so the
-    shared conjugator cancels at every junction), and the state
-    ``scale . eval(word)``."""
-    scale = _sample_scale(params.field, scale_basis, rng)
+    algebra, drawn from its basis (built once per instance) by
+    ``linalg.sample_invertible``, a product of the braid generators (built
+    from their conjugate form, so the shared conjugator cancels at every
+    junction), and the state ``scale . eval(word)``.  A scale algebra with
+    too few invertible elements (a hostile public file) raises
+    InvertibleSampleFailed after that sampler's bounded number of draws."""
+    scale, _, _ = sample_invertible(scale_basis, params.field, rng)
     word = form.product(
         (rng.randrange(len(form)), 1 if rng.random() < 0.5 else -1)
         for _ in range(rng.randint(*PRODUCT_FACTORS))

@@ -147,10 +147,10 @@ def test_criterion_4_invertible_density():
             v = v_span.combine([rng.randrange(field.order) for _ in range(v_span.dim)])
             if field.is_invertible(v):
                 gamma = field.mat_mul(c, v)
-        space = solve_membership(field.mat_inv(gamma), kappas, v_span, field)
-        dims.append(len(space.homogeneous))
+        kernel = solve_membership(field.mat_inv(gamma), kappas, v_span, field)
+        dims.append(len(kernel))
         for _ in range(samples_per_space):
-            x = space.sample(field, rng)
+            x = field.dot([rng.randrange(field.order) for _ in kernel], kernel)
             m = field.zeros(n)
             for xi, k in zip(x, kappas):
                 if xi:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,16 @@ from cbkap.braid import BraidWord, word_perm
 from cbkap.cli import main
 from cbkap.field import GF2m
 from cbkap.formats import FormatError
-from cbkap.protocol import Transcript, alice_round, bob_round, derive_key_alice, ttp_generate
+from cbkap.linalg import SAMPLE_TRIES, InvertibleSampleFailed
+from cbkap.protocol import (
+    MAX_WORD_LETTERS,
+    InstancePublic,
+    Transcript,
+    alice_round,
+    bob_round,
+    derive_key_alice,
+    ttp_generate,
+)
 
 from conftest import random_alice_perm, random_group_exchange
 
@@ -277,7 +287,69 @@ def test_gen_refuses_one_letter_words(tmp_path, capsys):
     assert run(*argv, "--word-len", 1) == 2
     assert "word_len must be >= 2" in capsys.readouterr().err
     assert not out.exists()
+    # above the letter cap the words would be refused only after they were
+    # built (seconds and hundreds of MB at 2,000,000), or, at cap + 1, pass
+    # once free reduction brought them back under it: refused before drawing
+    for word_len in (MAX_WORD_LETTERS + 1, 2_000_000):
+        t0 = time.perf_counter()
+        assert run(*argv, "--word-len", word_len) == 2
+        assert time.perf_counter() - t0 < 1
+        assert f"at most {MAX_WORD_LETTERS}" in capsys.readouterr().err
+        assert not out.exists()
     assert run(*argv, "--word-len", 2) == 0
+
+
+def diagonal_c_gens(field, n):
+    """Invertible diagonal generators over GF(4) whose algebra is every
+    diagonal matrix: coordinate i carries the base-3 digits of i, so the
+    generators tell all coordinates apart.  Only (3/4)^n of that algebra
+    is invertible."""
+    gens = []
+    for j in range(4):
+        diag = [1 + (i // 3**j) % 3 for i in range(n)]
+        gens.append(np.diag(np.array(diag, dtype=field.dtype)))
+    return gens
+
+
+def test_protocol_on_a_scale_algebra_without_invertibles_exits_2(tmp_path):
+    # a public file may carry any invertible C generators; with diagonal ones
+    # at n=40 a random element of their algebra is invertible with
+    # probability (3/4)^40 < 10^-5, so Alice's round gives up after the
+    # sampler's bounded draws instead of drawing without end
+    n, fld = 40, GF2m(2)
+    honest, priv, _ = ttp_generate(n, fld, 2, 8, rng=random.Random(40))
+    pub = InstancePublic(honest.params, honest.a_gens, diagonal_c_gens(fld, n))
+    assert len(pub.c_algebra) == n
+
+    class CountingRandom(random.Random):
+        draws = 0
+
+        def randrange(self, *args):
+            self.draws += 1
+            return super().randrange(*args)
+
+    rng = CountingRandom(1)
+    with pytest.raises(InvertibleSampleFailed, match=f"in {SAMPLE_TRIES} tries"):
+        alice_round(pub, rng)
+    assert rng.draws == SAMPLE_TRIES * n  # one coefficient per basis matrix per try
+
+    formats.save_instance_public(tmp_path / "public.json", pub)
+    formats.save_instance_private(tmp_path / "private.json", priv, pub.params)
+    env = dict(os.environ, PYTHONPATH=str(Path(cbkap.__file__).resolve().parents[1]))
+    t0 = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "cbkap.cli", "protocol", "--public", str(tmp_path / "public.json"),
+         "--private", str(tmp_path / "private.json"), "--seed", "1",
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert time.perf_counter() - t0 < 5
+    assert out.returncode == 2, out.stderr
+    assert f"no invertible combination in {SAMPLE_TRIES} tries" in out.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_protocol_and_verify_flow(tmp_path):

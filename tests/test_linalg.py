@@ -12,7 +12,6 @@ from cbkap.linalg import (
     InvertibleSampleFailed,
     NoSolution,
     NotInSpan,
-    SolutionSpace,
     WitnessedBasis,
     algebra_closure,
     sample_invertible,
@@ -268,19 +267,22 @@ def test_solve_membership_matches_sequential_kernel(sequential_basis, kernel_ref
                 with pytest.raises(NoSolution):
                     solve_membership(gamma_inv, kappas, V, fld)
                 continue
-            space = solve_membership(gamma_inv, kappas, V, fld)
-            assert len(space.homogeneous) == len(want)
-            assert all(np.array_equal(a, b) for a, b in zip(space.homogeneous, want))
-            # sampling keeps the draw order: one draw per homogeneous vector
-            draws = random.Random(trial)
-            coeffs = [draws.randrange(fld.order) for _ in want]
-            x = space.sample(fld, random.Random(trial))
-            assert [int(v) for v in x] == scalar_combination(fld, coeffs, want)
+            kernel = solve_membership(gamma_inv, kappas, V, fld)
+            assert kernel.shape == (len(want), len(kappas))
+            assert all(np.array_equal(a, b) for a, b in zip(kernel, want))
+            # sampling over the kernel's combined stack keeps the draw order:
+            # one draw per kernel row per try
+            flat = [k.reshape(-1) for k in kappas]
+            stack = fld.dot(kernel, np.stack(kappas))
             try:
-                c, x, _ = sample_invertible(space, kappas, fld, random.Random(trial))
+                c, coeffs, tries = sample_invertible(stack, fld, random.Random(trial))
             except InvertibleSampleFailed:
                 continue
-            flat = [k.reshape(-1) for k in kappas]
+            draws = random.Random(trial)
+            for _ in range(tries):
+                want_coeffs = [draws.randrange(fld.order) for _ in want]
+            assert [int(v) for v in coeffs] == want_coeffs
+            x = scalar_combination(fld, want_coeffs, want)
             assert [int(v) for v in c.reshape(-1)] == scalar_combination(fld, x, flat)
 
 
@@ -509,15 +511,15 @@ def test_solve_membership_full_space_cases():
     n = 3
     # kappas equal to a basis of span(V): every combination lands inside
     v_basis = algebra_closure([fld.random_matrix(rng, n) for _ in range(2)], fld)
-    space = solve_membership(fld.identity(n), v_basis.mats, v_basis, fld)
-    assert len(space.homogeneous) == len(v_basis.mats)
+    kernel = solve_membership(fld.identity(n), v_basis.mats, v_basis, fld)
+    assert kernel.shape == (len(v_basis.mats), len(v_basis.mats))
     # V the full matrix space: constraints vacuous
     full = WitnessedBasis(fld, n)
     while full.dim < n * n:
         full.add(fld.random_matrix(rng, n))
     kappas = [fld.random_matrix(rng, n) for _ in range(4)]
-    space = solve_membership(fld.random_invertible(rng, n), kappas, full, fld)
-    assert len(space.homogeneous) == 4
+    kernel = solve_membership(fld.random_invertible(rng, n), kappas, full, fld)
+    assert kernel.shape == (4, 4)
 
 
 def test_solve_membership_planted_and_sound():
@@ -540,16 +542,16 @@ def test_solve_membership_planted_and_sound():
             break
     gamma = fld.mat_mul(c, v)
     gamma_inv = fld.mat_inv(gamma)
-    space = solve_membership(gamma_inv, kappas, v_span, fld)
+    kernel = solve_membership(gamma_inv, kappas, v_span, fld)
     # soundness: every sampled solution satisfies the membership constraint
     for _ in range(25):
-        x = space.sample(fld, rng)
+        x = fld.dot([rng.randrange(fld.order) for _ in kernel], kernel)
         combo = fld.zeros(n)
         for xi, k in zip(x, kappas):
             combo ^= fld.mul_vec(k, int(xi))
         assert fld.mat_mul(gamma_inv, combo) in v_span
     # completeness: the planted solution lies in the solution span
-    rows = [h.copy() for h in space.homogeneous]
+    rows = list(kernel)
     assert rank_oracle(fld, rows) == rank_oracle(fld, rows + [planted_x])
 
 
@@ -566,8 +568,7 @@ def test_solve_membership_no_solution():
 
 def test_sample_invertible_singleton():
     fld = GF2m(4)
-    space = SolutionSpace(homogeneous=[np.array([1], dtype=fld.dtype)])
-    c, x, tries = sample_invertible(space, [fld.identity(3)], fld, random.Random(0))
+    c, x, tries = sample_invertible([fld.identity(3)], fld, random.Random(0))
     # the first draw from Random(0) over GF(2^4) is 12: nonzero, so invertible
     assert tries == 1
     assert list(x) == [12]
@@ -583,12 +584,9 @@ def test_sample_invertible_all_singular(monkeypatch):
             m = fld.zeros(n)
             m[i, j] = 1
             uppers.append(m)
-    space = SolutionSpace(
-        homogeneous=[np.eye(len(uppers), dtype=fld.dtype)[k] for k in range(len(uppers))]
-    )
     monkeypatch.setattr(linalg, "SAMPLE_TRIES", 32)
     with pytest.raises(InvertibleSampleFailed, match="in 32 tries"):
-        sample_invertible(space, uppers, fld, random.Random(1))
+        sample_invertible(uppers, fld, random.Random(1))
 
 
 def test_sample_invertible_planted_is_quick():
@@ -607,8 +605,8 @@ def test_sample_invertible_planted_is_quick():
         v = v_span.combine(coeffs)
         if fld.is_invertible(v):
             gamma = fld.mat_mul(c, v)
-    space = solve_membership(fld.mat_inv(gamma), kappa_alg.mats, v_span, fld)
-    c, x, tries = sample_invertible(space, kappa_alg.mats, fld, rng)
+    kernel = solve_membership(fld.mat_inv(gamma), kappa_alg.mats, v_span, fld)
+    c, _, tries = sample_invertible(fld.dot(kernel, np.stack(kappa_alg.mats)), fld, rng)
     assert fld.is_invertible(c)
     assert tries <= 16
     assert fld.mat_mul(fld.mat_inv(gamma), c) in v_span
