@@ -10,19 +10,19 @@ shared key exactly, without recovering either party's secret:
   word, and peel the message matrix down to a residual matrix ("gamma")
   with identity permutation part.  The same stream evaluates the word
   from (I, h), h the permutation of Bob's message.  Every product of A
-  generators here and below (this word, the candidates, the key
-  assembly's re-streams) is built from the generators' conjugate form
-  ``P . cores . P^-1`` (``InstancePublic.a_form``): the shared
-  conjugator P is not streamed at the junctions, and adjacent inverse
-  generator letters cancel first.
+  generators here and below (this word and the candidates) is built from
+  the generators' conjugate form ``P . cores . P^-1``
+  (``InstancePublic.a_form``): the shared conjugator P is not streamed
+  at the junctions, and adjacent inverse generator letters cancel first.
 * precompute: collect pure words (products over the A generator words
   whose permutation part is the identity) by raising short random
   products whose permutation has order r <= n to the r-th power, and
   keep their matrix images as a witnessed basis V closed under
-  products; the image of w^r comes from one stream of w over the twists
-  g^k (g the permutation of w).  One collection call returns at the
-  first candidate that grows V, or at the end of the round, when a run
-  of candidates in a row adds no dimension.  Steps 2 and 3 are tried
+  products.  One stream of w serves 2r starts: from the twists g^k (g
+  the permutation of w) it gives the image of w^r, and from h g^k that
+  image from (I, h), kept when w^r grows V.  One collection call returns
+  at the first candidate that grows V, or at the end of the round, when
+  a run of candidates in a row adds no dimension.  Steps 2 and 3 are tried
   after every such call (unless V is unchanged since a try that only a
   larger V can pass), and collection stops at the first success.
 * step 2: solve the linear system for coefficients over the C algebra
@@ -33,11 +33,12 @@ shared key exactly, without recovering either party's secret:
   over V, and audit the reconstruction identity: scale applied to the
   pure component, E-multiplied by the factored word, must reproduce
   Alice's message exactly.
-* assembly: re-evaluate every used witness word from the state
-  ``(I, h)``, one stream per body, combine with the expression
-  coefficients, and multiply by Bob's message matrix and the factored
-  word's image from (I, h).  Whenever the pipeline completes on an
-  honest transcript, the output equals the shared key exactly.
+* assembly: rebuild V's images from (I, h) from the kept generator
+  images by the closure recipes (nothing is streamed), combine them with
+  the expression coefficients, and multiply by Bob's message matrix and
+  the factored word's image from (I, h).  Whenever the pipeline
+  completes on an honest transcript, the output equals the shared key
+  exactly.
 
 When a round ends without success (the collected V was too small), the
 pipeline starts another round, up to a configured number of
@@ -174,12 +175,13 @@ class AttackStats:
 class PureBasis:
     """The product-closed basis V of pure-word images, plus collection
     statistics.  Every collected pure word w^r is kept in the closure as
-    the witness of the generator it added; ``powers`` holds its (w,
-    perm(w)), r being the order of perm(w)."""
+    the witness of the generator it added; ``twisted`` holds its matrix
+    from (I, twist), one per closure generator, from the same stream."""
 
     closure: AlgebraClosure
+    twist: Perm
     candidates: int = 0
-    powers: list[tuple[BraidWord, Perm]] = field(default_factory=list)
+    twisted: list[np.ndarray] = field(default_factory=list)
 
     @property
     def basis(self):
@@ -222,15 +224,20 @@ def _candidate_words(pub: InstancePublic, rng):
         yield pub.a_form.product(gen_word), evaluate_genword(gen_word, pub.a_perms, pub.params.n)
 
 
-def _power_image(params: EvalParams, w: BraidWord, g: Perm, h: Perm) -> np.ndarray:
-    """The matrix of w^r from (I, h), g = perm(w) of order r: the product
-    of w's matrices from the twists h g^k, k < r, all from one stream."""
-    fld = params.field
-    twists = [h]
+def _power_image(params: EvalParams, w: BraidWord, g: Perm, h: Perm) -> tuple[np.ndarray, list]:
+    """The matrix of w^r, g = perm(w) of order r, and w's matrices from
+    the twists h g^k, k < r, whose product is w^r's matrix from (I, h),
+    all from one stream; the list is empty for the identity h."""
+    n = params.n
+    twists = [Perm.identity(n)]
     for _ in range(g.order() - 1):
         twists.append(twists[-1] * g)
-    images = e_multiply([MatPerm(fld.identity(params.n), t) for t in twists], w, params)
-    return functools.reduce(fld.mat_mul, [image.mat for image in images])
+    r = len(twists)
+    if not h.is_identity():
+        twists += [h * t for t in twists]
+    eye = params.field.identity(n)
+    images = [s.mat for s in e_multiply([MatPerm(eye, t) for t in twists], w, params)]
+    return functools.reduce(params.field.mat_mul, images[:r]), images[r:]
 
 
 def extend_pure_basis(pub: InstancePublic, pure: PureBasis, rng, config: AttackConfig) -> int:
@@ -261,22 +268,23 @@ def extend_pure_basis(pub: InstancePublic, pure: PureBasis, rng, config: AttackC
             continue
         rejections = 0
         pure.candidates += 1
-        mat = _power_image(params, word, g, Perm.identity(n))
+        mat, twisted = _power_image(params, word, g, pure.twist)
         if pure.closure.add_generator(mat, word.power(r)):
-            pure.powers.append((word, g))
+            pure.twisted.append(functools.reduce(params.field.mat_mul, twisted) if twisted else mat)
             break
         stall += 1
     return pure.dim - before
 
 
 def precompute_pure_basis(
-    pub: InstancePublic, rng, config: AttackConfig | None = None
+    pub: InstancePublic, rng, config: AttackConfig | None = None, twist: Perm | None = None
 ) -> PureBasis:
     """Collect a witnessed basis of pure-word images, closed under
-    products: one collection round, run to its end by extend_pure_basis
-    calls."""
+    products, with their images from (I, twist) (None: the identity):
+    one collection round, run to its end by extend_pure_basis calls."""
     config = config or AttackConfig()
-    pure = PureBasis(AlgebraClosure(pub.params.field, pub.params.n))
+    n = pub.params.n
+    pure = PureBasis(AlgebraClosure(pub.params.field, n), twist or Perm.identity(n))
     while extend_pure_basis(pub, pure, rng, config):
         pass
     return pure
@@ -382,23 +390,23 @@ def recover_key(
 ) -> MatPerm:
     """Assemble the shared key from the recovered artifacts.
 
-    Each pure basis element is re-evaluated from the state (I, h), which
-    yields its matrix with the variables twisted by the permutation h of
-    Bob's message.  Twisted evaluation is multiplicative over pure-word
-    concatenation, so only the collected generator words are re-streamed
-    and the closure recipes rebuild the rest by matrix products.  The
-    twisted combination then rides through Bob's message and the factored
-    word's twisted image under the recovered scale; the permutation part
-    is h times that of Alice's message, which the factored word matches.
+    Each pure basis element is needed from (I, h), h the permutation of
+    Bob's message: its matrix with the variables twisted by h.  Twisted
+    evaluation is multiplicative over pure-word concatenation, so the
+    closure recipes rebuild every element from the twisted generator
+    images collected with V, and nothing is streamed here (ValueError if
+    V was collected for another twist).  The twisted combination then
+    rides through Bob's message and the factored word's twisted image
+    under the recovered scale; the permutation part is h times that of
+    Alice's message, which the factored word matches.
     """
-    params = pub.params
-    fld = params.field
+    fld = pub.params.field
     h = transcript.bob_msg.perm
-    q = transcript.bob_msg.mat
-    gen_images = [_power_image(params, w, g, h) for w, g in pure.powers]
-    twisted_basis = pure.closure.rebuild(gen_images)
+    if pure.twist != h:
+        raise ValueError("the pure basis was collected for another twist than Bob's permutation")
+    twisted_basis = pure.closure.rebuild(pure.twisted)
     twisted = fld.dot(artifacts.pure_coeffs, np.stack(twisted_basis))
-    mat = fld.mat_mul(fld.mat_mul(q, twisted), artifacts.twisted_word)
+    mat = fld.mat_mul(fld.mat_mul(transcript.bob_msg.mat, twisted), artifacts.twisted_word)
     return MatPerm(fld.mat_mul(artifacts.scale, mat), h * transcript.alice_msg.perm)
 
 
@@ -423,7 +431,7 @@ def attack_run(
     stats = AttackStats()
     t_start = time.perf_counter()
     fld = pub.params.field
-    pure = PureBasis(AlgebraClosure(fld, pub.params.n))
+    pure = PureBasis(AlgebraClosure(fld, pub.params.n), transcript.bob_msg.perm)
     try:
         # independent child streams: the number of candidates drawn cannot
         # shift the solution sampling

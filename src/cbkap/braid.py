@@ -33,8 +33,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby, islice
-from operator import attrgetter, neg
+from itertools import islice
+from operator import neg
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -295,24 +295,24 @@ class EvalParams:
             raise ValueError("tau values must be nonzero field elements")
 
     @cached_property
-    def byte_tables(self) -> tuple[tuple[bytes, ...], ...]:
-        """Byte translation tables of the substituted values.  With P byte
-        planes per field element (1 for m <= 8, else 2: low, high), table
-        ``[P * i + o][k]`` maps a byte of input plane i to output plane o of
-        its product with ``tau[k]``, ``[P * i + o][n + k]`` with ``1/tau[k]``;
-        bytes past the field's range map to 0."""
+    def byte_tables(self) -> np.ndarray:
+        """Byte translation tables of the substituted values, an object
+        array.  With P byte planes per field element (1 for m <= 8, else 2:
+        low, high), table ``[P * o + i, s, k]`` maps a byte of input plane i
+        to output plane o of its product with ``tau[k]`` (s = 0) or
+        ``1/tau[k]`` (s = 1); bytes past the field's range map to 0."""
         fld = self.field
         planes = 1 if fld.degree <= 8 else 2
         scalars = np.array(list(self.tau) + [fld.inv(t) for t in self.tau], dtype=fld.dtype)
-        out = []
+        out = np.empty((planes * planes, 2 * self.n), dtype=object)
         for i in range(planes):
             values = np.arange(256) << 8 * i
             valid = values < fld.order
             prod = np.zeros((2 * self.n, 256), dtype=np.int64)
             prod[:, valid] = fld.mul_arr(scalars[:, None], values[valid])
             for o in range(planes):
-                out.append(tuple(row.tobytes() for row in (prod >> 8 * o & 0xFF).astype(np.uint8)))
-        return tuple(out)
+                out[planes * o + i] = [row.tobytes() for row in (prod >> 8 * o & 0xFF).astype(np.uint8)]
+        return out.reshape(planes * planes, 2, self.n)
 
 
 class MatPerm:
@@ -385,30 +385,31 @@ def e_multiply(
         raise ValueError("state size does not match params")
     if any(s.mat.dtype.kind not in "iu" for s in states):
         raise ValueError("state matrices must hold integers")
-    # row j holds column j of every state, one state after another
-    T = np.concatenate([s.mat.T for s in states], axis=1)
-    if (T >> fld.degree).any():  # a negative entry shifts to -1
+    mats = np.array([s.mat for s in states])
+    if (mats >> fld.degree).any():  # a negative entry shifts to -1
         raise ValueError("state entries must be field elements")
-    width = T.shape[1]
     planes = 1 if fld.degree <= 8 else 2
+    width = len(states) * n
     size = planes * width
-    packed = np.concatenate([(T >> 8 * i).astype(np.uint8) for i in range(planes)], axis=1)
-    # column 0 is scratch: letter 1 adds into it instead of column -1
-    cols = [0] + [int.from_bytes(row.tobytes(), "little") for row in packed]
-    # runs of consecutive states that share a twist, and per run the
-    # byte-table index of each k the letter loop computes
-    runs = [(g, len(list(group))) for g, group in groupby(states, key=attrgetter("perm"))]
-    scalars = [h + tuple(n + x for x in h) for h in (g.inverse().images for g, _ in runs)]
-    tabs = params.byte_tables
-    if len(runs) == 1 and planes == 1:
+    # row j holds column j of every state, one state after another, per
+    # byte plane; column 0 is scratch: letter 1 adds into it instead of column -1
+    shifts = np.arange(0, 8 * planes, 8)[:, None, None]
+    packed = (mats.transpose(2, 0, 1)[:, None] >> shifts).astype(np.uint8).tobytes()
+    cols = [0] + [int.from_bytes(packed[j * size:(j + 1) * size], "little") for j in range(n)]
+    # runs of consecutive states that share a twist h; per run, the letter
+    # loop's k (or n + k) picks the table of tau[h^-1(k)] (or its inverse)
+    twists = np.array([s.perm.images for s in states])
+    rows = twists.tolist()
+    firsts = [b for b, h in enumerate(rows) if not b or h != rows[b - 1]]
+    inverses = twists[firsts].argsort(axis=1)
+    # per k: the tables of every output plane, input plane and run, in that order
+    tables = params.byte_tables[:, :, inverses].transpose(1, 3, 0, 2).reshape(2 * n, -1).tolist()
+    if len(firsts) == 1 and planes == 1:
         cut = None
-        tables = list(map(tabs[0].__getitem__, scalars[0]))
+        tables = [t for t, in tables]
     else:  # per output plane o, input plane i and run: one translate
-        cut = struct.Struct("".join(f"{count * n}s" for _, count in runs) * planes).unpack
-        tables = list(zip(*(
-            map(tabs[planes * i + o].__getitem__, row)
-            for o in range(planes) for i in range(planes) for row in scalars
-        )))
+        runs = zip(firsts, firsts[1:] + [len(states)])
+        cut = struct.Struct("".join(f"{(end - b) * n}s" for b, end in runs) * planes).unpack
         plane = 8 * width
         lo = (1 << plane) - 1
         hi = lo << plane
@@ -436,11 +437,13 @@ def e_multiply(
             cols[r + 2] ^= prod
         cols[r + 1] = prod
         inv[r], inv[r + 1] = inv[r + 1], inv[r]
-    p = Perm(inv).inverse()
+    # state b ends at (S_b, h_b p): its images are p[h_b], with p^-1 = inv
+    perms = np.array(inv).argsort()[twists].tolist()
     raw = b"".join(c.to_bytes(size, "little") for c in cols[1:])
-    raw = np.frombuffer(raw, dtype=np.uint8).reshape(n, planes, width).astype(fld.dtype)
+    raw = np.frombuffer(raw, dtype=np.uint8).reshape(n, planes, len(states), n).astype(fld.dtype)
     T = raw[:, 0] | raw[:, 1] << 8 if planes > 1 else raw[:, 0]
-    out = [MatPerm(T[:, b * n:(b + 1) * n].T.copy(), s.perm * p) for b, s in enumerate(states)]
+    mats = T.transpose(1, 2, 0).copy()
+    out = [MatPerm(m, Perm._trusted(tuple(g))) for m, g in zip(mats, perms)]
     return out[0] if single else out
 
 

@@ -125,8 +125,8 @@ class GF2m:
             raise ValueError("field degree above 16 is not supported (table-based arithmetic)")
         if modulus is None:
             modulus = default_modulus(degree)
-        if modulus.bit_length() - 1 != degree:
-            raise ValueError("modulus degree does not match the field degree")
+        if not 1 << degree <= modulus < 2 << degree:  # also refuses a negative modulus
+            raise ValueError(f"modulus {modulus} is outside [2^{degree}, 2^{degree + 1})")
         if not is_irreducible(modulus):
             raise ValueError(f"modulus {modulus:#x} is not irreducible")
         self.degree = degree

@@ -122,22 +122,23 @@ def test_order_filter_skips_but_still_collects(small_instance, monkeypatch):
     pub, _, _ = small_instance
     pub = InstancePublic(pub.params, pub.a_gens + [ORDER_15_WORD], pub.c_gens)
     n = pub.params.n
-    orders = []
+    drawn = []
     original = attack_mod._candidate_words
 
     def recording(pub, rng):
         for word, g in original(pub, rng):
-            orders.append(g.order())
+            drawn.append((word, g.order()))
             yield word, g
 
     monkeypatch.setattr(attack_mod, "_candidate_words", recording)
     pure = precompute_pure_basis(pub, random.Random(5), AttackConfig(stall=20))
     assert pure.dim >= 2
+    orders = [r for _, r in drawn]
     assert any(r > n for r in orders) and sum(r <= n for r in orders) == pure.candidates
-    for word, g in pure.powers:
-        assert g.order() <= n and word_perm(word.power(g.order()), n).is_identity()
+    # every witness is a kept candidate raised to its order r <= n
+    kept = {tuple(w.power(r).letters()) for w, r in drawn if r <= n}
     for _, w in pure.closure.generators:
-        assert word_perm(w, n).is_identity()
+        assert tuple(w.letters()) in kept and word_perm(w, n).is_identity()
 
 
 def test_attack_with_multiple_c_generators(small_instance, small_field):
@@ -273,22 +274,35 @@ def test_attack_recovers_exact_key(small_instance):
 
 
 def test_power_images_match_streamed_powers(small_instance):
-    # one stream of w over the twists h g^k gives the image of w^r from (I, h)
+    # the image stored from the fused stream is the witness evaluated on
+    # its own from (I, h); with no twist it is the generator matrix itself
     pub, _, _ = small_instance
     params = pub.params
-    pure = precompute_pure_basis(pub, random.Random(212))
-    assert len(pure.powers) == len(pure.closure.generators)
     rng = random.Random(213)
-    for (mat, witness), (w, g) in zip(pure.closure.generators, pure.powers):
-        r = g.order()
-        assert g == word_perm(w, params.n)
-        assert list(witness.letters()) == list(w.power(r).letters())
-        assert np.array_equal(mat, word_eval_pair(w.power(r), params).mat)
-        h = Perm.random(params.n, rng)
-        seed = MatPerm(params.field.identity(params.n), h)
-        assert np.array_equal(
-            attack_mod._power_image(params, w, g, h), e_multiply(seed, w.power(r), params).mat
-        )
+    for twist in (None, Perm.random(params.n, rng)):
+        pure = precompute_pure_basis(pub, random.Random(212), twist=twist)
+        assert len(pure.twisted) == len(pure.closure.generators) >= 1
+        for (mat, witness), image in zip(pure.closure.generators, pure.twisted):
+            assert np.array_equal(mat, word_eval_pair(witness, params).mat)
+            if twist is None:
+                assert pure.twist.is_identity() and image is mat
+            else:
+                seed = MatPerm(params.field.identity(params.n), twist)
+                assert np.array_equal(image, e_multiply(seed, witness, params).mat)
+
+
+def recovery_inputs(pub, priv, small_field, twist_of):
+    """A transcript, its key, and the pure basis and artifacts of an
+    attack on it, the basis collected for the twist twist_of(h), h the
+    permutation of Bob's message."""
+    _, transcript, key = fresh_exchange(pub, priv, 214)
+    h = transcript.bob_msg.perm
+    pure = precompute_pure_basis(pub, random.Random(215), twist=twist_of(h))
+    word, residual, residual_inv, twisted_word = factor_permutation(pub, transcript.alice_msg, h)
+    scale, _, _ = solve_scale(residual_inv, pub, pure, random.Random(216))
+    part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
+    artifacts = AttackArtifacts(word, residual, scale, part, pcoeffs, twisted_word)
+    return transcript, key, pure, artifacts
 
 
 def test_recover_key_matches_single_state_assembly(small_instance, small_field):
@@ -296,23 +310,40 @@ def test_recover_key_matches_single_state_assembly(small_instance, small_field):
     # streamed whole from (I, h), then Bob's message E-multiplied by the
     # factored word
     pub, priv, _ = small_instance
-    _, transcript, key = fresh_exchange(pub, priv, 214)
-    pure = precompute_pure_basis(pub, random.Random(215))
+    transcript, key, pure, artifacts = recovery_inputs(pub, priv, small_field, lambda h: h)
     h = transcript.bob_msg.perm
-    word, residual, residual_inv, twisted_word = factor_permutation(pub, transcript.alice_msg, h)
-    scale, _, _ = solve_scale(residual_inv, pub, pure, random.Random(216))
-    part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
-    artifacts = AttackArtifacts(word, residual, scale, part, pcoeffs, twisted_word)
     n = pub.params.n
     seed = MatPerm(small_field.identity(n), h)
     images = [e_multiply(seed, w, pub.params).mat for _, w in pure.closure.generators]
     twisted = small_field.zeros(n)
-    for c, m in zip(pcoeffs, pure.closure.rebuild(images)):
+    for c, m in zip(artifacts.pure_coeffs, pure.closure.rebuild(images)):
         twisted ^= small_field.mul_vec(m, int(c))
     state = MatPerm(small_field.mat_mul(transcript.bob_msg.mat, twisted), h)
-    t = e_multiply(state, word, pub.params)
-    single = MatPerm(small_field.mat_mul(scale, t.mat), t.perm)
+    t = e_multiply(state, artifacts.perm_word, pub.params)
+    single = MatPerm(small_field.mat_mul(artifacts.scale, t.mat), t.perm)
     assert recover_key(pub, transcript, pure, artifacts) == single == key.key
+
+
+def test_recover_key_streams_nothing(small_instance, small_field, monkeypatch):
+    pub, priv, _ = small_instance
+    transcript, key, pure, artifacts = recovery_inputs(pub, priv, small_field, lambda h: h)
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("recover_key streamed a word")
+
+    monkeypatch.setattr(attack_mod, "e_multiply", no_stream)
+    assert recover_key(pub, transcript, pure, artifacts) == key.key
+
+
+def test_recover_key_refuses_basis_of_another_twist(small_instance, small_field):
+    # the identity and h^2: both differ from h, which is not an involution
+    # here; the basis is the same, so only the check stops a wrong key
+    pub, priv, _ = small_instance
+    for other in (lambda h: None, lambda h: h * h):
+        transcript, _, pure, artifacts = recovery_inputs(pub, priv, small_field, other)
+        assert pure.twist != transcript.bob_msg.perm
+        with pytest.raises(ValueError, match="another twist"):
+            recover_key(pub, transcript, pure, artifacts)
 
 
 def test_attack_is_deterministic(small_instance):
@@ -489,7 +520,8 @@ def test_attack_on_singular_message_fails_at_factor(small_instance):
 def test_extension_grows_small_basis(small_instance, small_field, monkeypatch):
     pub, priv, _ = small_instance
     monkeypatch.setattr(attack_mod, "MAX_CANDIDATES", 1)
-    pure = precompute_pure_basis(pub, random.Random(24))
+    _, transcript, key = fresh_exchange(pub, priv, 26)
+    pure = precompute_pure_basis(pub, random.Random(24), twist=transcript.bob_msg.perm)
     small = pure.dim
     monkeypatch.setattr(attack_mod, "MAX_CANDIDATES", pure.candidates + 40)
     rng, grown = random.Random(25), []
@@ -497,7 +529,6 @@ def test_extension_grows_small_basis(small_instance, small_field, monkeypatch):
         grown.append(extend_pure_basis(pub, pure, rng, AttackConfig()))
     assert pure.dim == small + sum(grown)
     assert all(g > 0 for g in grown[:-1])
-    _, transcript, key = fresh_exchange(pub, priv, 26)
     word, residual, residual_inv, twisted = factor_permutation(
         pub, transcript.alice_msg, transcript.bob_msg.perm
     )

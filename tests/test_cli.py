@@ -352,6 +352,53 @@ def test_protocol_on_a_scale_algebra_without_invertibles_exits_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_field_modulus_exits_2_at_every_loader(tmp_path):
+    # a header modulus of -19 for GF(2^4) once hung the loaders in the
+    # field's irreducibility check; each command now exits 2 at once and
+    # writes nothing
+    assert run("gen", "--n", 6, "--field-bits", 4, "--word-len", 20, "--seed", 3,
+               "--out-dir", tmp_path) == 0
+    assert run("protocol", "--public", tmp_path / "instance_public.json",
+               "--private", tmp_path / "instance_private.json", "--seed", 4,
+               "--out-dir", tmp_path) == 0
+    for name in ("instance_public.json", "transcript.json", "key_alice.json"):
+        doc = json.loads((tmp_path / name).read_text())
+        assert doc["payload"]["field"]["modulus"] == 19
+        doc["payload"]["field"]["modulus"] = -19
+        (tmp_path / f"bad_{name}").write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(cbkap.__file__).resolve().parents[1]))
+    commands = {
+        "protocol": ["--public", tmp_path / "bad_instance_public.json",
+                     "--private", tmp_path / "instance_private.json", "--seed", 4],
+        "attack": ["--public", tmp_path / "bad_instance_public.json",
+                   "--transcript", tmp_path / "transcript.json", "--seed", 5],
+    }
+    for command, argv in commands.items():
+        out = tmp_path / f"out_{command}"
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cbkap.cli", command, *map(str, argv), "--out-dir", str(out)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert time.perf_counter() - t0 < 5
+        assert proc.returncode == 2, proc.stderr
+        assert "modulus -19" in proc.stderr
+        assert not out.exists()
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cbkap.cli", "verify", str(tmp_path / "bad_key_alice.json"),
+         str(tmp_path / "key_bob.json")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == 2 and "modulus -19" in proc.stderr, proc.stderr
+    # a transcript loads against the public parameters, so its header is refused too
+    assert run("attack", "--public", tmp_path / "instance_public.json",
+               "--transcript", tmp_path / "bad_transcript.json", "--seed", 5,
+               "--out-dir", tmp_path / "out_transcript") == 2
+    assert not (tmp_path / "out_transcript").exists()
+
+
 def test_protocol_and_verify_flow(tmp_path):
     pub_file, priv_file = gen_small(tmp_path)
     assert run(

@@ -51,8 +51,11 @@ def test_modulus_choices():
     assert not is_irreducible(0x101)  # x^8 + 1
     with pytest.raises(ValueError):
         GF2m(8, 0x101)
-    with pytest.raises(ValueError):
-        GF2m(8, 0x7)  # degree mismatch
+    # outside [2^m, 2^(m+1)): a negative one would never leave the reduction
+    # loop of is_irreducible, so each is refused before that check
+    for degree, modulus in ((8, 0x7), (8, -0x11B), (4, -19), (4, -1), (4, 0), (8, 0x11B << 1)):
+        with pytest.raises(ValueError, match="outside"):
+            GF2m(degree, modulus)
 
 
 def test_tables_are_built_once_per_field():
