@@ -16,8 +16,9 @@ shared key exactly, without recovering either party's secret:
   at the junctions, and adjacent inverse generator letters cancel first.
 * precompute: collect pure words (products over the A generator words
   whose permutation part is the identity) by raising short random
-  products whose permutation has order r <= n to the r-th power, and
-  keep their matrix images as a witnessed basis V closed under
+  products (of 2 to 3 generators in the first round, 1 to 10 in
+  enlargement rounds) whose permutation has order r <= n to the r-th
+  power, and keep their matrix images as a witnessed basis V closed under
   products.  One stream of w serves 2r starts: from the twists g^k (g
   the permutation of w) it gives the image of w^r, and from h g^k that
   image from (I, h), kept when w^r grows V.  One collection call returns
@@ -124,6 +125,11 @@ class AttackFailed(RuntimeError):
 # honest instances: the most any measured attack drew is 22 candidates.
 FILTER_BUDGET = 512
 MAX_CANDIDATES = 4096
+# Generators per candidate product, (fewest, most): short products stream
+# the fewest letters and suffice for most first rounds; the long ones an
+# enlargement round draws reach the V that small fields need.
+FIRST_ROUND_GENS = (2, 3)
+ENLARGEMENT_GENS = (1, 10)
 
 
 @dataclass
@@ -176,11 +182,13 @@ class PureBasis:
     """The product-closed basis V of pure-word images, plus collection
     statistics.  Every collected pure word w^r is kept in the closure as
     the witness of the generator it added; ``twisted`` holds its matrix
-    from (I, twist), one per closure generator, from the same stream."""
+    from (I, twist), one per closure generator, from the same stream.
+    ``enlarging`` is set once the first round has ended without success."""
 
     closure: AlgebraClosure
     twist: Perm
     candidates: int = 0
+    enlarging: bool = False
     twisted: list[np.ndarray] = field(default_factory=list)
 
     @property
@@ -212,14 +220,14 @@ class AttackArtifacts:
     twisted_word: np.ndarray
 
 
-def _candidate_words(pub: InstancePublic, rng):
-    """Yield an endless stream of candidate words, each a product of 2 to
-    10 random A generators or inverses, with its permutation composed from
-    the generators' own."""
+def _candidate_words(pub: InstancePublic, rng, lengths: tuple[int, int]):
+    """Yield an endless stream of candidate words, each a product of
+    lengths[0] to lengths[1] random A generators or inverses, with its
+    permutation composed from the generators' own."""
     while True:
         gen_word = [
             (rng.randrange(len(pub.a_gens)), 1 if rng.random() < 0.5 else -1)
-            for _ in range(rng.randint(2, 10))
+            for _ in range(rng.randint(*lengths))
         ]
         yield pub.a_form.product(gen_word), evaluate_genword(gen_word, pub.a_perms, pub.params.n)
 
@@ -246,7 +254,8 @@ def extend_pure_basis(pub: InstancePublic, pure: PureBasis, rng, config: AttackC
     MAX_CANDIDATES drawn in all.  Returns the dimension growth, so 0 means
     the round has ended.
 
-    Candidates are short random products over the A generators; those
+    Candidates are short random products over the A generators
+    (FIRST_ROUND_GENS of them, ENLARGEMENT_GENS once pure.enlarging); those
     whose permutation part has order above n are discarded, the rest are
     raised to that order to become pure words.  FILTER_BUDGET discards in
     a row raise PureElementSearchExhausted.  Stopping at a growth loses
@@ -255,7 +264,7 @@ def extend_pure_basis(pub: InstancePublic, pure: PureBasis, rng, config: AttackC
     as candidates are consumed.
     """
     params, n = pub.params, pub.params.n
-    stream = _candidate_words(pub, rng)
+    stream = _candidate_words(pub, rng, ENLARGEMENT_GENS if pure.enlarging else FIRST_ROUND_GENS)
     before = pure.dim
     stall = rejections = 0
     while stall < config.stall and pure.candidates < MAX_CANDIDATES:
@@ -330,17 +339,18 @@ def factor_permutation(
 
 
 def solve_scale(
-    residual_inv: np.ndarray,
+    normalized: np.ndarray,
     pub: InstancePublic,
     pure: PureBasis,
     rng,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Find an invertible element of the C algebra whose normalization by
-    the residual lands in span(V), given the residual's inverse.
+    the residual lands in span(V).
 
-    Takes the basis of the algebra the C generators span from the
-    instance (computed on the first call, see InstancePublic.c_algebra)
-    and solves the linear membership system.  Its kernel rows, combined
+    ``normalized`` stacks the residual's inverse times each element of
+    the basis of the algebra the C generators span
+    (InstancePublic.c_algebra); it is the same at every try, so callers
+    form it once.  Solves the linear membership system.  Its kernel rows, combined
     over that basis, span the admissible scales, and sample_invertible
     draws from that stack until one is invertible: one coefficient per
     kernel row per try.  Returns (scale, coefficients over the C basis,
@@ -349,7 +359,7 @@ def solve_scale(
     """
     field = pub.params.field
     kappas = np.stack(pub.c_algebra)
-    kernel = solve_membership(residual_inv, kappas, pure.basis, field)
+    kernel = solve_membership(normalized, pure.basis, field)
     scale, coeffs, tries = sample_invertible(field.dot(kernel, kappas), field, rng)
     return scale, field.dot(coeffs, kernel), tries
 
@@ -444,12 +454,17 @@ def attack_run(
             )
         stats.factor_letters = len(perm_word)
 
+        normalized = None  # residual^-1 . (C basis): the same at every try
+
         def linear_steps() -> AttackArtifacts | tuple[str, Exception]:
             """Scale and split against the current V: the artifacts, or
             the failing stage and its error while V is too small."""
+            nonlocal normalized
             with stats.stage("scale"):
+                if normalized is None:
+                    normalized = fld.mat_mul(residual_inv, np.stack(pub.c_algebra))
                 try:
-                    scale, _, tries = solve_scale(residual_inv, pub, pure, rng_samples)
+                    scale, _, tries = solve_scale(normalized, pub, pure, rng_samples)
                 except (NoSolution, InvertibleSampleFailed) as exc:
                     return "scale", exc
             stats.scale_tries += tries
@@ -479,6 +494,7 @@ def attack_run(
                 stage, exc = outcome
                 raise AttackFailed(stage, str(exc), stats) from exc
             stats.enlargements += 1
+            pure.enlarging = True
 
         with stats.stage("audit"):
             if not verify_reconstruction(pub, transcript.alice_msg, outcome):

@@ -295,31 +295,27 @@ def algebra_closure(gens: Iterable[np.ndarray], field: GF2m) -> WitnessedBasis:
     return closure.basis
 
 
-def solve_membership(
-    gamma_inv: np.ndarray,
-    kappas: Sequence[np.ndarray],
-    V: WitnessedBasis,
-    field: GF2m,
-) -> np.ndarray:
-    """Parametrize {x : gamma_inv . sum(x_i kappa_i) lies in span(V)}.
+def solve_membership(products: np.ndarray, V: WitnessedBasis, field: GF2m) -> np.ndarray:
+    """Parametrize {x : gamma_inv . sum(x_i kappa_i) lies in span(V)},
+    given the stack of normalized products gamma_inv . kappa_i.
 
-    The constraint is linear: sifting each gamma_inv * kappa_i through
-    V's echelon leaves a residual, and x must combine the residuals to
-    zero.  Sifting the residuals in order through a second echelon, each
-    one that adds nothing gives the kernel vector e_i minus its
-    coordinates over the earlier independent residuals.  Returns that
+    The constraint is linear: sifting each product through V's echelon
+    leaves a residual, and x must combine the residuals to zero.
+    Sifting the residuals in order through a second echelon, each one
+    that adds nothing gives the kernel vector e_i minus its coordinates
+    over the earlier independent residuals.  Returns that
     kernel basis; raises NoSolution when the kernel is trivial (the span
     of V is too small, so callers should enlarge it and retry).
     """
-    products = field.mat_mul(gamma_inv, np.stack(kappas))
-    residuals, _ = V._sift(products.reshape(len(kappas), -1))
+    count = len(products)
+    residuals, _ = V._sift(products.reshape(count, -1))
     rest = WitnessedBasis(field, V.n)  # the independent residuals, in order
     grew = rest.add_block(residuals)
     kept, dependent = np.flatnonzero(grew), np.flatnonzero(~grew)
     if not dependent.size:
         raise NoSolution("no nonzero combination of the kappa basis lands in span(V)")
     # a dependent residual is a combination of the independent ones before it
-    kernel = np.zeros((len(dependent), len(kappas)), dtype=field.dtype)
+    kernel = np.zeros((len(dependent), count), dtype=field.dtype)
     kernel[np.arange(len(dependent)), dependent] = 1
     kernel[:, kept] = rest.express(residuals[dependent].reshape(-1, V.n, V.n))
     return kernel

@@ -147,7 +147,8 @@ def test_criterion_4_invertible_density():
             v = v_span.combine([rng.randrange(field.order) for _ in range(v_span.dim)])
             if field.is_invertible(v):
                 gamma = field.mat_mul(c, v)
-        kernel = solve_membership(field.mat_inv(gamma), kappas, v_span, field)
+        products = field.mat_mul(field.mat_inv(gamma), np.stack(kappas))
+        kernel = solve_membership(products, v_span, field)
         dims.append(len(kernel))
         for _ in range(samples_per_space):
             x = field.dot([rng.randrange(field.order) for _ in kernel], kernel)

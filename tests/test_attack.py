@@ -48,6 +48,11 @@ def fresh_exchange(pub, priv, seed):
     return asec, Transcript(amsg, bmsg), key
 
 
+def normalized(pub, residual_inv):
+    """The stack solve_scale takes: residual^-1 times each C basis element."""
+    return pub.params.field.mat_mul(residual_inv, np.stack(pub.c_algebra))
+
+
 def test_attack_module_is_blinded():
     source = inspect.getsource(attack_mod)
     for token in ("InstancePrivate", "b_gens", "d_gens"):
@@ -103,7 +108,7 @@ def test_order_filter_exhaustion(small_instance, monkeypatch):
     assert high.order() == 15
     drawn = []
 
-    def high_order(pub, rng):
+    def high_order(pub, rng, lengths):
         while True:
             drawn.append(1)
             yield ORDER_15_WORD, high
@@ -125,8 +130,8 @@ def test_order_filter_skips_but_still_collects(small_instance, monkeypatch):
     drawn = []
     original = attack_mod._candidate_words
 
-    def recording(pub, rng):
-        for word, g in original(pub, rng):
+    def recording(pub, rng, lengths):
+        for word, g in original(pub, rng, lengths):
             drawn.append((word, g.order()))
             yield word, g
 
@@ -223,7 +228,7 @@ def test_solve_scale_postconditions(small_instance, small_field):
     _, _, residual_inv, _ = factor_permutation(
         pub, transcript.alice_msg, Perm.identity(pub.params.n)
     )
-    scale, coeffs, tries = solve_scale(residual_inv, pub, pure, random.Random(9))
+    scale, coeffs, tries = solve_scale(normalized(pub, residual_inv), pub, pure, random.Random(9))
     assert tries <= 16
     assert small_field.is_invertible(scale)
     kappas = algebra_closure(pub.c_gens, small_field)
@@ -232,7 +237,7 @@ def test_solve_scale_postconditions(small_instance, small_field):
     # the instance caches its C-algebra basis; a second call draws the same
     assert pub.c_algebra is pub.c_algebra
     assert all(np.array_equal(a, b) for a, b in zip(pub.c_algebra, kappas.mats, strict=True))
-    again = solve_scale(residual_inv, pub, pure, random.Random(9))
+    again = solve_scale(normalized(pub, residual_inv), pub, pure, random.Random(9))
     assert np.array_equal(again[0], scale) and np.array_equal(again[1], coeffs)
     assert again[2] == tries
 
@@ -245,7 +250,7 @@ def test_split_pure_part_and_reconstruction(small_instance, small_field):
     word, residual, residual_inv, twisted = factor_permutation(
         pub, transcript.alice_msg, Perm.identity(n)
     )
-    scale, _, _ = solve_scale(residual_inv, pub, pure, random.Random(12))
+    scale, _, _ = solve_scale(normalized(pub, residual_inv), pub, pure, random.Random(12))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
     assert np.array_equal(
         part, small_field.mat_mul(small_field.mat_inv(scale), residual)
@@ -299,7 +304,7 @@ def recovery_inputs(pub, priv, small_field, twist_of):
     h = transcript.bob_msg.perm
     pure = precompute_pure_basis(pub, random.Random(215), twist=twist_of(h))
     word, residual, residual_inv, twisted_word = factor_permutation(pub, transcript.alice_msg, h)
-    scale, _, _ = solve_scale(residual_inv, pub, pure, random.Random(216))
+    scale, _, _ = solve_scale(normalized(pub, residual_inv), pub, pure, random.Random(216))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
     artifacts = AttackArtifacts(word, residual, scale, part, pcoeffs, twisted_word)
     return transcript, key, pure, artifacts
@@ -532,7 +537,7 @@ def test_extension_grows_small_basis(small_instance, small_field, monkeypatch):
     word, residual, residual_inv, twisted = factor_permutation(
         pub, transcript.alice_msg, transcript.bob_msg.perm
     )
-    scale, _, _ = solve_scale(residual_inv, pub, pure, random.Random(27))
+    scale, _, _ = solve_scale(normalized(pub, residual_inv), pub, pure, random.Random(27))
     part, pcoeffs = split_pure_part(scale, residual, pure, small_field)
     artifacts = AttackArtifacts(word, residual, scale, part, pcoeffs, twisted)
     assert recover_key(pub, transcript, pure, artifacts) == key.key
@@ -622,8 +627,8 @@ def record_draws(monkeypatch):
     drawn = []
     original = attack_mod._candidate_words
 
-    def recording(pub, rng):
-        for word, g in original(pub, rng):
+    def recording(pub, rng, lengths):
+        for word, g in original(pub, rng, lengths):
             drawn.append(tuple(word.letters()))
             yield word, g
 
@@ -633,13 +638,15 @@ def record_draws(monkeypatch):
 
 def full_schedule_draws(pub, seed, config, monkeypatch):
     """The draws of every collection round run to its end (no early
-    accept) from the candidate stream attack_run derives from seed, and
-    the candidate total after each round."""
+    accept) from the candidate stream attack_run derives from seed, the
+    enlargement rounds drawing their own product lengths, and the
+    candidate total after each round."""
     rng = random.Random(seed)
     rng_candidates = random.Random(rng.getrandbits(64))
     drawn = record_draws(monkeypatch)
     pure = precompute_pure_basis(pub, rng_candidates, config)
     totals = [pure.candidates]
+    pure.enlarging = True  # as attack_run sets it when it counts the first enlargement
     for _ in range(config.enlargement_rounds):
         while extend_pure_basis(pub, pure, rng_candidates, config):
             pass
@@ -686,12 +693,13 @@ def test_attack_draws_are_a_prefix_of_the_full_schedule(small_instance, corner, 
 
 def test_precompute_without_early_stop_keeps_its_figures(small_instance):
     # (dim V, candidates) of a full collection round, as computed before
-    # early accept and the one-sided closure
+    # early accept and the one-sided closure; on GF(4), of a first round
+    # of 2 to 3 generator products
     pub, _, _ = small_instance
     gf4 = ttp_generate(7, GF2m(2), 3, 40, rng=random.Random(7))[0]
     for inst, expected in (
         (pub, [(10, 6), (10, 6), (10, 6), (10, 6)]),
-        (gf4, [(5, 7), (5, 6), (5, 11), (5, 6)]),
+        (gf4, [(5, 6), (5, 10), (5, 8), (3, 7)]),
     ):
         got = []
         for seed in range(4):
@@ -701,6 +709,68 @@ def test_precompute_without_early_stop_keeps_its_figures(small_instance):
     wide = ttp_generate(20, GF2m(8), 8, 24, rng=random.Random(20))[0]
     pure = precompute_pure_basis(wide, random.Random(0))
     assert (pure.dim, pure.candidates) == (82, 6)
+
+
+class SpyForm:
+    """Stands in for ``InstancePublic.a_form``: records the number of
+    generators of every product, tagged with the ``enlarging`` flag of the
+    collection call that asked for it (None outside collection)."""
+
+    def __init__(self, form):
+        self.form, self.phase, self.lengths = form, None, []
+
+    def product(self, gen_word):
+        self.lengths.append((self.phase, len(gen_word)))
+        return self.form.product(gen_word)
+
+
+def spy_on_products(pub, monkeypatch):
+    spy = SpyForm(pub.a_form)
+    monkeypatch.setattr(pub, "a_form", spy)
+    extend = attack_mod.extend_pure_basis
+
+    def tagged(pub, pure, *args):
+        spy.phase = pure.enlarging
+        try:
+            return extend(pub, pure, *args)
+        finally:
+            spy.phase = None
+
+    monkeypatch.setattr(attack_mod, "extend_pure_basis", tagged)
+    return spy
+
+
+def test_first_round_draws_short_products_and_enlargements_long_ones(monkeypatch):
+    # on GF(4) n = 7, where some attacks need enlargement rounds: the first
+    # round's candidates multiply 2 to 3 generators, an enlargement round's
+    # 1 to 10, and only the factored word is formed outside collection
+    pub, priv, _ = ttp_generate(7, GF2m(2), 3, 40, rng=random.Random(7))
+    exchanges = [fresh_exchange(pub, priv, 300 + seed)[1:] for seed in range(8)]
+    spy = spy_on_products(pub, monkeypatch)
+    first, later = set(), set()
+    for seed, (transcript, key) in enumerate(exchanges):
+        spy.lengths.clear()
+        recovered, stats = attack_run(pub, transcript, random.Random(seed))
+        assert recovered == key.key
+        assert [phase for phase, _ in spy.lengths].count(None) == 1
+        first |= {k for phase, k in spy.lengths if phase is False}
+        enlarged = {k for phase, k in spy.lengths if phase}
+        assert bool(enlarged) == (stats.enlargements > 0)
+        later |= enlarged
+    assert first == {2, 3}
+    assert later <= set(range(1, 11)) and max(later) > 3
+
+
+def test_precompute_draws_only_first_round_products(small_instance, monkeypatch):
+    # precompute_pure_basis runs one first round
+    gf4 = ttp_generate(7, GF2m(2), 3, 40, rng=random.Random(7))[0]
+    for pub in (small_instance[0], gf4):
+        spy = spy_on_products(pub, monkeypatch)
+        for seed in range(4):
+            precompute_pure_basis(pub, random.Random(seed), AttackConfig(stall=8))
+        assert {phase for phase, _ in spy.lengths} == {False}
+        assert {k for _, k in spy.lengths} == {2, 3}
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize(
@@ -730,10 +800,10 @@ def test_attack_skips_tries_a_settled_failure_would_repeat(stall, seeds, monkeyp
     tries, collections = [], []
     solve, extend = attack_mod.solve_scale, attack_mod.extend_pure_basis
 
-    def logged_solve(residual_inv, pub, pure, *args, **kwargs):
+    def logged_solve(products, pub, pure, *args, **kwargs):
         tries.append([pure.dim, None])
         try:
-            return solve(residual_inv, pub, pure, *args, **kwargs)
+            return solve(products, pub, pure, *args, **kwargs)
         except Exception as exc:
             tries[-1][1] = type(exc)
             raise
@@ -763,11 +833,11 @@ def test_attack_retries_an_unchanged_v_after_a_failed_sampling(monkeypatch):
     dims = []
     solve = attack_mod.solve_scale
 
-    def failing_once(residual_inv, pub, pure, *args, **kwargs):
+    def failing_once(products, pub, pure, *args, **kwargs):
         dims.append(pure.dim)
         if len(dims) == 1:
             raise InvertibleSampleFailed("forced")
-        return solve(residual_inv, pub, pure, *args, **kwargs)
+        return solve(products, pub, pure, *args, **kwargs)
 
     monkeypatch.setattr(attack_mod, "solve_scale", failing_once)
     recovered, stats = attack_run(pub, transcript, random.Random(0))
@@ -788,9 +858,9 @@ def test_exhausted_order_filter_still_counts_its_candidates(small_instance, monk
     )
     original = attack_mod._candidate_words
 
-    def then_high_order(pub, rng):
+    def then_high_order(pub, rng, lengths):
         # 30 drawn candidates, then only permutations of order above n
-        stream = original(pub, rng)
+        stream = original(pub, rng, lengths)
         for _ in range(30):
             yield next(stream)
         high = word_perm(ORDER_15_WORD, pub.params.n)

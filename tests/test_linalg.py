@@ -261,13 +261,14 @@ def test_solve_membership_matches_sequential_kernel(sequential_basis, kernel_ref
                 ref.add(m)
             kappas = random_inputs(fld, n, rng, rng.randrange(1, n * n + 3))
             gamma_inv = fld.random_invertible(rng, n)
+            products = fld.mat_mul(gamma_inv, np.stack(kappas))
             residuals = [ref.reduce(fld.mat_mul(gamma_inv, k).reshape(-1))[0] for k in kappas]
             want = kernel_reference(residuals, fld)
             if not want:
                 with pytest.raises(NoSolution):
-                    solve_membership(gamma_inv, kappas, V, fld)
+                    solve_membership(products, V, fld)
                 continue
-            kernel = solve_membership(gamma_inv, kappas, V, fld)
+            kernel = solve_membership(products, V, fld)
             assert kernel.shape == (len(want), len(kappas))
             assert all(np.array_equal(a, b) for a, b in zip(kernel, want))
             # sampling over the kernel's combined stack keeps the draw order:
@@ -511,14 +512,15 @@ def test_solve_membership_full_space_cases():
     n = 3
     # kappas equal to a basis of span(V): every combination lands inside
     v_basis = algebra_closure([fld.random_matrix(rng, n) for _ in range(2)], fld)
-    kernel = solve_membership(fld.identity(n), v_basis.mats, v_basis, fld)
+    kernel = solve_membership(np.stack(v_basis.mats), v_basis, fld)
     assert kernel.shape == (len(v_basis.mats), len(v_basis.mats))
     # V the full matrix space: constraints vacuous
     full = WitnessedBasis(fld, n)
     while full.dim < n * n:
         full.add(fld.random_matrix(rng, n))
     kappas = [fld.random_matrix(rng, n) for _ in range(4)]
-    kernel = solve_membership(fld.random_invertible(rng, n), kappas, full, fld)
+    gamma_inv = fld.random_invertible(rng, n)
+    kernel = solve_membership(fld.mat_mul(gamma_inv, np.stack(kappas)), full, fld)
     assert kernel.shape == (4, 4)
 
 
@@ -542,7 +544,7 @@ def test_solve_membership_planted_and_sound():
             break
     gamma = fld.mat_mul(c, v)
     gamma_inv = fld.mat_inv(gamma)
-    kernel = solve_membership(gamma_inv, kappas, v_span, fld)
+    kernel = solve_membership(fld.mat_mul(gamma_inv, np.stack(kappas)), v_span, fld)
     # soundness: every sampled solution satisfies the membership constraint
     for _ in range(25):
         x = fld.dot([rng.randrange(fld.order) for _ in kernel], kernel)
@@ -563,7 +565,7 @@ def test_solve_membership_no_solution():
     kappa = fld.random_matrix(rng, n)
     kappa[0, 1] = 1  # not a scalar matrix, so no combination is in span(I)
     with pytest.raises(NoSolution):
-        solve_membership(fld.identity(n), [kappa], identity_only, fld)
+        solve_membership(kappa[None], identity_only, fld)
 
 
 def test_sample_invertible_singleton():
@@ -605,7 +607,8 @@ def test_sample_invertible_planted_is_quick():
         v = v_span.combine(coeffs)
         if fld.is_invertible(v):
             gamma = fld.mat_mul(c, v)
-    kernel = solve_membership(fld.mat_inv(gamma), kappa_alg.mats, v_span, fld)
+    products = fld.mat_mul(fld.mat_inv(gamma), np.stack(kappa_alg.mats))
+    kernel = solve_membership(products, v_span, fld)
     c, _, tries = sample_invertible(fld.dot(kernel, np.stack(kappa_alg.mats)), fld, rng)
     assert fld.is_invertible(c)
     assert tries <= 16
