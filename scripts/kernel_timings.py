@@ -1,5 +1,5 @@
-"""Per-layer timings of the field's elimination and of span coefficients:
-a parent commit against the working tree.
+"""Per-layer timings of the field's elimination, of span coefficients and
+of closure products: a parent commit against the working tree.
 
     python3 scripts/kernel_timings.py --parent HEAD --pairs 5 --into BENCH_solve_kernel.json
 
@@ -14,7 +14,14 @@ calls (``CALLS``) of:
 - ``WitnessedBasis.express`` of one member of the dim-82 pure basis that
   the attack collects on an n=20 instance with 24-letter A generators
   (``wide_attack``'s sizes, generation seed 20), which is what stage
-  ``split`` asks for.
+  ``split`` asks for;
+- one closure product, the first generator of a pure basis times a stack
+  of 1, 16 and 82 of its basis elements (taken in turn), on that basis
+  and on the one collected at ``braid_attack``'s sizes (n=12 with
+  250-letter A generators, generation seed 12): ``dense`` is
+  ``GF2m.mat_mul``, ``block`` the product the closure forms, on the
+  strand blocks of its generators (at a commit without strand blocks,
+  ``mat_mul`` as well).
 
 Prints one JSON object: every process's medians in µs and, per timing,
 the median over the processes of each side and the change relative to
@@ -32,7 +39,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLS = {"matrix": 500, "express": 100}
+CALLS = {"matrix": 500, "express": 100, "product": 200}
 
 
 def measure() -> dict:
@@ -40,6 +47,9 @@ def measure() -> dict:
     import random
     import time
 
+    import numpy as np
+
+    from cbkap import linalg
     from cbkap.attack import precompute_pure_basis
     from cbkap.field import GF2m
     from cbkap.protocol import ttp_generate
@@ -63,9 +73,22 @@ def measure() -> dict:
         out[f"is_invertible.n{n}"] = median_us(lambda: fld.is_invertible(a), CALLS["matrix"])
         out[f"solve.n{n}"] = median_us(lambda: solve(a, b), CALLS["matrix"])
     pub, _, _ = ttp_generate(20, fld, 8, 24, rng=random.Random(20))
-    basis = precompute_pure_basis(pub, random.Random(21)).basis
+    wide = precompute_pure_basis(pub, random.Random(21)).closure
+    basis = wide.basis
     member = basis.combine([rng.randrange(fld.order) for _ in range(basis.dim)])
     out[f"express.dim{basis.dim}"] = median_us(lambda: basis.express(member), CALLS["express"])
+    pub, _, _ = ttp_generate(12, fld, 8, 250, rng=random.Random(12))
+    closures = {"n12": precompute_pure_basis(pub, random.Random(13)).closure, "n20": wide}
+    block = getattr(linalg, "_block_mat_mul", None)
+    for size, closure in closures.items():
+        gen = closure.generators[0][0]
+        plan = linalg._block_plan(closure._pattern) if block else None
+        for k in (1, 16, 82):
+            stack = np.stack([closure.basis.mats[i % closure.dim] for i in range(k)])
+            name = f"closure_product.{size}.k{k}"
+            out[f"{name}.dense"] = median_us(lambda: fld.mat_mul(gen, stack), CALLS["product"])
+            product = (lambda: block(fld, plan, gen, stack)) if block else (lambda: fld.mat_mul(gen, stack))
+            out[f"{name}.block"] = median_us(product, CALLS["product"])
     return out
 
 

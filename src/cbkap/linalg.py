@@ -16,6 +16,13 @@ raw matrices are solved for when asked for (one ``GF2m.solve`` per call);
 no change-of-basis transform is stored.  The closure keeps the braid word
 of each generator plus one recipe per basis element; together they give a
 pure word for every basis element without storing it.
+
+Closure products run on the strand blocks of the generators: every
+matrix of the algebra is block-diagonal under the partition of the
+strands that the generators' nonzero entries join, so a generator times
+a stack of basis elements is one gather of the sum-of-cubes block terms
+and one XOR ``reduceat`` (``GF2m.mat_mul`` when the blocks take more than
+n^3 / BLOCK_CUT terms).  A lone generator's powers double per pass.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import field as _field
 from .braid import BraidWord
 from .field import GF2m
 
@@ -40,6 +48,12 @@ __all__ = [
 
 # draws sample_invertible makes before it raises InvertibleSampleFailed
 SAMPLE_TRIES = 64
+
+# a strand partition whose block products take more than n^3 / BLOCK_CUT
+# terms is multiplied by GF2m.mat_mul instead: the one-gather product was
+# never slower at a share of 0.28, ran 2-4x faster at 0.08-0.13 and 2x
+# slower at 0.77
+BLOCK_CUT = 4
 
 
 class NotInSpan(ValueError):
@@ -193,6 +207,54 @@ class WitnessedBasis:
         return self.field.dot(coeffs, stack)
 
 
+def _block_plan(pattern: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """The gather plan of products of matrices that use only the entries
+    of an (n, n) nonzero pattern, or None when its blocks take more than
+    n^3 / BLOCK_CUT terms.
+
+    Strands i and j share a block when a chain of used entries, read in
+    either direction, joins them; every product of such matrices is
+    block-diagonal under that partition.  Returns (left, right, out,
+    starts): term t multiplies flat entry left[t] of the left factor by
+    flat entry right[t] of the right one, and the run of terms from
+    starts[e] sums to flat output entry out[e]."""
+    n = len(pattern)
+    same = pattern | pattern.T | np.eye(n, dtype=bool)
+    while True:  # each pass doubles the chains followed
+        longer = same @ same
+        if np.array_equal(longer, same):
+            break
+        same = longer
+    sizes = same.sum(axis=1)  # per strand, the size b of its block
+    if int((sizes ** 2).sum()) * BLOCK_CUT > n ** 3:  # the sum of b^3 over blocks
+        return None
+    i, j, l = np.nonzero(same[:, :, None] & same[:, None, :])  # l varies fastest
+    out = np.flatnonzero(same)
+    runs = sizes[out // n]
+    return i * n + l, l * n + j, out, np.cumsum(runs) - runs
+
+
+def _block_mat_mul(field: GF2m, plan: tuple[np.ndarray, ...] | None,
+                   a: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The products a . stack[k], exact, for a and every stack[k]
+    block-diagonal under the strand partition ``plan`` was made for
+    (:func:`_block_plan`): per cut of the stack, one gather of the block
+    terms and one XOR ``reduceat``, the stack cut so that no temporary
+    exceeds ``field.DOT_BLOCK`` terms.  A None plan is ``GF2m.mat_mul``."""
+    if plan is None:
+        return field.mat_mul(a, stack)
+    left, right, out, starts = plan
+    n = len(a)
+    flat = stack.reshape(len(stack), n * n)
+    a_terms = a.reshape(-1).take(left)
+    res = np.zeros(flat.shape, dtype=field.dtype)
+    step = max(1, _field.DOT_BLOCK // len(left))
+    for c in range(0, len(flat), step):
+        terms = field.mul_arr(flat[c : c + step].take(right, axis=1), a_terms)
+        res[c : c + step, out] = np.bitwise_xor.reduceat(terms, starts, axis=1)
+    return res.reshape(stack.shape)
+
+
 class AlgebraClosure:
     """A basis kept closed under products with its generators.
 
@@ -203,6 +265,15 @@ class AlgebraClosure:
     generators, so it is the algebra they generate and is closed under
     all products.  Generators already inside the span contribute nothing
     new and are skipped.
+
+    Every product is block-diagonal under the strand partition of the
+    generators' nonzero pattern, so each stacked product of a generator
+    and basis elements is one block product (:func:`_block_mat_mul`).  The
+    partition is recomputed only when an accepted generator uses a new
+    entry.  While the closure holds one generator g, its basis is the
+    powers 1, g, ..., g^(m-1), and one pass forms the next m - 1 powers as
+    g^(m-1) . [g ... g^(m-1)]: about log2 of the degree of g in passes,
+    with the basis, pivots and recipes of one power per pass.
 
     Each basis element records how it was formed (identity, a generator,
     or a generator times an earlier element).  With
@@ -220,6 +291,8 @@ class AlgebraClosure:
         # per basis element: ("one",) | ("gen", gi) | ("gb", gi, bi)
         self.recipes: list[tuple] = []
         self._done: list[int] = []  # per generator: basis size already multiplied
+        self._pattern = np.zeros((n, n), dtype=bool)  # the entries some generator uses
+        self._plan = None  # set by the first generator, which uses a new entry
         self.basis.add(field.identity(n))
         self.recipes.append(("one",))
 
@@ -232,11 +305,35 @@ class AlgebraClosure:
         closure; True if the span grew."""
         if not self.basis.add(mat):
             return False
+        used = mat != 0
+        if (used & ~self._pattern).any():
+            self._pattern |= used
+            self._plan = _block_plan(self._pattern)
         self.generators.append((mat, witness))
         self.recipes.append(("gen", len(self.generators) - 1))
         self._done.append(0)
-        self._drain()
+        if len(self.generators) == 1:
+            self._drain_powers()
+        else:
+            self._drain()
         return True
+
+    def _drain_powers(self) -> None:
+        """Close under the one generator g, doubling the run of powers per
+        pass: with basis 1, g, ..., g^(m-1), the pass forms g^(m-1) . g^p
+        for 0 < p < m.  That is g^(m-1+p) = g . g^(m-2+p), so its recipe
+        is ("gb", 0, m-2+p), as in a drain of one power per pass.  The
+        powers that grow the span are a prefix of each pass: once a power
+        lies in the span of the lower ones, so does every higher one."""
+        basis = self.basis
+        while True:
+            m = basis.dim
+            powers = _block_mat_mul(basis.field, self._plan, basis.mats[m - 1], np.stack(basis.mats[1:m]))
+            grew = basis.add_block(powers)
+            self.recipes += [("gb", 0, m - 1 + int(i)) for i in np.flatnonzero(grew)]
+            if not grew.all():
+                break
+        self._done[0] = basis.dim
 
     def _drain(self) -> None:
         basis = self.basis
@@ -248,7 +345,7 @@ class AlgebraClosure:
                 if start >= size:
                     continue
                 progress = True
-                products = basis.field.mat_mul(gmat, np.stack(basis.mats[start:size]))
+                products = _block_mat_mul(basis.field, self._plan, gmat, np.stack(basis.mats[start:size]))
                 grew = basis.add_block(products)
                 self.recipes += [("gb", gi, start + int(bi)) for bi in np.flatnonzero(grew)]
                 self._done[gi] = size
@@ -259,16 +356,19 @@ class AlgebraClosure:
         With gen_images[i] the twisted image of generator i, returns the
         twisted image of every basis element, in basis order.  A run of
         products by one generator whose factors all come before the run
-        (``_drain`` emits one per block) is one stacked product.
+        (``_drain`` emits one per block) is one stacked block product,
+        under the strand partition of the images.
         """
-        fld = self.basis.field
+        fld, n = self.basis.field, self.basis.n
+        images = np.array(gen_images, dtype=fld.dtype).reshape(-1, n, n)
+        plan = _block_plan(images.any(axis=0))
         recipes = self.recipes
         out: list[np.ndarray] = []
         k = 0
         while k < len(recipes):
             kind = recipes[k][0]
             if kind == "one":
-                out.append(fld.identity(self.basis.n))
+                out.append(fld.identity(n))
                 k += 1
             elif kind == "gen":
                 out.append(gen_images[recipes[k][1]])
@@ -278,7 +378,7 @@ class AlgebraClosure:
                 while end < len(recipes) and recipes[end][:2] == ("gb", gi) and recipes[end][2] < k:
                     end += 1
                 factors = np.stack([out[r[2]] for r in recipes[k:end]])
-                out.extend(fld.mat_mul(gen_images[gi], factors))
+                out.extend(_block_mat_mul(fld, plan, gen_images[gi], factors))
                 k = end
         return out
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -419,6 +420,90 @@ def test_batched_rebuild_matches_sequential_replay(kind, rebuild_reference, monk
                 assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
+def block_diagonal(field, rng, strands, sizes):
+    """A matrix with nonzero entries exactly on the blocks: block b holds
+    the next sizes[b] strands of the list ``strands``."""
+    n = len(strands)
+    mat = field.zeros(n)
+    start = 0
+    for size in sizes:
+        block = strands[start : start + size]
+        start += size
+        for i in block:
+            for j in block:
+                mat[i, j] = rng.randrange(1, field.order)
+    return mat
+
+
+@pytest.mark.parametrize("dot_block", [None, 200])
+@pytest.mark.parametrize("k", [1, 82])
+@pytest.mark.parametrize("degree", [1, 8, 16])
+@pytest.mark.parametrize("sizes", [
+    [1] * 10,  # all singletons
+    [10] + [1] * 10,  # wide_attack's V
+    [6, 3, 7, 3, 1],  # like kappa on wide_attack
+    [5, 1, 1, 1],  # sum of cubes exactly n^3 / 4
+    [8],  # dense: the mat_mul fallback
+])
+def test_block_product_matches_mat_mul(sizes, degree, k, dot_block, monkeypatch):
+    if dot_block is not None:  # the lowered budget cuts the stack
+        monkeypatch.setattr(field, "DOT_BLOCK", dot_block)
+    fld = GF2m(degree)
+    n = sum(sizes)
+    rng = random.Random(1000 * degree + 10 * n + k)
+    strands = list(range(n))
+    rng.shuffle(strands)  # the blocks need not be runs of strands
+    a = block_diagonal(fld, rng, strands, sizes)
+    stack = np.array([block_diagonal(fld, rng, strands, sizes) for _ in range(k)])
+    # the products of the stack take any values on the blocks, zero too
+    stack[np.random.default_rng(k).random(stack.shape) < 0.3] = 0
+    plan = linalg._block_plan(a != 0)
+    cubes = sum(size ** 3 for size in sizes)
+    assert (plan is None) == (cubes * linalg.BLOCK_CUT > n ** 3)
+    assert plan is None or len(plan[0]) == cubes
+    dense, terms = [], []
+    mat_mul, mul_arr = GF2m.mat_mul, fld.mul_arr
+    monkeypatch.setattr(GF2m, "mat_mul", lambda self, x, y: dense.append(1) or mat_mul(self, x, y))
+    monkeypatch.setattr(fld, "mul_arr", lambda x, y: terms.append(np.size(x)) or mul_arr(x, y))
+    got = linalg._block_mat_mul(fld, plan, a, stack)
+    assert len(dense) == (plan is None)
+    # the gathers stay within the budget, unless one matrix's terms exceed it
+    assert plan is None or max(terms) <= max(field.DOT_BLOCK, cubes)
+    want = mat_mul(fld, a, stack)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def companion(field, rng, d):
+    """The companion matrix of a random monic polynomial of degree d, whose
+    minimal polynomial is that polynomial."""
+    mat = field.zeros(d)
+    mat[1:, :-1] = field.identity(d - 1)
+    mat[:, -1] = [rng.randrange(field.order) for _ in range(d)]
+    return mat
+
+
+@pytest.mark.parametrize("degree", [1, 8])
+def test_lone_generator_drain_doubles_powers(degree, drain_reference, monkeypatch):
+    passes = []
+    add_block = WitnessedBasis.add_block
+    monkeypatch.setattr(WitnessedBasis, "add_block", lambda self, mats: passes.append(len(mats)) or add_block(self, mats))
+    fld = GF2m(degree)
+    rng = random.Random(degree)
+    gens = [companion(fld, rng, d) for d in (2, 3, 4, 5, 8, 9, 16, 17)]
+    gens += [fld.random_matrix(rng, n) for n in (3, 6, 12)]
+    gens += [structured_gens(fld, 8, rng, "block")[0],
+             np.diag([v % fld.order for v in (1, 1, 2, 2, 3)]).astype(fld.dtype)]
+    for g in gens:
+        closure = AlgebraClosure(fld, len(g))
+        passes.clear()
+        assert closure.add_generator(g)
+        d = closure.dim  # the degree of the minimal polynomial of g
+        # the first add_block is the generator's own
+        assert d >= 2 and len(passes) - 1 <= math.ceil(math.log2(d)) + 1
+        assert closure._done == [d]
+        assert_drain_matches_reference(closure, [g], drain_reference)
+
+
 def test_express_matches_inverse_of_pivot_columns():
     # express solves coeffs . raw = vecs on the pivot columns; the pivot
     # entries times the inverse of the raw matrices' pivot columns give the
@@ -445,26 +530,32 @@ def test_express_matches_inverse_of_pivot_columns():
 
 
 def test_batched_rebuild_on_attack_sized_closures(rebuild_reference, monkeypatch):
+    # every closure product, block or dense, goes through _block_mat_mul
     products = []
-    mat_mul = GF2m.mat_mul
-    monkeypatch.setattr(GF2m, "mat_mul", lambda self, a, b: products.append(b.ndim) or mat_mul(self, a, b))
+    block_mat_mul = linalg._block_mat_mul
+    monkeypatch.setattr(linalg, "_block_mat_mul", lambda fld, plan, a, b: products.append(
+        (b.ndim, len(b), plan is None)) or block_mat_mul(fld, plan, a, b))
     for n, word_len in ((12, 250), (20, 24)):
         fld = GF2m(8)
         rng = random.Random(n)
         pub, _, _ = ttp_generate(n, fld, 8, word_len, rng=rng)
         pure = precompute_pure_basis(pub, random.Random(n + 1))
-        images = [fld.random_matrix(rng, n) for _ in pure.closure.generators]
         products.clear()
-        got = pure.closure.rebuild(images)
-        # one stacked product per block the drain sifted in
+        # collected with no twist, the twisted images are the generators,
+        # which give the basis back
+        got = pure.closure.rebuild(pure.twisted)
+        assert all(np.array_equal(a, b) for a, b in zip(got, pure.basis.mats, strict=True))
+        # one stacked product per run the drain sifted in, covering every
+        # product recipe; the images at n=20 leave strands apart, so their
+        # products are block products
         gb = sum(r[0] == "gb" for r in pure.closure.recipes)
-        assert products.count(3) == len(products) < gb
+        assert all(ndim == 3 for ndim, _, _ in products)
+        assert sum(k for _, k, _ in products) == gb and 0 < len(products) < gb
+        assert n < 20 or not any(dense for _, _, dense in products)
+        images = [fld.random_matrix(rng, n) for _ in pure.closure.generators]
+        got = pure.closure.rebuild(images)
         want = rebuild_reference(pure.closure, images)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-        # the untwisted images give the basis back
-        assert all(np.array_equal(a, b) for a, b in zip(
-            pure.closure.rebuild([m for m, _ in pure.closure.generators]), pure.basis.mats, strict=True
-        ))
 
 
 def make_pure_closure(field, n, rng, gen_count=4, word_len=12):
