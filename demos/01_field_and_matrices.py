@@ -14,13 +14,15 @@ print(f"default degree-8 modulus: {field.modulus:#x} (x^8 + x^4 + x^3 + x + 1)")
 print(f"smallest irreducible of degree 5: {default_modulus(5):#x}")
 
 a, b = 0x53, 0xCA
-print(f"{a:#x} * {b:#x} = {field.mul(a, b):#x}   (a classic inverse pair)")
+print(f"{a:#x} * {b:#x} = {int(field.mul_arr(a, b)):#x}   (a classic inverse pair)")
 print(f"inv({a:#x}) = {field.inv(a):#x}")
 print(f"{a:#x} + {b:#x} = {a ^ b:#x}   (addition is XOR)")
 
 print("\n== exact matrix algebra ==")
 rng = random.Random(1)
-m = field.random_invertible(rng, 4)
+m = field.random_matrix(rng, 4)
+while not field.is_invertible(m):  # a random matrix is invertible with probability ~0.996
+    m = field.random_matrix(rng, 4)
 m_inv = field.mat_inv(m)
 print("a random invertible 4x4 matrix:")
 print(m)

@@ -1,5 +1,6 @@
-"""Per-layer timings of the field's elimination, of span coefficients and
-of closure products: a parent commit against the working tree.
+"""Per-layer timings of the field's elimination, of span coefficients, of
+closure products and of compiling the package: a parent commit against
+the working tree.
 
     python3 scripts/kernel_timings.py --parent HEAD --pairs 5 --into BENCH_solve_kernel.json
 
@@ -8,9 +9,8 @@ from pair to pair.  A process times, over GF(2^8), the median of many
 calls (``CALLS``) of:
 
 - ``mat_inv`` and ``is_invertible`` on random invertible matrices at
-  n=12 and n=20;
-- a one-column ``solve`` at n=12 and n=20 (at a commit without
-  ``GF2m.solve``, the ``mat_inv`` and ``mat_mul`` it replaces);
+  n=12 and n=20 (drawn as ``random_matrix`` until ``is_invertible``);
+- a one-column ``solve`` at n=12 and n=20;
 - ``WitnessedBasis.express`` of one member of the dim-82 pure basis that
   the attack collects on an n=20 instance with 24-letter A generators
   (``wide_attack``'s sizes, generation seed 20), which is what stage
@@ -20,82 +20,119 @@ calls (``CALLS``) of:
   and on the one collected at ``braid_attack``'s sizes (n=12 with
   250-letter A generators, generation seed 12): ``dense`` is
   ``GF2m.mat_mul``, ``block`` the product the closure forms, on the
-  strand blocks of its generators (at a commit without strand blocks,
-  ``mat_mul`` as well).
+  strand blocks of its generators;
+- ``compile()`` of each ``src/cbkap/*.py`` file of its side, as a fresh
+  import without bytecode does (``compile.<file>``, 15 calls).
 
-Prints one JSON object: every process's medians in µs and, per timing,
-the median over the processes of each side and the change relative to
-the parent.  ``--into FILE`` also stores it under ``per_layer`` in FILE.
+A process runs in one of the machine's speed modes, so medians over
+processes of each side mix them.  Before and after each timing, the
+process times the benchmark's fixed reference kernel, which does not use
+cbkap (``reference_seconds`` of ``perfbench/run.py``), and reports the
+timing also as a ratio to the mean of those two reference times (one
+reference timing sits between two kernels).
+
+Prints one JSON object: every process's medians in µs and ratios, per
+timing the median over the processes of each side of both, with the
+change relative to the parent, and per side the lines and tokens of
+``src/cbkap`` (tokens as ``tokenize`` gives them, without comments and
+layout).  ``--into FILE`` also stores it under ``per_layer`` in FILE.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
+import io
 import json
 import statistics
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLS = {"matrix": 500, "express": 100, "product": 200}
+CALLS = {"matrix": 500, "express": 100, "product": 200, "compile": 15}
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+          tokenize.ENCODING, tokenize.ENDMARKER}
 
 
 def measure() -> dict:
-    """The timings of the cbkap on sys.path, in µs."""
+    """The timings of the cbkap on sys.path: medians in µs, and each as a
+    ratio to the reference kernel timed around it."""
     import random
     import time
 
     import numpy as np
 
+    import cbkap
     from cbkap import linalg
     from cbkap.attack import precompute_pure_basis
     from cbkap.field import GF2m
     from cbkap.protocol import ttp_generate
 
-    def median_us(fn, calls):
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    us, ratio = {}, {}
+    refs = [run.reference_seconds()]  # one before the first timing and one after each
+
+    def timed(name, fn, calls):
         times = []
         for _ in range(calls):
             start = time.perf_counter()
             fn()
             times.append(time.perf_counter() - start)
-        return statistics.median(times) * 1e6
+        refs.append(run.reference_seconds())
+        us[name] = statistics.median(times) * 1e6
+        ratio[name] = statistics.median(times) / statistics.mean(refs[-2:])
 
     fld = GF2m(8)
     rng = random.Random(5)
-    out = {}
     for n in (12, 20):
-        a = fld.random_invertible(rng, n)
+        a = fld.random_matrix(rng, n)
+        while not fld.is_invertible(a):
+            a = fld.random_matrix(rng, n)
         b = fld.random_matrix(rng, n)[:, :1]
-        solve = getattr(fld, "solve", lambda a, b: fld.mat_mul(fld.mat_inv(a), b))
-        out[f"mat_inv.n{n}"] = median_us(lambda: fld.mat_inv(a), CALLS["matrix"])
-        out[f"is_invertible.n{n}"] = median_us(lambda: fld.is_invertible(a), CALLS["matrix"])
-        out[f"solve.n{n}"] = median_us(lambda: solve(a, b), CALLS["matrix"])
+        timed(f"mat_inv.n{n}", lambda: fld.mat_inv(a), CALLS["matrix"])
+        timed(f"is_invertible.n{n}", lambda: fld.is_invertible(a), CALLS["matrix"])
+        timed(f"solve.n{n}", lambda: fld.solve(a, b), CALLS["matrix"])
     pub, _, _ = ttp_generate(20, fld, 8, 24, rng=random.Random(20))
     wide = precompute_pure_basis(pub, random.Random(21)).closure
     basis = wide.basis
     member = basis.combine([rng.randrange(fld.order) for _ in range(basis.dim)])
-    out[f"express.dim{basis.dim}"] = median_us(lambda: basis.express(member), CALLS["express"])
+    timed(f"express.dim{basis.dim}", lambda: basis.express(member), CALLS["express"])
     pub, _, _ = ttp_generate(12, fld, 8, 250, rng=random.Random(12))
     closures = {"n12": precompute_pure_basis(pub, random.Random(13)).closure, "n20": wide}
-    block = getattr(linalg, "_block_mat_mul", None)
     for size, closure in closures.items():
         gen = closure.generators[0][0]
-        plan = linalg._block_plan(closure._pattern) if block else None
+        plan = linalg._block_plan(closure._pattern)
         for k in (1, 16, 82):
             stack = np.stack([closure.basis.mats[i % closure.dim] for i in range(k)])
             name = f"closure_product.{size}.k{k}"
-            out[f"{name}.dense"] = median_us(lambda: fld.mat_mul(gen, stack), CALLS["product"])
-            product = (lambda: block(fld, plan, gen, stack)) if block else (lambda: fld.mat_mul(gen, stack))
-            out[f"{name}.block"] = median_us(product, CALLS["product"])
-    return out
+            timed(f"{name}.dense", lambda: fld.mat_mul(gen, stack), CALLS["product"])
+            timed(f"{name}.block", lambda: linalg._block_mat_mul(fld, plan, gen, stack), CALLS["product"])
+    for path in sorted(Path(cbkap.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        timed(f"compile.{path.name}", lambda: compile(source, str(path), "exec"), CALLS["compile"])
+    return {"us": us, "ratio": ratio, "reference_s": refs}
+
+
+def src_size(tree: Path) -> dict:
+    """Lines and tokens (no comments or layout) of the tree's src/cbkap."""
+    lines = tokens = 0
+    for path in sorted((tree / "src" / "cbkap").glob("*.py")):
+        source = path.read_text()
+        lines += len(source.splitlines())
+        tokens += sum(tok.type not in LAYOUT
+                      for tok in tokenize.generate_tokens(io.StringIO(source).readline))
+    return {"lines": lines, "tokens": tokens}
 
 
 def run_side(tree: Path) -> dict:
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--child"],
-        env={"PYTHONPATH": str(tree / "src"), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": str(tree / "src"), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
@@ -119,17 +156,24 @@ def main() -> int:
         archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT,
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        src = {"parent": src_size(parent), "change": src_size(ROOT)}
         for pair in range(args.pairs):
             sides = [("parent", parent), ("change", ROOT)]
             for side, tree in sides if pair % 2 == 0 else sides[::-1]:
                 runs[side].append(run_side(tree))
     summary = {}
-    for name in runs["change"][0]:
-        parent_us = statistics.median(r[name] for r in runs["parent"])
-        change_us = statistics.median(r[name] for r in runs["change"])
-        summary[name] = {"parent_us": round(parent_us, 1), "change_us": round(change_us, 1),
-                         "change_rel": round(change_us / parent_us - 1, 4)}
-    result = {"parent": args.parent, "calls_per_median": CALLS, "summary": summary, "runs": runs}
+    names = [name for name in runs["change"][0]["us"] if name in runs["parent"][0]["us"]]
+    for name in names:
+        row = {}
+        for unit in ("us", "ratio"):
+            parent_v = statistics.median(r[unit][name] for r in runs["parent"])
+            change_v = statistics.median(r[unit][name] for r in runs["change"])
+            row[f"parent_{unit}"] = float(f"{parent_v:.4g}")
+            row[f"change_{unit}"] = float(f"{change_v:.4g}")
+            row[f"change_rel_{unit}"] = round(change_v / parent_v - 1, 4)
+        summary[name] = row
+    result = {"parent": args.parent, "calls_per_median": CALLS, "src": src, "summary": summary,
+              "runs": runs}
     print(json.dumps(result, indent=1))
     if args.into:
         bench = json.loads(args.into.read_text()) if args.into.exists() else {}

@@ -73,7 +73,15 @@ from .linalg import (
     sample_invertible,
     solve_membership,
 )
-from .perm import NotInGroup, Perm, StabilizerChain, WordTooLong, evaluate_genword, shortest_word
+from .perm import (
+    NotInGroup,
+    Perm,
+    StabilizerChain,
+    WordTooLong,
+    evaluate_genword,
+    random_genword,
+    shortest_word,
+)
 from .protocol import InstancePublic, Transcript
 
 __all__ = [
@@ -225,10 +233,7 @@ def _candidate_words(pub: InstancePublic, rng, lengths: tuple[int, int]):
     lengths[0] to lengths[1] random A generators or inverses, with its
     permutation composed from the generators' own."""
     while True:
-        gen_word = [
-            (rng.randrange(len(pub.a_gens)), 1 if rng.random() < 0.5 else -1)
-            for _ in range(rng.randint(*lengths))
-        ]
+        gen_word = random_genword(rng, len(pub.a_gens), lengths)
         yield pub.a_form.product(gen_word), evaluate_genword(gen_word, pub.a_perms, pub.params.n)
 
 
@@ -343,7 +348,7 @@ def solve_scale(
     pub: InstancePublic,
     pure: PureBasis,
     rng,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, int]:
     """Find an invertible element of the C algebra whose normalization by
     the residual lands in span(V).
 
@@ -353,15 +358,14 @@ def solve_scale(
     form it once.  Solves the linear membership system.  Its kernel rows, combined
     over that basis, span the admissible scales, and sample_invertible
     draws from that stack until one is invertible: one coefficient per
-    kernel row per try.  Returns (scale, coefficients over the C basis,
-    tries).  NoSolution propagates when V is too small; callers enlarge V
-    and retry.
+    kernel row per try.  Returns (scale, tries).  NoSolution propagates
+    when V is too small; callers enlarge V and retry.
     """
     field = pub.params.field
     kappas = np.stack(pub.c_algebra)
     kernel = solve_membership(normalized, pure.basis, field)
-    scale, coeffs, tries = sample_invertible(field.dot(kernel, kappas), field, rng)
-    return scale, field.dot(coeffs, kernel), tries
+    scale, _, tries = sample_invertible(field.dot(kernel, kappas), field, rng)
+    return scale, tries
 
 
 def split_pure_part(
@@ -464,7 +468,7 @@ def attack_run(
                 if normalized is None:
                     normalized = fld.mat_mul(residual_inv, np.stack(pub.c_algebra))
                 try:
-                    scale, _, tries = solve_scale(normalized, pub, pure, rng_samples)
+                    scale, tries = solve_scale(normalized, pub, pure, rng_samples)
                 except (NoSolution, InvertibleSampleFailed) as exc:
                     return "scale", exc
             stats.scale_tries += tries

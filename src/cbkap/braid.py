@@ -52,7 +52,6 @@ __all__ = [
     "MatPerm",
     "e_multiply",
     "word_eval_pair",
-    "left_mul",
 ]
 
 
@@ -330,10 +329,6 @@ class MatPerm:
         self.mat = mat
         self.perm = perm
 
-    @classmethod
-    def identity(cls, field: GF2m, n: int) -> "MatPerm":
-        return cls(field.identity(n), Perm.identity(n))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MatPerm)
@@ -343,11 +338,6 @@ class MatPerm:
 
     def __repr__(self) -> str:
         return f"MatPerm(n={self.perm.n}, perm={self.perm!r})"
-
-
-def left_mul(field: GF2m, x: np.ndarray, omega: MatPerm) -> MatPerm:
-    """The left scaling action: multiply the matrix component by x."""
-    return MatPerm(field.mat_mul(x, omega.mat), omega.perm)
 
 
 def e_multiply(
@@ -449,4 +439,4 @@ def e_multiply(
 
 def word_eval_pair(word: BraidWord, params: EvalParams) -> MatPerm:
     """The evaluated pair image of a word: E-multiplication from (I, e)."""
-    return e_multiply(MatPerm.identity(params.field, params.n), word, params)
+    return e_multiply(MatPerm(params.field.identity(params.n), Perm.identity(params.n)), word, params)

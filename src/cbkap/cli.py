@@ -5,10 +5,11 @@ exchange and derive both keys), ``attack`` (recover the key from public
 data plus a transcript) and ``verify`` (compare two key files).  Seeded
 runs are byte-identical.
 
-Exit codes: 0 success, 1 mismatch or verification failure, 2 usage or
-file-format error (a transcript without Bob's message among them, or a
-scale algebra in which a party's round finds no invertible element
-within the sampler's bound), 3 attack-stage failure.  The
+Exit codes: 0 success, 1 mismatch or verification failure, 2 usage,
+file-format or file-system error (a transcript without Bob's message
+among them, an output directory that cannot be made, or a scale algebra
+in which a party's round finds no invertible element within the
+sampler's bound), 3 attack-stage failure.  The
 ``ERASER_SEED`` environment variable is the fallback when ``--seed`` is
 absent; without either, a fresh system seed is drawn.
 """
@@ -188,7 +189,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError, ValueError, InvertibleSampleFailed) as exc:
+    except (OSError, ValueError, InvertibleSampleFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,9 +4,9 @@ Field elements are plain Python ints in [0, 2^m), read as polynomial
 bit-vectors over GF(2) (bit k = coefficient of x^k).  Addition is XOR,
 multiplication is carry-less polynomial multiplication reduced modulo an
 irreducible modulus.  A ``GF2m`` instance owns the modulus and a single
-log/antilog table pair built over a primitive element, shared with every
-other live instance of that modulus; all arithmetic is exact, with no
-tolerances anywhere.
+log/antilog table pair built over a primitive element, and an inverse
+table, shared with every other live instance of that modulus; all
+arithmetic is exact, with no tolerances anywhere.
 
 Matrices are numpy arrays of the field's unsigned dtype and are always
 passed around together with their ``GF2m``.  Every object here is
@@ -109,9 +109,9 @@ def _prime_factors(x: int) -> list[int]:
 class GF2m:
     """The field GF(2^m) for a fixed irreducible modulus.
 
-    Scalar operations use one log/antilog table pair over a primitive
-    element; every vector and matrix product goes through :meth:`mul_arr`,
-    which uses the numpy copies of the same tables.  Building them is
+    Every product goes through :meth:`mul_arr`, one lookup in a numpy
+    log/antilog table pair over a primitive element; :meth:`inv`, from an
+    inverse table, is the only scalar operation.  Building them is
     O(2^m), so the degree is capped at 16 (the protocol sizes of interest
     are m <= 8); a field constructed while another of its modulus is alive
     validates the modulus and shares that one's tables, so the cache never
@@ -138,8 +138,7 @@ class GF2m:
             self._build_tables()
             _FIELDS[degree, modulus] = self
         else:
-            self._exp, self._log, self._inv = twin._exp, twin._log, twin._inv
-            self._exp_np, self._log_np = twin._exp_np, twin._log_np
+            self._inv, self._exp_np, self._log_np = twin._inv, twin._exp_np, twin._log_np
 
     def _mul_slow(self, a: int, b: int) -> int:
         return _poly_mod(_clmul(a, b), self.modulus)
@@ -170,10 +169,8 @@ class GF2m:
             cur = self._mul_slow(cur, gen)
         if cur != 1:  # pragma: no cover - the search above picks a primitive element
             raise RuntimeError("element used for the tables is not primitive")
-        self._exp = exp
-        self._log = log
         self._inv = [0] + [exp[(q - 1 - log[a]) % (q - 1)] for a in range(1, q)]
-        # numpy copies for mul_arr: the log of zero, 2(q-1), lies past every
+        # the tables mul_arr reads: the log of zero, 2(q-1), lies past every
         # sum of two nonzero logs, and every antilog entry from there on is
         # zero, so a product with a zero factor looks up zero with no mask;
         # a sum of two logs is at most 4(q-1), so uint16 holds it for m <= 14
@@ -186,33 +183,10 @@ class GF2m:
 
     # -- scalar operations -------------------------------------------------
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
-    @staticmethod
-    def neg(a: int) -> int:
-        # characteristic 2: every element is its own negative
-        return a
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise NonInvertibleFieldElement("0 has no multiplicative inverse")
         return self._inv[a]
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise NonInvertibleFieldElement("0 has no multiplicative inverse")
-            return 0
-        return self._exp[(self._log[a] * e) % (self.order - 1)]
 
     # -- vector and matrix operations --------------------------------------
 
@@ -298,12 +272,6 @@ class GF2m:
     def random_matrix(self, rng, n: int) -> np.ndarray:
         flat = [rng.randrange(self.order) for _ in range(n * n)]
         return np.array(flat, dtype=self.dtype).reshape(n, n)
-
-    def random_invertible(self, rng, n: int) -> np.ndarray:
-        while True:
-            m = self.random_matrix(rng, n)
-            if self.is_invertible(m):
-                return m
 
     # -- identity ----------------------------------------------------------
 

@@ -113,13 +113,6 @@ class WitnessedBasis:
         return len(self.mats)
 
     @property
-    def _rows(self) -> np.ndarray:
-        """The echelon rows at full width, (dim, n^2)."""
-        rows = np.zeros((self.dim, self.n * self.n), dtype=self.field.dtype)
-        rows[:, self._support] = self._buf[: self.dim]
-        return rows
-
-    @property
     def _pivots(self) -> np.ndarray:
         return self._pivbuf[: self.dim]
 
@@ -181,10 +174,6 @@ class WitnessedBasis:
     def add(self, mat: np.ndarray) -> bool:
         """Sift a matrix in; returns True when the dimension grew."""
         return bool(self.add_block(mat[None])[0])
-
-    def __contains__(self, mat: np.ndarray) -> bool:
-        residual, _ = self._sift(mat.reshape(1, -1).astype(self.field.dtype))
-        return not residual.any()
 
     def express(self, mats: np.ndarray) -> np.ndarray:
         """Coefficients over the raw basis matrices, exact: a (dim,) vector

@@ -28,7 +28,7 @@ import numpy as np
 
 __all__ = [
     "Perm", "NotInGroup", "WordTooLong", "MAX_CHAIN_LETTERS", "SEARCH_STATES",
-    "GenWord", "evaluate_genword", "invert_genword", "shortest_word", "StabilizerChain",
+    "GenWord", "evaluate_genword", "random_genword", "invert_genword", "shortest_word", "StabilizerChain",
 ]
 
 # Cap on a chain word in generator letters, each a whole generator word
@@ -166,6 +166,15 @@ def evaluate_genword(word: GenWord, gens: Sequence[Perm], n: int) -> Perm:
         g = gens[label]
         out = out * (g if exp > 0 else g.inverse())
     return out
+
+
+def random_genword(rng, labels: int, lengths: tuple[int, int]) -> GenWord:
+    """A product of lengths[0] to lengths[1] random generators or inverses:
+    the count from ``rng.randint``, then per letter the label from
+    ``rng.randrange(labels)`` and the sign from ``rng.random()``."""
+    return tuple(
+        (rng.randrange(labels), 1 if rng.random() < 0.5 else -1) for _ in range(rng.randint(*lengths))
+    )
 
 
 def invert_genword(word: GenWord) -> GenWord:
@@ -399,15 +408,6 @@ class StabilizerChain:
                     changed = True
 
     # -- queries -----------------------------------------------------------
-
-    def order(self) -> int:
-        out = 1
-        for lvl in self._levels:
-            out *= len(lvl.transversal)
-        return out
-
-    def __contains__(self, p: Perm) -> bool:
-        return p.n == self.n and self._sift(p.images)[2] is None
 
     def factor(self, g: Perm) -> GenWord:
         """Express g as a product of the declared generators.

@@ -43,14 +43,13 @@ from .braid import (
     MatPerm,
     e_multiply,
     free_reduce,
-    left_mul,
     random_word,
     word_eval_pair,
     word_perm,
 )
 from .field import GF2m
 from .linalg import algebra_closure, sample_invertible
-from .perm import Perm
+from .perm import Perm, random_genword
 
 __all__ = [
     "MAX_WORD_LETTERS",
@@ -278,10 +277,7 @@ def _round(params: EvalParams, scale_basis, form: ConjugateForm, rng) -> tuple[P
     too few invertible elements (a hostile public file) raises
     InvertibleSampleFailed after that sampler's bounded number of draws."""
     scale, _, _ = sample_invertible(scale_basis, params.field, rng)
-    word = form.product(
-        (rng.randrange(len(form)), 1 if rng.random() < 0.5 else -1)
-        for _ in range(rng.randint(*PRODUCT_FACTORS))
-    )
+    word = form.product(random_genword(rng, len(form), PRODUCT_FACTORS))
     msg = e_multiply(MatPerm(scale, Perm.identity(params.n)), word, params)
     return PartySecret(scale, word), msg
 
@@ -300,7 +296,7 @@ def derive_key_alice(secret: PartySecret, msg: MatPerm, pub: InstancePublic) -> 
     """A party's key: its scale acting on the other party's message
     E-multiplied by its word.  Both parties derive it alike."""
     t = e_multiply(msg, secret.word, pub.params)
-    return SharedKey(left_mul(pub.params.field, secret.matrix, t))
+    return SharedKey(MatPerm(pub.params.field.mat_mul(secret.matrix, t.mat), t.perm))
 
 
 derive_key_bob = derive_key_alice

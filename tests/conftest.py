@@ -6,7 +6,7 @@ import pytest
 
 from cbkap.braid import BraidWord, MatPerm, random_word
 from cbkap.field import GF2m, SingularMatrix
-from cbkap.linalg import WitnessedBasis
+from cbkap.linalg import NotInSpan, WitnessedBasis
 from cbkap.perm import NotInGroup, Perm, invert_genword
 from cbkap.protocol import (
     InstancePublic,
@@ -19,6 +19,30 @@ from cbkap.protocol import (
 
 SMALL = dict(n=8, gen_count=8, word_len=100)
 FULL = dict(n=16, gen_count=8, word_len=650)
+
+
+def random_invertible(field, rng, n):
+    """Random matrices until one is invertible, with no try bound (unlike
+    ``linalg.sample_invertible``, which the library draws with)."""
+    while True:
+        m = field.random_matrix(rng, n)
+        if field.is_invertible(m):
+            return m
+
+
+def in_span(basis, mat):
+    """Whether a WitnessedBasis spans the matrix: ``express`` raises
+    NotInSpan when it does not."""
+    try:
+        basis.express(mat)
+    except NotInSpan:
+        return False
+    return True
+
+
+def left_mul(field, x, omega):
+    """The left scaling action: the matrix component times x."""
+    return MatPerm(field.mat_mul(x, omega.mat), omega.perm)
 
 
 def expand_recipes(closure):
@@ -463,10 +487,11 @@ def reference_e_multiply(start, word, params):
 class SymbolicMatrix:
     """Matrix of multivariate Laurent polynomials in t_1..t_n.
 
-    Entries map integer exponent vectors to nonzero field coefficients.
-    Signs are applied through the field's negation so the same code is
-    correct beyond characteristic 2.  The symbolic reference for the pair
-    map and E-multiplication at small n (see ``colored_burau``).
+    Entries map integer exponent vectors to nonzero field coefficients;
+    in characteristic 2 every sign is +1.  Coefficients multiply by the
+    field's carry-less schoolbook product, not its tables.  The symbolic
+    reference for the pair map and E-multiplication at small n (see
+    ``colored_burau``).
     """
 
     __slots__ = ("field", "n", "entries")
@@ -499,13 +524,13 @@ class SymbolicMatrix:
             t_i = tuple(1 if k == r else 0 for k in range(n))
             if r > 0:
                 m.entries[r][r - 1] = {t_i: 1}
-            m.entries[r][r] = {t_i: field.neg(1)}
+            m.entries[r][r] = {t_i: 1}
             m.entries[r][r + 1] = {one: 1}
         else:
             t_next_inv = tuple(-1 if k == r + 1 else 0 for k in range(n))
             if r > 0:
                 m.entries[r][r - 1] = {one: 1}
-            m.entries[r][r] = {t_next_inv: field.neg(1)}
+            m.entries[r][r] = {t_next_inv: 1}
             m.entries[r][r + 1] = {t_next_inv: 1}
         return m
 
@@ -539,7 +564,7 @@ class SymbolicMatrix:
                     for e1, c1 in left.items():
                         for e2, c2 in right.items():
                             e = tuple(a + b for a, b in zip(e1, e2))
-                            c = acc.get(e, 0) ^ fld.mul(c1, c2)
+                            c = acc.get(e, 0) ^ fld._mul_slow(c1, c2)
                             if c:
                                 acc[e] = c
                             else:
@@ -548,7 +573,8 @@ class SymbolicMatrix:
 
     def evaluate(self, tau, perm=None) -> np.ndarray:
         """Substitute values for the variables (optionally permuted first:
-        t_i -> tau[perm^-1(i)]) and return the dense matrix."""
+        t_i -> tau[perm^-1(i)]) and return the dense matrix.  A negative
+        power of a value is the power of its inverse, v^(q-2)."""
         fld = self.field
         values = list(tau)
         if perm is not None:
@@ -562,7 +588,8 @@ class SymbolicMatrix:
                     term = c
                     for k, exp in enumerate(e):
                         if exp:
-                            term = fld.mul(term, fld.pow(values[k], exp))
+                            power = exp if exp > 0 else -exp * (fld.order - 2)
+                            term = fld._mul_slow(term, fld._pow_slow(values[k], power))
                     acc ^= term
                 out[i, j] = acc
         return out

@@ -30,7 +30,6 @@ from cbkap.braid import (
     EvalParams,
     MatPerm,
     e_multiply,
-    left_mul,
     random_word,
     word_eval_pair,
 )
@@ -46,7 +45,7 @@ from cbkap.protocol import (
     ttp_generate,
 )
 
-from conftest import colored_burau
+from conftest import colored_burau, left_mul, random_invertible
 
 SMALL = dict(n=8, field_bits=5, gen_count=8, word_len=100)
 FULL = dict(n=16, field_bits=8, gen_count=8, word_len=650)
@@ -136,7 +135,7 @@ def test_criterion_4_invertible_density():
     for v_gens in ([field.random_matrix(rng, n)],
                    [field.random_matrix(rng, n), field.random_matrix(rng, n)]):
         v_span = algebra_closure(v_gens, field)
-        kappa_alg = algebra_closure([field.random_invertible(rng, n)], field)
+        kappa_alg = algebra_closure([random_invertible(field, rng, n)], field)
         kappas = kappa_alg.mats
         gamma = None
         while gamma is None:

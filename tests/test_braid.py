@@ -10,7 +10,6 @@ from cbkap.braid import (
     MatPerm,
     e_multiply,
     free_reduce,
-    left_mul,
     random_word,
     word_eval_pair,
     word_perm,
@@ -20,7 +19,7 @@ from cbkap.perm import Perm
 from cbkap.formats import word_from_json
 from cbkap.protocol import MAX_WORD_LETTERS, InstancePublic, ttp_generate
 
-from conftest import colored_burau
+from conftest import colored_burau, left_mul
 
 
 def params_for(field, n, rng):
@@ -149,7 +148,7 @@ def test_e_multiply_letter_range():
     with pytest.raises(ValueError):
         e_multiply(states, BraidWord([1, -4]), params)
     with pytest.raises(ValueError):
-        e_multiply(states + [MatPerm.identity(fld, 3)], BraidWord([1]), params)
+        e_multiply(states + [MatPerm(fld.identity(3), Perm.identity(3))], BraidWord([1]), params)
 
 
 def test_stacked_e_multiply_matches_single_states():
@@ -223,7 +222,7 @@ def test_e_multiply_refuses_non_field_entries():
         params = params_for(fld, 4, random.Random(4))
         mat = fld.identity(4).astype(dtype)
         mat[1, 2] = value
-        for start in (MatPerm(mat, e), [MatPerm.identity(fld, 4), MatPerm(mat, e)]):
+        for start in (MatPerm(mat, e), [MatPerm(fld.identity(4), e), MatPerm(mat, e)]):
             with pytest.raises(ValueError, match="field elements"):
                 e_multiply(start, BraidWord([1, 2, -3]), params)
     for dtype in (np.float64, np.bool_):

@@ -427,6 +427,30 @@ def test_protocol_missing_private_file(tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize("command", ["gen", "protocol", "attack"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_out_dir_on_a_regular_file_exits_2(tmp_path, capsys, command, under):
+    # the output directory cannot be made (FileExistsError on a regular
+    # file, NotADirectoryError under one): a file-system error, exit 2,
+    # and the file is left as it was
+    pub_file, priv_file = gen_small(tmp_path)
+    assert run(
+        "protocol", "--public", pub_file, "--private", priv_file,
+        "--seed", 21, "--out-dir", tmp_path,
+    ) == 0
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"a regular file")
+    args = {
+        "gen": ["--n", 8, "--field-bits", 5, "--word-len", 100, "--seed", 7],
+        "protocol": ["--public", pub_file, "--private", priv_file, "--seed", 21],
+        "attack": ["--public", pub_file, "--transcript", tmp_path / "transcript.json", "--seed", 22],
+    }[command]
+    capsys.readouterr()
+    assert run(command, *args, "--out-dir", blocker / "sub" if under else blocker) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert blocker.read_bytes() == b"a regular file"
+
+
 def test_transcript_without_bob_is_refused(tmp_path, capsys):
     # a transcript holds both messages: a null or missing "bob" is a
     # format error (exit 2), for the loader and for the attack

@@ -21,6 +21,8 @@ from cbkap.linalg import (
 from cbkap.perm import Perm
 from cbkap.protocol import ttp_generate
 
+from conftest import in_span, random_invertible
+
 
 def rank_oracle(field, vectors):
     """Independent row reduction on plain int lists."""
@@ -35,11 +37,11 @@ def rank_oracle(field, vectors):
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
+        rows[rank] = [field._mul_slow(inv, x) for x in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 f = rows[r][col]
-                rows[r] = [x ^ field.mul(f, y) for x, y in zip(rows[r], rows[rank])]
+                rows[r] = [x ^ field._mul_slow(f, y) for x, y in zip(rows[r], rows[rank])]
         rank += 1
         col += 1
     return rank
@@ -157,7 +159,7 @@ def scalar_combination(field, coeffs, vectors):
     out = [0] * len(vectors[0])
     for c, vec in zip(coeffs, vectors):
         for k, x in enumerate(vec):
-            out[k] ^= field.mul(int(c), int(x))
+            out[k] ^= field._mul_slow(int(c), int(x))
     return out
 
 
@@ -171,8 +173,9 @@ def test_stacked_basis_matches_sequential_reference(sequential_basis, monkeypatc
         empty = WitnessedBasis(fld, 3)
         assert not empty.add(fld.zeros(3)) and empty.dim == 0
         assert empty.add_block(np.zeros((0, 3, 3), dtype=fld.dtype)).shape == (0,)
-        assert fld.zeros(3) in empty and fld.identity(3) not in empty
         assert empty.express(fld.zeros(3)).shape == (0,)
+        with pytest.raises(NotInSpan):
+            empty.express(fld.identity(3))
         assert empty.express(np.zeros((2, 3, 3), dtype=fld.dtype)).shape == (2, 0)
         with pytest.raises(NotInSpan):
             empty.express(np.stack([fld.zeros(3), fld.identity(3)]))
@@ -208,12 +211,14 @@ def test_stacked_basis_matches_sequential_reference(sequential_basis, monkeypatc
                 if off.any():
                     off_probes += 1
                     for p in (off, off ^ ref.combine([rng.randrange(fld.order) for _ in range(ref.dim)])):
-                        assert p not in ref and p not in basis
+                        assert p not in ref
                         with pytest.raises(NotInSpan):
                             basis.express(p)
             assert all(np.array_equal(a, b) for a, b in zip(basis.mats, ref.mats, strict=True))
             rows, tf = ref.reduced()
-            assert np.array_equal(basis._rows, rows)
+            # the stored rows at full width
+            assert np.array_equal(rows[:, basis._support], basis._buf[: basis.dim])
+            assert not np.delete(rows, basis._support, axis=1).any()
             # reduced echelon: every pivot column is a unit column
             assert rows.shape == (basis.dim, n * n)
             assert np.array_equal(rows[:, basis._pivots], np.eye(basis.dim, dtype=fld.dtype))
@@ -225,7 +230,6 @@ def test_stacked_basis_matches_sequential_reference(sequential_basis, monkeypatc
             probes += [ref.combine([rng.randrange(fld.order) for _ in range(ref.dim)])
                        for _ in range(4)]
             for p in probes:
-                assert (p in basis) == (p in ref)
                 if p in ref:
                     assert np.array_equal(basis.express(p), ref.express(p))
                 else:
@@ -261,7 +265,7 @@ def test_solve_membership_matches_sequential_kernel(sequential_basis, kernel_ref
                 V.add(m)
                 ref.add(m)
             kappas = random_inputs(fld, n, rng, rng.randrange(1, n * n + 3))
-            gamma_inv = fld.random_invertible(rng, n)
+            gamma_inv = random_invertible(fld, rng, n)
             products = fld.mat_mul(gamma_inv, np.stack(kappas))
             residuals = [ref.reduce(fld.mat_mul(gamma_inv, k).reshape(-1))[0] for k in kappas]
             want = kernel_reference(residuals, fld)
@@ -373,7 +377,7 @@ def test_one_sided_closure_matches_two_sided_reference(
         one = closure.basis
         two = two_sided_reference(gens, fld, n)
         assert one.dim == two.dim
-        assert all(m in two for m in one.mats) and all(m in one for m in two.mats)
+        assert in_span(two, np.stack(one.mats)) and in_span(one, np.stack(two.mats))
         assert_drain_matches_reference(closure, gens, drain_reference)
 
 
@@ -389,8 +393,8 @@ def test_one_sided_closure_matches_two_sided_on_attack_sized_pure_images(
         gens = [mat for mat, _ in pure.closure.generators]
         two = two_sided_reference(gens, fld, n)
         assert pure.dim == two.dim > len(gens) + 1
-        assert all(m in two for m in pure.basis.mats)
-        assert all(m in pure.basis for m in two.mats)
+        assert in_span(two, np.stack(pure.basis.mats))
+        assert in_span(pure.basis, np.stack(two.mats))
         assert_drain_matches_reference(pure.closure, gens, drain_reference)
         # the echelon rows are stored only as wide as the support, which at
         # n=20 is well short of the n^2 coordinates
@@ -610,7 +614,7 @@ def test_solve_membership_full_space_cases():
     while full.dim < n * n:
         full.add(fld.random_matrix(rng, n))
     kappas = [fld.random_matrix(rng, n) for _ in range(4)]
-    gamma_inv = fld.random_invertible(rng, n)
+    gamma_inv = random_invertible(fld, rng, n)
     kernel = solve_membership(fld.mat_mul(gamma_inv, np.stack(kappas)), full, fld)
     assert kernel.shape == (4, 4)
 
@@ -620,7 +624,7 @@ def test_solve_membership_planted_and_sound():
     rng = random.Random(8)
     n = 4
     v_span = algebra_closure([fld.random_matrix(rng, n)], fld)
-    kappa_alg = algebra_closure([fld.random_invertible(rng, n)], fld)
+    kappa_alg = algebra_closure([random_invertible(fld, rng, n)], fld)
     kappas = kappa_alg.mats
     r = len(kappas)
     while True:
@@ -642,7 +646,7 @@ def test_solve_membership_planted_and_sound():
         combo = fld.zeros(n)
         for xi, k in zip(x, kappas):
             combo ^= fld.mul_vec(k, int(xi))
-        assert fld.mat_mul(gamma_inv, combo) in v_span
+        assert in_span(v_span, fld.mat_mul(gamma_inv, combo))
     # completeness: the planted solution lies in the solution span
     rows = list(kernel)
     assert rank_oracle(fld, rows) == rank_oracle(fld, rows + [planted_x])
@@ -687,7 +691,7 @@ def test_sample_invertible_planted_is_quick():
     rng = random.Random(10)
     n = 4
     v_span = algebra_closure([fld.random_matrix(rng, n)], fld)
-    kappa_alg = algebra_closure([fld.random_invertible(rng, n)], fld)
+    kappa_alg = algebra_closure([random_invertible(fld, rng, n)], fld)
     gamma = None
     while gamma is None:
         x = np.array([rng.randrange(fld.order) for _ in range(kappa_alg.dim)], dtype=fld.dtype)
@@ -703,4 +707,4 @@ def test_sample_invertible_planted_is_quick():
     c, _, tries = sample_invertible(fld.dot(kernel, np.stack(kappa_alg.mats)), fld, rng)
     assert fld.is_invertible(c)
     assert tries <= 16
-    assert fld.mat_mul(fld.mat_inv(gamma), c) in v_span
+    assert in_span(v_span, fld.mat_mul(fld.mat_inv(gamma), c))
