@@ -1,6 +1,6 @@
-"""Per-layer timings of the field's elimination, of span coefficients, of
-closure products and of compiling the package: a parent commit against
-the working tree.
+"""Per-layer timings of E-multiplication, of the field's elimination, of
+span coefficients, of closure products and of compiling the package: a
+parent commit against the working tree.
 
     python3 scripts/kernel_timings.py --parent HEAD --pairs 5 --into BENCH_solve_kernel.json
 
@@ -8,6 +8,16 @@ Each pair runs one process per side, the side that goes first alternating
 from pair to pair.  A process times, over GF(2^8), the median of many
 calls (``CALLS``) of:
 
+- ``e_multiply`` at both workload sizes (``n12``: n=12 with 250-letter A
+  generators, generation seed 12; ``n20``: n=20 with 24-letter ones,
+  generation seed 20), on a product of 10-20 A generators or inverses as
+  a protocol round draws one: one state, ``cold`` (each call streams the
+  product from a conjugate form built for it, so nothing the stream
+  derives from the word exists yet) and ``warm`` (the same word each
+  call); and a ``stack`` of 2r identity states twisted by g^k and h g^k,
+  k < r, as the attack streams a candidate (a product of 2-3 A generators
+  whose permutation g has order r <= n), warm.  These are also reported
+  in ns per letter of the word (``ns_per_letter``);
 - ``mat_inv`` and ``is_invertible`` on random invertible matrices at
   n=12 and n=20 (drawn as ``random_matrix`` until ``is_invertible``);
 - a one-column ``solve`` at n=12 and n=20;
@@ -32,10 +42,11 @@ timing also as a ratio to the mean of those two reference times (one
 reference timing sits between two kernels).
 
 Prints one JSON object: every process's medians in µs and ratios, per
-timing the median over the processes of each side of both, with the
-change relative to the parent, and per side the lines and tokens of
-``src/cbkap`` (tokens as ``tokenize`` gives them, without comments and
-layout).  ``--into FILE`` also stores it under ``per_layer`` in FILE.
+timing the median over the processes of each side of both (and of ns per
+letter for ``e_multiply``), with the change relative to the parent, and
+per side the lines and tokens of ``src/cbkap`` (tokens as ``tokenize``
+gives them, without comments and layout).  ``--into FILE`` also stores it
+under ``per_layer`` in FILE.
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLS = {"matrix": 500, "express": 100, "product": 200, "compile": 15}
+CALLS = {"e_multiply": 40, "matrix": 500, "express": 100, "product": 200, "compile": 15}
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
           tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -66,15 +77,17 @@ def measure() -> dict:
     import numpy as np
 
     import cbkap
-    from cbkap import linalg
+    from cbkap import attack, linalg
     from cbkap.attack import precompute_pure_basis
+    from cbkap.braid import ConjugateForm, MatPerm, e_multiply
     from cbkap.field import GF2m
-    from cbkap.protocol import ttp_generate
+    from cbkap.perm import Perm, random_genword
+    from cbkap.protocol import PRODUCT_FACTORS, ttp_generate
 
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    us, ratio = {}, {}
+    us, ratio, letters = {}, {}, {}
     refs = [run.reference_seconds()]  # one before the first timing and one after each
 
     def timed(name, fn, calls):
@@ -89,6 +102,25 @@ def measure() -> dict:
 
     fld = GF2m(8)
     rng = random.Random(5)
+    for n, word_len, seed in ((12, 250, 12), (20, 24, 20)):
+        pub, _, _ = ttp_generate(n, fld, 8, word_len, rng=random.Random(seed))
+        gen_word = random_genword(rng, len(pub.a_gens), PRODUCT_FACTORS)
+        fresh = iter([ConjugateForm(pub.a_gens).product(gen_word) for _ in range(CALLS["e_multiply"])])
+        word = pub.a_form.product(gen_word)
+        state = MatPerm(fld.random_matrix(rng, n), Perm.random(n, rng))
+        timed(f"e_multiply.n{n}.cold", lambda: e_multiply(state, next(fresh), pub.params), CALLS["e_multiply"])
+        timed(f"e_multiply.n{n}.warm", lambda: e_multiply(state, word, pub.params), CALLS["e_multiply"])
+        letters[f"e_multiply.n{n}.cold"] = letters[f"e_multiply.n{n}.warm"] = len(word)
+        candidate, g = next((w, g) for w, g in attack._candidate_words(pub, rng, attack.FIRST_ROUND_GENS)
+                            if g.order() <= n)
+        twists = [Perm.identity(n)]
+        while len(twists) < g.order():
+            twists.append(twists[-1] * g)
+        h = Perm.random(n, rng)
+        stack = [MatPerm(fld.identity(n), t) for t in twists + [h * t for t in twists]]
+        e_multiply(stack, candidate, pub.params)
+        timed(f"e_multiply.n{n}.stack", lambda: e_multiply(stack, candidate, pub.params), CALLS["e_multiply"])
+        letters[f"e_multiply.n{n}.stack"] = len(candidate)
     for n in (12, 20):
         a = fld.random_matrix(rng, n)
         while not fld.is_invertible(a):
@@ -115,7 +147,8 @@ def measure() -> dict:
     for path in sorted(Path(cbkap.__file__).parent.glob("*.py")):
         source = path.read_text()
         timed(f"compile.{path.name}", lambda: compile(source, str(path), "exec"), CALLS["compile"])
-    return {"us": us, "ratio": ratio, "reference_s": refs}
+    ns_per_letter = {name: us[name] * 1e3 / count for name, count in letters.items()}
+    return {"us": us, "ratio": ratio, "ns_per_letter": ns_per_letter, "reference_s": refs}
 
 
 def src_size(tree: Path) -> dict:
@@ -165,7 +198,9 @@ def main() -> int:
     names = [name for name in runs["change"][0]["us"] if name in runs["parent"][0]["us"]]
     for name in names:
         row = {}
-        for unit in ("us", "ratio"):
+        for unit in ("us", "ratio", "ns_per_letter"):
+            if name not in runs["change"][0][unit]:
+                continue
             parent_v = statistics.median(r[unit][name] for r in runs["parent"])
             change_v = statistics.median(r[unit][name] for r in runs["change"])
             row[f"parent_{unit}"] = float(f"{parent_v:.4g}")

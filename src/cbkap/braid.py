@@ -26,15 +26,24 @@ words with repetition structure without expansion.  ``e_multiply`` also
 streams one word over a stack of states, each with its own starting
 permutation (twist), packed into the same columns: one translate per run
 of states sharing a twist.
+
+The stream walks the flat subwords of the word tree (a generator, a
+conjugate-form core, P or P^-1), not its letters.  A flat word is
+compiled once per strand count into a letter program, a derived cache
+kept on the word: four bytes per letter for n <= 128 (the column scaled,
+the slot of its table, the columns that take the product and the old
+value) and one regroup of the table slots by the word's permutation.  A
+core streamed in many products or over many twists is compiled once.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from operator import neg
+from itertools import islice, repeat
+from operator import itemgetter, neg
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -72,12 +81,14 @@ class BraidWord:
     Parts are letters (signed ints), shared subwords, or repetitions of a
     subword.  Concatenation and powers are O(1) and share structure, so
     very long witness words occupy memory proportional to the number of
-    nodes, not letters.  Only :meth:`letters` walks the tree.  A word
-    whose parts are all letters is flat (``_flat``), so its letters can be
-    sliced from its parts.
+    nodes, not letters.  Only ``_leaves`` walks the tree.  A word whose
+    parts are all letters is flat (``_flat``), so its letters can be sliced
+    from its parts, and E-multiplication streams it from its letter program
+    (``_program``, see ``_compile``), which is derived from the parts on
+    the first stream at a strand count and replaced only at another one.
     """
 
-    __slots__ = ("_parts", "_length", "_flat")
+    __slots__ = ("_parts", "_length", "_flat", "_program")
 
     def __init__(self, letters: Iterable[int] = ()):
         parts = []
@@ -89,6 +100,7 @@ class BraidWord:
         self._parts = tuple(parts)
         self._length = len(self._parts)
         self._flat = True
+        self._program = None
 
     @classmethod
     def _from_parts(cls, parts: tuple, length: int, flat: bool = False) -> "BraidWord":
@@ -97,6 +109,7 @@ class BraidWord:
         w._parts = parts
         w._length = length
         w._flat = flat
+        w._program = None
         return w
 
     @classmethod
@@ -125,17 +138,55 @@ class BraidWord:
 
     __neg__ = inverse
 
-    def letters(self) -> Iterator[int]:
-        """Stream the letters without expanding the tree.  A repetition of
-        an empty body is skipped, so its count costs nothing."""
+    def _leaves(self) -> Iterator["BraidWord"]:
+        """Stream the flat subwords without expanding the tree.  A
+        repetition of an empty body is skipped, so its count costs nothing;
+        a letter beside subwords (a decoded mixed node) is a leaf of one."""
+        if self._flat:
+            yield self
+            return
         for part in self._parts:
-            if isinstance(part, int):
+            if isinstance(part, BraidWord) and part._flat:
                 yield part
             elif isinstance(part, _Repeat):
                 for _ in range(part.count if part.body._length else 0):
-                    yield from part.body.letters()
+                    yield from part.body._leaves()
+            elif isinstance(part, int):
+                yield BraidWord._from_parts((part,), 1, True)
             else:
-                yield from part.letters()
+                yield from part._leaves()
+
+    def letters(self) -> Iterator[int]:
+        """Stream the letters without expanding the tree."""
+        for leaf in self._leaves():
+            yield from leaf._parts
+
+    def _compile(self, n: int) -> tuple:
+        """The letter program of a flat word at n strands, cached on the
+        word for that n: per letter, one byte each (two for n > 128) for
+        the column it scales, the slot of its table relative to the word's
+        start, and the columns that take the product and the old value;
+        then one regroup of the stream's slots by the word's permutation.
+        Raises ValueError for a letter out of range."""
+        pos = list(range(n))  # slot r now holds what slot pos[r] held at the start
+        scaled, slot, to_prod, to_old = code = [bytearray() if n <= 128 else array("H") for _ in range(4)]
+        for x in self._parts:
+            r = abs(x) - 1
+            if not 0 <= r < n - 1:
+                raise ValueError(f"letter {x} out of range for n={n}")
+            scaled.append(r + 1)
+            if x > 0:
+                slot.append(pos[r])
+                to_prod.append(r)
+                to_old.append(r + 2)
+            else:
+                slot.append(n + pos[r + 1])
+                to_prod.append(r + 2)
+                to_old.append(r)
+            pos[r], pos[r + 1] = pos[r + 1], pos[r]
+        regroup = itemgetter(*[p + o for o in (0, n, 2 * n) for p in pos])
+        self._program = program = (n, *code, regroup)
+        return program
 
     def __len__(self) -> int:
         return self._length
@@ -362,8 +413,13 @@ def e_multiply(
     Column j of the stack is one Python int of little-endian bytes (low
     bytes, then high bytes for m > 8), so a letter is two int XORs and one
     ``bytes.translate`` per run of consecutive states sharing a twist (per
-    pair of byte planes for m > 8, XORed).  Raises ValueError for a letter
-    out of range or a state entry that is not a field element.
+    pair of byte planes for m > 8, XORed).  The word streams flat subword
+    by flat subword, each from its compiled letter program (compiled on
+    first use at n, then cached on the subword): the program's loop reads
+    the tables from slots numbered relative to the subword's start, and
+    one regroup per subword renumbers them by its permutation.  Raises
+    ValueError for a letter out of range or a state entry that is not a
+    field element.
     """
     single = isinstance(start, MatPerm)
     states = [start] if single else list(start)
@@ -385,7 +441,7 @@ def e_multiply(
     # byte plane; column 0 is scratch: letter 1 adds into it instead of column -1
     shifts = np.arange(0, 8 * planes, 8)[:, None, None]
     packed = (mats.transpose(2, 0, 1)[:, None] >> shifts).astype(np.uint8).tobytes()
-    cols = [0] + [int.from_bytes(packed[j * size:(j + 1) * size], "little") for j in range(n)]
+    cols = [0, *map(int.from_bytes, struct.unpack(f"{size}s" * n, packed), repeat("little"))]
     # runs of consecutive states that share a twist h; per run, the letter
     # loop's k (or n + k) picks the table of tau[h^-1(k)] (or its inverse)
     twists = np.array([s.perm.images for s in states])
@@ -403,33 +459,33 @@ def e_multiply(
         plane = 8 * width
         lo = (1 << plane) - 1
         hi = lo << plane
-    translate = bytes.translate
-    inv = list(range(n))  # images of the inverse of the prefix's permutation p
-    for letter in word.letters():
-        r = abs(letter) - 1
-        if not 0 <= r < n - 1:
-            raise ValueError(f"letter {letter} out of range for n={n}")
-        old = cols[r + 1]
-        k = inv[r] if letter > 0 else n + inv[r + 1]
-        if cut is None:
-            prod = int.from_bytes(old.to_bytes(size, "little").translate(tables[k]), "little")
-        else:
-            x = b"".join(map(translate, cut(old.to_bytes(size, "little")) * planes, tables[k]))
-            prod = int.from_bytes(x, "little")
-            if planes > 1:  # planes (lo<-lo, lo<-hi, hi<-lo, hi<-hi) XOR in pairs
-                prod ^= prod >> plane
-                prod = prod & lo | prod >> plane & hi
-        if letter > 0:
-            cols[r] ^= prod
-            cols[r + 2] ^= old
-        else:
-            cols[r] ^= old
-            cols[r + 2] ^= prod
-        cols[r + 1] = prod
-        inv[r], inv[r + 1] = inv[r + 1], inv[r]
+    translate, from_bytes = bytes.translate, int.from_bytes
+    # slot s holds tables[inv[s]], slot n + s tables[n + inv[s]] and slot 2n + s
+    # inv[s], with inv the images of the inverse of the prefix's permutation p
+    slots = tables + list(range(n))
+    for leaf in word._leaves():
+        program = leaf._program
+        if program is None or program[0] != n:
+            program = leaf._compile(n)
+        _, scaled, slot, to_prod, to_old, regroup = program
+        for r, k, p, o in zip(scaled, slot, to_prod, to_old):
+            old = cols[r]
+            if cut is None:
+                prod = from_bytes(old.to_bytes(size, "little").translate(slots[k]), "little")
+            else:
+                x = b"".join(map(translate, cut(old.to_bytes(size, "little")) * planes, slots[k]))
+                prod = from_bytes(x, "little")
+                if planes > 1:  # planes (lo<-lo, lo<-hi, hi<-lo, hi<-hi) XOR in pairs
+                    prod ^= prod >> plane
+                    prod = prod & lo | prod >> plane & hi
+            cols[p] ^= prod
+            cols[o] ^= old
+            cols[r] = prod
+        slots = regroup(slots)
+    inv = slots[2 * n:]
     # state b ends at (S_b, h_b p): its images are p[h_b], with p^-1 = inv
     perms = np.array(inv).argsort()[twists].tolist()
-    raw = b"".join(c.to_bytes(size, "little") for c in cols[1:])
+    raw = b"".join(map(int.to_bytes, cols[1:], repeat(size), repeat("little")))
     raw = np.frombuffer(raw, dtype=np.uint8).reshape(n, planes, len(states), n).astype(fld.dtype)
     T = raw[:, 0] | raw[:, 1] << 8 if planes > 1 else raw[:, 0]
     mats = T.transpose(1, 2, 0).copy()

@@ -424,12 +424,3 @@ class StabilizerChain:
             raise NotInGroup(f"{g!r} is not in the group spanned by the chain")
         # g times the sifted word is the identity
         return invert_genword(w)
-
-    @property
-    def levels(self):
-        """Read access for inspection: list of (base point, {orbit point:
-        (permutation, witness word)})."""
-        return [
-            (lvl.point, {pt: (Perm._trusted(u), lvl.word(pt)) for pt, (u, *_) in lvl.transversal.items()})
-            for lvl in self._levels
-        ]

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -177,20 +178,23 @@ def test_stacked_e_multiply_matches_single_states():
 
 
 def test_e_multiply_matches_reference_engine(reference_engine):
-    # the packed-column engine against the earlier numpy engine: fields of
-    # one and two byte planes, stacks of 1 to 13 states whose twists are
-    # all equal, all distinct or in runs, and every kind of word node
+    # the compiled letter programs against the per-letter numpy engine:
+    # fields of one and two byte planes, stacks of 1 to 13 states whose
+    # twists are all equal (one run), all distinct or in runs, and every
+    # kind of word node, empty leaves and letters beside subwords included
     rng = random.Random(90)
-    for m, n in ((1, 4), (3, 5), (8, 12), (9, 5), (16, 6)):
+    for m, n in ((1, 4), (5, 5), (8, 12), (9, 5), (16, 6)):
         fld = GF2m(m)
         params = EvalParams(fld, n, tuple(rng.randrange(1, fld.order) for _ in range(n)))
         a, b = random_word(n, 30, rng), random_word(n, 7, rng)
         words = {
             "flat": a,
             "nested": BraidWord.concat(a, b + BraidWord([1, -1]), a.inverse()),
-            "powered": b.power(5) + a,
+            "powered": (b.power(3) + a).power(2) + b,
             "inverted": (a + b.power(3)).inverse(),
             "empty": BraidWord(),
+            "empty leaves": word_from_json([[], letters(b), {"body": [], "count": 4}, [[], letters(a)]]),
+            "mixed node": word_from_json([1, letters(b), -1, {"body": letters(a), "count": 2}, 2]),
         }
         for size in (1, 2, 5, 13):
             h, g = Perm.random(n, rng), Perm.random(n, rng)
@@ -211,6 +215,52 @@ def test_e_multiply_matches_reference_engine(reference_engine):
                     assert states == kept and all(s.mat.dtype == dtype for s in states)
                 one = e_multiply(states[0], words["nested"], params)
                 assert one == reference_engine(states[0], words["nested"], params)
+
+
+def test_letter_programs_follow_the_strand_count(reference_engine):
+    # one leaf object, shared by words streamed at alternating strand
+    # counts: its program is compiled for the count it streams at
+    rng = random.Random(91)
+    fld = GF2m(8)
+    leaf = random_word(5, 40, rng)
+    for n in (6, 9, 6, 12, 9):
+        params = params_for(fld, n, rng)
+        w = BraidWord.concat(random_word(n, 5, rng), leaf, leaf.inverse().power(2), leaf)
+        for states in ([MatPerm(fld.random_matrix(rng, n), Perm.random(n, rng))],
+                       [MatPerm(fld.random_matrix(rng, n), Perm.random(n, rng)) for _ in range(3)]):
+            assert e_multiply(states, w, params) == reference_engine(states, w, params), n
+        assert leaf._program[0] == n
+
+
+def test_letter_programs_check_the_range():
+    fld = GF2m(8)
+    rng = random.Random(92)
+    small, large = params_for(fld, 5, rng), params_for(fld, 8, rng)
+    start = MatPerm(fld.random_matrix(rng, 5), Perm.random(5, rng))
+    # a letter out of range in a later leaf, after earlier leaves streamed
+    for bad in (5, -5, 7):
+        w = BraidWord.concat(random_word(5, 20, rng), BraidWord([1, bad, 2]))
+        with pytest.raises(ValueError, match="out of range"):
+            e_multiply(start, w, small)
+    # a leaf compiled at a larger n is compiled again, and refused, at a smaller one
+    leaf = BraidWord([1, 6, -2, 7])
+    word_eval_pair(leaf, large)
+    with pytest.raises(ValueError, match="out of range"):
+        e_multiply(start, leaf, small)
+    with pytest.raises(ValueError, match="out of range"):
+        e_multiply([start, start], BraidWord.concat(BraidWord([2]), leaf), small)
+
+
+def test_letter_program_does_not_outweigh_its_word():
+    # at most 8 bytes per letter, and no more than the leaf's own parts
+    rng = random.Random(93)
+    fld = GF2m(8)
+    for n in (12, 28):
+        leaf = random_word(n, MAX_WORD_LETTERS, rng)
+        word_eval_pair(leaf, params_for(fld, n, rng))
+        program = leaf._program
+        size = sys.getsizeof(program) + sum(map(sys.getsizeof, program))
+        assert size <= 8 * len(leaf) and size <= sys.getsizeof(leaf._parts), (n, size)
 
 
 def test_e_multiply_refuses_non_field_entries():

@@ -41,9 +41,18 @@ def enumerate_group(gens, n):
     return seen
 
 
+def chain_levels(chain):
+    """Per level of the chain: (base point, {orbit point: (permutation,
+    witness word)})."""
+    return [
+        (lvl.point, {pt: (Perm._trusted(u), lvl.word(pt)) for pt, (u, *_) in lvl.transversal.items()})
+        for lvl in chain._levels
+    ]
+
+
 def chain_order(chain):
     """The order of the chain's group: the product of its orbit sizes."""
-    return math.prod(len(transversal) for _, transversal in chain.levels)
+    return math.prod(len(lvl.transversal) for lvl in chain._levels)
 
 
 def in_chain(chain, p):
@@ -112,7 +121,7 @@ def test_chain_three_cycle_in_s4():
     g = Perm([1, 2, 0, 3])  # (1 2 3) fixing point 4
     chain = StabilizerChain([g], 4)
     assert chain_order(chain) == 3
-    for _, transversal in chain.levels:
+    for _, transversal in chain_levels(chain):
         for p, _ in transversal.values():
             assert p(3) == 3
 
@@ -134,7 +143,7 @@ def test_transversal_witness_words_are_sound():
     rng = random.Random(9)
     gens = [Perm.random(7, rng) for _ in range(3)]
     chain = StabilizerChain(gens, 7)
-    for _, transversal in chain.levels:
+    for _, transversal in chain_levels(chain):
         for perm, word in transversal.values():
             assert evaluate_genword(word, gens, 7) == perm
 
@@ -281,7 +290,7 @@ def seeded_group(kind, n, rng):
 def assert_same_chain(gens, n, reference_chain, rng):
     chain, ref = StabilizerChain(gens, n), reference_chain(gens, n)
     assert chain_order(chain) == ref.order()
-    for (pt, trans), (ref_pt, ref_trans) in zip(chain.levels, ref.levels, strict=True):
+    for (pt, trans), (ref_pt, ref_trans) in zip(chain_levels(chain), ref.levels, strict=True):
         assert pt == ref_pt and trans == ref_trans
     assert [lvl.gens for lvl in chain._levels] == ref.strong_generators
     samples = list(gens)
