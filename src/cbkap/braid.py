@@ -24,8 +24,8 @@ is one Python int of packed bytes, so a letter is one
 XORs; words of hundreds of thousands of letters stream in seconds, and
 words with repetition structure without expansion.  ``e_multiply`` also
 streams one word over a stack of states, each with its own starting
-permutation (twist), packed into the same columns: one translate per run
-of states sharing a twist.
+permutation (twist), packed into the same columns: one translate per
+state.
 
 The stream walks the flat subwords of the word tree (a generator, a
 conjugate-form core, P or P^-1), not its letters.  A flat word is
@@ -412,12 +412,12 @@ def e_multiply(
 
     Column j of the stack is one Python int of little-endian bytes (low
     bytes, then high bytes for m > 8), so a letter is two int XORs and one
-    ``bytes.translate`` per run of consecutive states sharing a twist (per
-    pair of byte planes for m > 8, XORed).  The word streams flat subword
-    by flat subword, each from its compiled letter program (compiled on
-    first use at n, then cached on the subword): the program's loop reads
-    the tables from slots numbered relative to the subword's start, and
-    one regroup per subword renumbers them by its permutation.  Raises
+    ``bytes.translate`` per state (per pair of byte planes for m > 8,
+    XORed).  The word streams flat subword by flat subword, each from its
+    compiled letter program (compiled on first use at n, then cached on
+    the subword): the program's loop reads the tables from slots numbered
+    relative to the subword's start, and one regroup per subword renumbers
+    them by its permutation.  Raises
     ValueError for a letter out of range or a state entry that is not a
     field element.
     """
@@ -442,20 +442,16 @@ def e_multiply(
     shifts = np.arange(0, 8 * planes, 8)[:, None, None]
     packed = (mats.transpose(2, 0, 1)[:, None] >> shifts).astype(np.uint8).tobytes()
     cols = [0, *map(int.from_bytes, struct.unpack(f"{size}s" * n, packed), repeat("little"))]
-    # runs of consecutive states that share a twist h; per run, the letter
-    # loop's k (or n + k) picks the table of tau[h^-1(k)] (or its inverse)
+    # per k (or n + k) the letter loop picks: the tables of tau[h_b^-1(k)] (or
+    # its inverse) for every output plane, input plane and state b, in that order
     twists = np.array([s.perm.images for s in states])
-    rows = twists.tolist()
-    firsts = [b for b, h in enumerate(rows) if not b or h != rows[b - 1]]
-    inverses = twists[firsts].argsort(axis=1)
-    # per k: the tables of every output plane, input plane and run, in that order
-    tables = params.byte_tables[:, :, inverses].transpose(1, 3, 0, 2).reshape(2 * n, -1).tolist()
-    if len(firsts) == 1 and planes == 1:
+    tables = params.byte_tables[:, :, twists.argsort(axis=1)]
+    tables = tables.transpose(1, 3, 0, 2).reshape(2 * n, -1).tolist()
+    if size == n:  # one state, one byte plane: one translate of the whole column
         cut = None
         tables = [t for t, in tables]
-    else:  # per output plane o, input plane i and run: one translate
-        runs = zip(firsts, firsts[1:] + [len(states)])
-        cut = struct.Struct("".join(f"{(end - b) * n}s" for b, end in runs) * planes).unpack
+    else:  # per output plane o, input plane i and state: one translate
+        cut = struct.Struct(f"{n}s" * (size // n)).unpack
         plane = 8 * width
         lo = (1 << plane) - 1
         hi = lo << plane

@@ -2,8 +2,8 @@
 
 Subcommands: ``gen`` (instance generation), ``protocol`` (run an
 exchange and derive both keys), ``attack`` (recover the key from public
-data plus a transcript) and ``verify`` (compare two key files).  Seeded
-runs are byte-identical.
+data plus a transcript) and ``verify`` (compare two key files, their
+fields included).  Seeded runs are byte-identical.
 
 Exit codes: 0 success, 1 mismatch or verification failure, 2 usage,
 file-format or file-system error (a transcript without Bob's message
@@ -129,9 +129,13 @@ def cmd_attack(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    key_a = formats.load_key(args.key_a)
-    key_b = formats.load_key(args.key_b)
-    if key_a == key_b:
+    # keys over different fields differ even where their entries agree
+    keys = []
+    for path in (args.key_a, args.key_b):
+        key = formats.load_key(path)  # checks the header read next
+        field = formats.load_envelope(path)[1]["field"]
+        keys.append((key, field["degree"], field["modulus"]))
+    if keys[0] == keys[1]:
         print("keys identical")
         return EXIT_OK
     print("keys differ", file=sys.stderr)

@@ -4,9 +4,10 @@ Field elements are plain Python ints in [0, 2^m), read as polynomial
 bit-vectors over GF(2) (bit k = coefficient of x^k).  Addition is XOR,
 multiplication is carry-less polynomial multiplication reduced modulo an
 irreducible modulus.  A ``GF2m`` instance owns the modulus and a single
-log/antilog table pair built over a primitive element, and an inverse
-table, shared with every other live instance of that modulus; all
-arithmetic is exact, with no tolerances anywhere.
+log/antilog table pair over the least primitive element, filled by the
+power walk that finds it, and an inverse table, shared with every other
+live instance of that modulus; all arithmetic is exact, with no
+tolerances anywhere.
 
 Matrices are numpy arrays of the field's unsigned dtype and are always
 passed around together with their ``GF2m``.  Every object here is
@@ -92,27 +93,15 @@ def default_modulus(degree: int) -> int:
     raise ValueError(f"no irreducible polynomial of degree {degree}")  # pragma: no cover
 
 
-def _prime_factors(x: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= x:
-        if x % p == 0:
-            out.append(p)
-            while x % p == 0:
-                x //= p
-        p += 1
-    if x > 1:
-        out.append(x)
-    return out
-
-
 class GF2m:
     """The field GF(2^m) for a fixed irreducible modulus.
 
     Every product goes through :meth:`mul_arr`, one lookup in a numpy
-    log/antilog table pair over a primitive element; :meth:`inv`, from an
-    inverse table, is the only scalar operation.  Building them is
-    O(2^m), so the degree is capped at 16 (the protocol sizes of interest
+    log/antilog table pair over the least primitive element; :meth:`inv`,
+    from an inverse table, is the only scalar operation.  One walk over
+    the powers of each element in turn, up to the first whose powers
+    reach every nonzero element, fills them: O(2^m) per element walked,
+    so the degree is capped at 16 (the protocol sizes of interest
     are m <= 8); a field constructed while another of its modulus is alive
     validates the modulus and shares that one's tables, so the cache never
     holds a field nothing else refers to.
@@ -143,33 +132,23 @@ class GF2m:
     def _mul_slow(self, a: int, b: int) -> int:
         return _poly_mod(_clmul(a, b), self.modulus)
 
-    def _pow_slow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_slow(r, a)
-            a = self._mul_slow(a, a)
-            e >>= 1
-        return r
-
     def _build_tables(self) -> None:
+        # the least element whose powers reach all q - 1 nonzero elements is
+        # primitive; the walk that finds it fills the tables
         q = self.order
-        gen = 1
-        for cand in range(1, q):
-            if all(self._pow_slow(cand, (q - 1) // p) != 1 for p in _prime_factors(q - 1)):
-                gen = cand
+        exp, log = [0] * (q - 1), [0] * q
+        for gen in range(1, q):
+            cur = 1
+            for i in range(q - 1):
+                if i and cur == 1:
+                    break
+                exp[i] = cur
+                log[cur] = i
+                cur = self._mul_slow(cur, gen)
+            else:
                 break
-        exp = [0] * (2 * (q - 1))
-        log = [0] * q
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            exp[i + q - 1] = cur
-            log[cur] = i
-            cur = self._mul_slow(cur, gen)
-        if cur != 1:  # pragma: no cover - the search above picks a primitive element
-            raise RuntimeError("element used for the tables is not primitive")
-        self._inv = [0] + [exp[(q - 1 - log[a]) % (q - 1)] for a in range(1, q)]
+        exp *= 2
+        self._inv = [0] + [exp[q - 1 - log[a]] for a in range(1, q)]
         # the tables mul_arr reads: the log of zero, 2(q-1), lies past every
         # sum of two nonzero logs, and every antilog entry from there on is
         # zero, so a product with a zero factor looks up zero with no mask;

@@ -111,45 +111,39 @@ def word_to_json(word: BraidWord):
 
 def word_from_json(obj) -> BraidWord:
     """The inverse of word_to_json: letters, nested arrays (shared
-    subwords) and repetition objects become the parts of one node.
-    Decoded without recursion; raises FormatError beyond MAX_WORD_DEPTH
+    subwords) and repetition objects become the parts of one node, flat
+    when every part is a letter.  Raises FormatError beyond MAX_WORD_DEPTH
     nested arrays or MAX_WORD_LETTERS letters (counted, not streamed)."""
+    return _word_from_json(obj, 1)
+
+
+def _word_from_json(obj, depth: int) -> BraidWord:
+    """word_from_json of an array nested depth arrays deep."""
     if not isinstance(obj, list):
         raise FormatError("braid word must be an array")
-    # one frame per open array: [remaining items, parts, letters, repetition
-    # count, whether every part is a letter]
-    stack = [[iter(obj), [], 0, None, True]]
-    while True:
-        frame = stack[-1]
-        for item in frame[0]:
-            if type(item) is int and item:
-                frame[1].append(item)
-                frame[2] += 1
-                continue
-            if isinstance(item, list):
-                body, count = item, None
-            elif isinstance(item, dict) and set(item) == {"body", "count"}:
-                body, count = item["body"], item["count"]
-                if type(count) is not int or count < 1:
-                    raise FormatError(f"bad repetition count: {count!r}")
-                if not isinstance(body, list):
-                    raise FormatError("braid word must be an array")
-            else:
-                raise FormatError(f"bad braid word element: {item!r}")
-            if len(stack) >= MAX_WORD_DEPTH:
-                raise FormatError(f"braid word nested more than {MAX_WORD_DEPTH} arrays deep")
-            stack.append([iter(body), [], 0, count, True])
-            break
+    if depth > MAX_WORD_DEPTH:
+        raise FormatError(f"braid word nested more than {MAX_WORD_DEPTH} arrays deep")
+    parts, length, flat = [], 0, True
+    for item in obj:
+        if type(item) is int and item:
+            parts.append(item)
+            length += 1
+            continue
+        if isinstance(item, list):
+            body, count = item, None
+        elif isinstance(item, dict) and set(item) == {"body", "count"}:
+            body, count = item["body"], item["count"]
+            if type(count) is not int or count < 1:
+                raise FormatError(f"bad repetition count: {count!r}")
         else:
-            _, parts, length, count, flat = stack.pop()
-            if length > MAX_WORD_LETTERS:
-                raise FormatError(f"braid word longer than {MAX_WORD_LETTERS} letters")
-            word = BraidWord._from_parts(tuple(parts), length, flat)
-            if not stack:
-                return word
-            stack[-1][1].append(word if count is None else _Repeat(word, count))
-            stack[-1][2] += length * (count or 1)
-            stack[-1][4] = False
+            raise FormatError(f"bad braid word element: {item!r}")
+        word = _word_from_json(body, depth + 1)
+        parts.append(word if count is None else _Repeat(word, count))
+        length += word._length * (count or 1)
+        flat = False
+    if length > MAX_WORD_LETTERS:
+        raise FormatError(f"braid word longer than {MAX_WORD_LETTERS} letters")
+    return BraidWord._from_parts(tuple(parts), length, flat)
 
 
 def matrix_to_json(mat: np.ndarray) -> list[int]:
@@ -246,7 +240,7 @@ def save_instance_private(path, priv: InstancePrivate, params: EvalParams) -> No
 def load_instance_private(path, params: EvalParams) -> InstancePrivate:
     def build(payload, n, field):
         b_gens = [word_from_json(w) for w in payload["b_gens"]]
-        return InstancePrivate(b_gens, [matrix_from_json(m, n, field) for m in payload["d_gens"]])
+        return InstancePrivate(b_gens, [matrix_from_json(m, n, field) for m in payload["d_gens"]], field)
 
     return _load(path, "instance_private", build, params)
 

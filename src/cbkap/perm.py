@@ -284,10 +284,10 @@ class StabilizerChain:
     a residue becomes a Perm only when it is kept as a strong generator.
     """
 
-    def __init__(self, generators: Sequence[Perm], n: int | None = None):
+    def __init__(self, generators: Sequence[Perm], n: int):
         if not generators:
             raise ValueError("generator list must be nonempty")
-        self.n = n if n is not None else generators[0].n
+        self.n = n
         if any(g.n != self.n for g in generators):
             raise ValueError("generators act on different point counts")
         self.generators = list(generators)
@@ -390,9 +390,9 @@ class StabilizerChain:
                     for g, gw in gens:
                         u2, u2len = trans[g[beta]][:2]
                         if _compose(u, g) != u2:
-                            work.append((ulen + len(gw) + u2len, len(work), i, beta, g, gw))
-            work.sort(key=lambda item: (item[0], item[1]))
-            for _, _, i, beta, g, gw in work:
+                            work.append((ulen + len(gw) + u2len, i, beta, g, gw))
+            work.sort(key=itemgetter(0))  # stable: ties keep their order
+            for _, i, beta, g, gw in work:
                 # insertions rebuild orbits mid-pass, so re-derive the
                 # Schreier element from the current transversal entries
                 lvl = self._levels[i]

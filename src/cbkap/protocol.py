@@ -31,7 +31,7 @@ files on disk) so the attack harness can be blinded by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -116,23 +116,22 @@ class InstancePublic:
 class InstancePrivate:
     """Bob's side: the B generator braid words and the D generator
     matrices (D = C unless the generator was asked for an override),
-    neither list empty."""
+    neither list empty, over the field of the public parameters."""
 
     b_gens: list[BraidWord]
     d_gens: list[np.ndarray]
-    _d_algebra: list[np.ndarray] | None = dc_field(default=None, init=False, repr=False, compare=False)
+    field: GF2m
 
     def __post_init__(self):
         if not (self.b_gens and self.d_gens):
             raise ValueError("need at least one B and one D generator")
 
-    def d_algebra(self, field: GF2m) -> list[np.ndarray]:
-        """A basis of the algebra the D generators span over the field of
-        the public parameters: kept from generation, or computed on first
-        use.  Bob's round samples his scale from it."""
-        if self._d_algebra is None:
-            self._d_algebra = algebra_closure(self.d_gens, field).mats
-        return self._d_algebra
+    @cached_property
+    def d_algebra(self) -> list[np.ndarray]:
+        """A basis of the algebra the D generators span: kept from
+        generation, or computed on first use for a loaded instance.
+        Bob's round samples his scale from it."""
+        return algebra_closure(self.d_gens, self.field).mats
 
     @cached_property
     def b_form(self) -> ConjugateForm:
@@ -243,8 +242,8 @@ def ttp_generate(
 
     pub = InstancePublic(params, a_gens, c_gens)
     pub.c_algebra = c_algebra  # what the cached property would compute
-    priv = InstancePrivate(b_gens, d_gens)
-    priv._d_algebra = algebra_closure(d_gens, field).mats if d_polynomial else c_algebra
+    priv = InstancePrivate(b_gens, d_gens, field)
+    priv.d_algebra = algebra_closure(d_gens, field).mats if d_polynomial else c_algebra  # likewise
     debug = TTPDebug(z, [u for _, u in a_pairs], [u for _, u in b_pairs], kappa_word)
 
     # Construction guarantees the commuting properties; spot-check one
@@ -289,7 +288,7 @@ def alice_round(pub: InstancePublic, rng) -> tuple[PartySecret, MatPerm]:
 
 def bob_round(pub: InstancePublic, priv: InstancePrivate, rng) -> tuple[PartySecret, MatPerm]:
     """Bob's secret and message, over D and the B generators."""
-    return _round(pub.params, priv.d_algebra(pub.params.field), priv.b_form, rng)
+    return _round(pub.params, priv.d_algebra, priv.b_form, rng)
 
 
 def derive_key_alice(secret: PartySecret, msg: MatPerm, pub: InstancePublic) -> SharedKey:

@@ -484,6 +484,18 @@ def reference_e_multiply(start, word, params):
 
 
 
+def _slow_pow(fld, a, e):
+    """a^e by square-and-multiply over the schoolbook product, so that no
+    reference reads the field's tables."""
+    r = 1
+    while e:
+        if e & 1:
+            r = fld._mul_slow(r, a)
+        a = fld._mul_slow(a, a)
+        e >>= 1
+    return r
+
+
 class SymbolicMatrix:
     """Matrix of multivariate Laurent polynomials in t_1..t_n.
 
@@ -589,7 +601,7 @@ class SymbolicMatrix:
                     for k, exp in enumerate(e):
                         if exp:
                             power = exp if exp > 0 else -exp * (fld.order - 2)
-                            term = fld._mul_slow(term, fld._pow_slow(values[k], power))
+                            term = fld._mul_slow(term, _slow_pow(fld, values[k], power))
                     acc ^= term
                 out[i, j] = acc
         return out

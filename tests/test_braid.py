@@ -180,8 +180,9 @@ def test_stacked_e_multiply_matches_single_states():
 def test_e_multiply_matches_reference_engine(reference_engine):
     # the compiled letter programs against the per-letter numpy engine:
     # fields of one and two byte planes, stacks of 1 to 13 states whose
-    # twists are all equal (one run), all distinct or in runs, and every
-    # kind of word node, empty leaves and letters beside subwords included
+    # twists are all equal, all distinct or in runs, and every kind of word
+    # node, empty leaves, letters beside subwords and one-letter subwords
+    # included
     rng = random.Random(90)
     for m, n in ((1, 4), (5, 5), (8, 12), (9, 5), (16, 6)):
         fld = GF2m(m)
@@ -195,6 +196,7 @@ def test_e_multiply_matches_reference_engine(reference_engine):
             "empty": BraidWord(),
             "empty leaves": word_from_json([[], letters(b), {"body": [], "count": 4}, [[], letters(a)]]),
             "mixed node": word_from_json([1, letters(b), -1, {"body": letters(a), "count": 2}, 2]),
+            "one-letter subword": word_from_json([1, [2], -1]),
         }
         for size in (1, 2, 5, 13):
             h, g = Perm.random(n, rng), Perm.random(n, rng)

@@ -63,6 +63,11 @@ def test_word_json_round_trip():
         [[1, [2, {"body": [[3], -1], "count": 2}]], 4, {"body": [], "count": 1}],
     ):
         assert formats.word_to_json(formats.word_from_json(j)) == j
+    # a one-letter subword is a subword: its node is not flat
+    for j, want in (([1, [2]], [1, 2]), ([[3], -1], [3, -1])):
+        w = formats.word_from_json(j)
+        assert formats.word_to_json(w) == j and list(w.letters()) == want
+        assert not w._flat
     # the length comes from the counts, not from streaming; above the cap
     # the word is refused
     cap = formats.MAX_WORD_LETTERS
@@ -417,6 +422,14 @@ def test_protocol_and_verify_flow(tmp_path):
     perm[0], perm[1] = perm[1], perm[0]
     (tmp_path / "key_perm.json").write_text(json.dumps(doc))
     assert run("verify", tmp_path / "key_alice.json", tmp_path / "key_perm.json") == 1
+    # move the key to GF(2^8): equal entries over another degree or another
+    # modulus are another key
+    for modulus in (0x11B, 0x11D):
+        doc = json.loads((tmp_path / "key_bob.json").read_text())
+        doc["payload"]["field"] = {"degree": 8, "modulus": modulus}
+        (tmp_path / f"key_{modulus:x}.json").write_text(json.dumps(doc))
+    assert run("verify", tmp_path / "key_alice.json", tmp_path / "key_11b.json") == 1
+    assert run("verify", tmp_path / "key_11b.json", tmp_path / "key_11d.json") == 1
 
 
 def test_protocol_missing_private_file(tmp_path):

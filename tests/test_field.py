@@ -84,16 +84,20 @@ def test_mul_identities():
 
 
 def test_mul_against_schoolbook_oracle():
-    # mul_arr is the field's only multiply: every pair up to degree 8, and
-    # random pairs on both sides of the uint16 / int32 log sums (m = 14, 15)
+    # mul_arr is the field's only multiply: every pair, for every modulus of
+    # degree 1-6, the default ones of degree 7 and 8, and 0x11D, so tables
+    # over x and over a later element (x has order 5 modulo 0x1F and 51
+    # modulo 0x11B) are both checked; and random pairs on both sides of the
+    # uint16 / int32 log sums (m = 14, 15)
     assert int(GF2m(8, AES_MODULUS).mul_arr(0x53, 0xCA)) == 0x01
-    for degree in range(1, 9):
-        fld = GF2m(degree)
+    moduli = [(d, mod) for d in range(1, 7) for mod in range(1 << d, 2 << d) if is_irreducible(mod)]
+    for degree, modulus in moduli + [(7, None), (8, None), (8, 0x11D)]:
+        fld = GF2m(degree, modulus)
         elems = np.arange(fld.order, dtype=fld.dtype)
         got = fld.mul_arr(elems[:, None], elems[None, :])
         assert got.dtype == fld.dtype
         assert got.tolist() == [[slow_mul(a, b, fld.modulus) for b in range(fld.order)]
-                                for a in range(fld.order)], degree
+                                for a in range(fld.order)], fld
     rng = random.Random(1)
     for degree in (9, 14, 15, 16):
         fld = GF2m(degree)

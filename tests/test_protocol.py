@@ -210,15 +210,16 @@ def test_cached_scale_bases_equal_fresh_closures(tmp_path, d_polynomial):
     loaded_pub, loaded_priv = save_and_load(tmp_path, pub, priv)
     for p, q in ((pub, priv), (loaded_pub, loaded_priv)):
         c_basis = p.c_algebra
-        d_basis = q.d_algebra(p.params.field)
+        d_basis = q.d_algebra
         assert same_mats(c_basis, algebra_closure(p.c_gens, field).mats)
         assert same_mats(d_basis, algebra_closure(q.d_gens, field).mats)
-        assert q.d_algebra(p.params.field) is d_basis  # cached
+        assert q.d_algebra is d_basis  # cached
+        assert q.field is p.params.field
         if d_polynomial:
             assert not np.array_equal(q.d_gens[0], p.c_gens[0])
             assert d_basis is not c_basis
     # with D = C generation hands Bob Alice's basis
-    assert (priv.d_algebra(field) is pub.c_algebra) == (not d_polynomial)
+    assert (priv.d_algebra is pub.c_algebra) == (not d_polynomial)
 
 
 def save_and_load(tmp_path, pub, priv):
