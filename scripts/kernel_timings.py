@@ -1,6 +1,6 @@
 """Per-layer timings of E-multiplication, of the field's elimination, of
-span coefficients, of closure products and of compiling the package: a
-parent commit against the working tree.
+span coefficients and insertion, of closure products and of compiling
+the package: a parent commit against the working tree.
 
     python3 scripts/kernel_timings.py --parent HEAD --pairs 5 --into BENCH_solve_kernel.json
 
@@ -25,6 +25,11 @@ calls (``CALLS``) of:
   the attack collects on an n=20 instance with 24-letter A generators
   (``wide_attack``'s sizes, generation seed 20), which is what stage
   ``split`` asks for;
+- ``insert``: every stack that the closure of a pure basis sifts in
+  (``WitnessedBasis.add_block``, one-matrix ``add`` calls included),
+  re-inserted in order into a fresh basis, for the dim-26 basis
+  collected at ``braid_attack``'s sizes (``n12``: n=12 with 250-letter A
+  generators, generation seed 12) and the dim-82 one above (``n20``);
 - one closure product, the first generator of a pure basis times a stack
   of 1, 16 and 82 of its basis elements (taken in turn), on that basis
   and on the one collected at ``braid_attack``'s sizes (n=12 with
@@ -63,7 +68,7 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLS = {"e_multiply": 40, "matrix": 500, "express": 100, "product": 200, "compile": 15}
+CALLS = {"e_multiply": 40, "matrix": 500, "express": 100, "insert": 30, "product": 200, "compile": 15}
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
           tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -129,14 +134,32 @@ def measure() -> dict:
         timed(f"mat_inv.n{n}", lambda: fld.mat_inv(a), CALLS["matrix"])
         timed(f"is_invertible.n{n}", lambda: fld.is_invertible(a), CALLS["matrix"])
         timed(f"solve.n{n}", lambda: fld.solve(a, b), CALLS["matrix"])
-    pub, _, _ = ttp_generate(20, fld, 8, 24, rng=random.Random(20))
-    wide = precompute_pure_basis(pub, random.Random(21)).closure
+
+    def collected(n, word_len, seed):
+        """The pure basis collected on an instance, and the stacks its
+        closure sifted in, in order."""
+        pub, _, _ = ttp_generate(n, fld, 8, word_len, rng=random.Random(seed))
+        calls, add_block = [], linalg.WitnessedBasis.add_block
+        linalg.WitnessedBasis.add_block = lambda self, mats: (
+            calls.append((self, np.array(mats))) or add_block(self, mats))
+        try:
+            closure = precompute_pure_basis(pub, random.Random(seed + 1)).closure
+        finally:
+            linalg.WitnessedBasis.add_block = add_block
+        return closure, [stack for basis, stack in calls if basis is closure.basis]
+
+    def insert(n, stacks):
+        basis = linalg.WitnessedBasis(fld, n)
+        for stack in stacks:
+            basis.add_block(stack)
+
+    wide, wide_stacks = collected(20, 24, 20)
     basis = wide.basis
     member = basis.combine([rng.randrange(fld.order) for _ in range(basis.dim)])
     timed(f"express.dim{basis.dim}", lambda: basis.express(member), CALLS["express"])
-    pub, _, _ = ttp_generate(12, fld, 8, 250, rng=random.Random(12))
-    closures = {"n12": precompute_pure_basis(pub, random.Random(13)).closure, "n20": wide}
-    for size, closure in closures.items():
+    closures = {"n12": collected(12, 250, 12), "n20": (wide, wide_stacks)}
+    for size, (closure, stacks) in closures.items():
+        timed(f"insert.{size}", lambda: insert(closure.basis.n, stacks), CALLS["insert"])
         gen = closure.generators[0][0]
         plan = linalg._block_plan(closure._pattern)
         for k in (1, 16, 82):

@@ -5,9 +5,10 @@ bit-vectors over GF(2) (bit k = coefficient of x^k).  Addition is XOR,
 multiplication is carry-less polynomial multiplication reduced modulo an
 irreducible modulus.  A ``GF2m`` instance owns the modulus and a single
 log/antilog table pair over the least primitive element, filled by the
-power walk that finds it, and an inverse table, shared with every other
-live instance of that modulus; all arithmetic is exact, with no
-tolerances anywhere.
+power walk that finds it and laid out so that a sum of three logs needs
+no zero mask, and an inverse table, shared with every other live
+instance of that modulus; all arithmetic is exact, with no tolerances
+anywhere.
 
 Matrices are numpy arrays of the field's unsigned dtype and are always
 passed around together with their ``GF2m``.  Every object here is
@@ -96,13 +97,17 @@ def default_modulus(degree: int) -> int:
 class GF2m:
     """The field GF(2^m) for a fixed irreducible modulus.
 
-    Every product goes through :meth:`mul_arr`, one lookup in a numpy
-    log/antilog table pair over the least primitive element; :meth:`inv`,
-    from an inverse table, is the only scalar operation.  One walk over
-    the powers of each element in turn, up to the first whose powers
-    reach every nonzero element, fills them: O(2^m) per element walked,
-    so the degree is capped at 16 (the protocol sizes of interest
-    are m <= 8); a field constructed while another of its modulus is alive
+    Every product goes through one numpy log/antilog table pair over the
+    least primitive element: :meth:`mul_arr` looks up a sum of two logs,
+    and :meth:`pivot`, the one rank-1 elimination step, a sum of two logs
+    and the pivot's inverse log.  The log of zero is 3(q-1), and the
+    antilog table has 7(q-1)+1 entries, periodic over [0, 3(q-1)) and zero
+    from there on, so a product with a zero factor is zero with no mask.
+    :meth:`inv`, from an inverse table, is the only scalar operation.
+    One walk over the powers of each element in turn, up to the first
+    whose powers reach every nonzero element, fills them: O(2^m) per
+    element walked, so the degree is capped at 16 (the protocol sizes of
+    interest are m <= 8); a field constructed while another of its modulus is alive
     validates the modulus and shares that one's tables, so the cache never
     holds a field nothing else refers to.
     """
@@ -147,16 +152,16 @@ class GF2m:
                 cur = self._mul_slow(cur, gen)
             else:
                 break
-        exp *= 2
-        self._inv = [0] + [exp[q - 1 - log[a]] for a in range(1, q)]
-        # the tables mul_arr reads: the log of zero, 2(q-1), lies past every
-        # sum of two nonzero logs, and every antilog entry from there on is
-        # zero, so a product with a zero factor looks up zero with no mask;
-        # a sum of two logs is at most 4(q-1), so uint16 holds it for m <= 14
-        self._exp_np = np.zeros(4 * q - 3, dtype=self.dtype)
-        self._exp_np[: 2 * (q - 1)] = exp
-        log_dtype = np.uint16 if 4 * q <= 1 << 16 else np.int32
-        self._log_np = np.array([2 * (q - 1)] + log[1:], dtype=log_dtype)
+        self._inv = [0] + [exp[-log[a]] for a in range(1, q)]
+        # the tables mul_arr and pivot read: the log of zero, 3(q-1), lies
+        # past every sum of nonzero logs plus a pivot's inverse log, and the
+        # antilog table is periodic below it and zero from it on, so a
+        # product with a zero factor looks up zero with no mask; a sum of
+        # three logs is at most 7(q-1), so uint16 holds it for m <= 13
+        self._exp_np = np.zeros(7 * (q - 1) + 1, dtype=self.dtype)
+        self._exp_np[: 3 * (q - 1)] = exp * 3
+        log_dtype = np.uint16 if 7 * (q - 1) < 1 << 16 else np.int32
+        self._log_np = np.array([3 * (q - 1)] + log[1:], dtype=log_dtype)
         # shared by every field of this modulus
         self._exp_np.flags.writeable = self._log_np.flags.writeable = False
 
@@ -188,13 +193,21 @@ class GF2m:
     def dot(self, a, b: np.ndarray) -> np.ndarray:
         """Sum over the last axis of a against the first axis of b, XOR
         accumulated: coefficients against a stack give their linear
-        combination, and a matrix against a matrix gives the product.  A
-        2-D ``a`` is cut into row blocks of at most DOT_BLOCK log sums (a
-        row takes ``b.size``), so large products keep small temporaries."""
+        combination, and a matrix against a matrix gives the product.
+        Either is cut into blocks of at most DOT_BLOCK log sums, so large
+        products keep small temporaries: a 2-D ``a`` into row blocks (a
+        row takes ``b.size``), and a 1-D one into runs of coefficients
+        (one takes ``b[0].size``), whose combinations are XOR-accumulated."""
         a = np.asarray(a, dtype=self.dtype)
         if a.ndim == 2 and len(a) > 1 and len(a) * b.size > DOT_BLOCK:
             step = max(1, DOT_BLOCK // b.size)
             return np.concatenate([self.dot(a[i : i + step], b) for i in range(0, len(a), step)])
+        if a.ndim == 1 and len(a) > 1 and b.size > DOT_BLOCK:
+            step = max(1, DOT_BLOCK * len(b) // b.size)
+            out = self.dot(a[:step], b[:step])
+            for i in range(step, len(a), step):
+                out ^= self.dot(a[i : i + step], b[i : i + step])
+            return out
         return np.bitwise_xor.reduce(
             self.mul_arr(a.reshape(a.shape + (1,) * (b.ndim - 1)), b), axis=a.ndim - 1
         )
@@ -206,17 +219,28 @@ class GF2m:
             raise ValueError("matrix dimension mismatch")
         return self.dot(a, b.swapaxes(0, -2)).swapaxes(0, -2)
 
+    def pivot(self, block: np.ndarray, p: int, f: np.ndarray) -> None:
+        """One Gauss-Jordan pivot step on a 2-D block, in place.  With ``f``
+        the pivot column over the block's rows and ``pv = f[p]`` its
+        nonzero pivot, scales row p by 1/pv and clears the column from
+        every other row: one XOR of ``f' (x) row/pv``, where f' is f with
+        ``pv ^ 1`` at p (characteristic 2).  The inverse of pv is folded
+        into the log sums, so the step is two log takes, one outer add,
+        one antilog take and one XOR.  Overwrites ``f[p]``, so f may be a
+        copy of one of the block's columns but not a view into the block."""
+        log = self._log_np
+        pv = int(f[p])
+        row = log.take(block[p]) + (self.order - 1 - int(log[pv]))
+        f[p] = pv ^ 1
+        block ^= self._exp_np.take(log.take(f)[:, None] + row)
+
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The x with a . x = b, for a square a and an (n, k) b, by
         Gauss-Jordan elimination on [a | b], pivoting on the first nonzero
-        entry of each column.  Raises SingularMatrix when a is singular.
-
-        Each column is one rank-1 update: with ``row`` the pivot row over
-        its pivot ``pv`` and ``f`` the column, except ``pv ^ 1`` at the
-        pivot, XOR-ing in ``f (x) row`` clears the column from every other
-        row and leaves ``row`` as the pivot row (characteristic 2).  No
-        column at or left of the pivot is read again.  With k = 0 only the
-        rows below each pivot are cleared: a rank check."""
+        entry of each column: one :meth:`pivot` per column, over the
+        columns right of it (no column at or left of the pivot is read
+        again).  Raises SingularMatrix when a is singular.  With k = 0
+        only the rows below each pivot are cleared: a rank check."""
         if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or len(b) != len(a):
             raise ValueError("matrix dimension mismatch")
         n = len(a)
@@ -229,11 +253,7 @@ class GF2m:
                 piv = col + int(rows[0])
                 aug[[col, piv]] = aug[[piv, col]]
             top = col if aug.shape[1] == n else 0
-            pv = int(aug[col, col])
-            row = self.mul_arr(aug[col, col + 1 :], self._inv[pv])
-            f = aug[top:, col]  # a view: column col is not read again
-            f[col - top] = pv ^ 1
-            aug[top:, col + 1 :] ^= self.mul_arr(f[:, None], row)
+            self.pivot(aug[top:, col + 1 :], col - top, aug[top:, col])
         return aug[:, n:]
 
     def mat_inv(self, a: np.ndarray) -> np.ndarray:
@@ -249,8 +269,18 @@ class GF2m:
             return False
 
     def random_matrix(self, rng, n: int) -> np.ndarray:
-        flat = [rng.randrange(self.order) for _ in range(n * n)]
-        return np.array(flat, dtype=self.dtype).reshape(n, n)
+        """The n x n matrix of ``n * n`` calls ``rng.randrange(q)``, row by
+        row, for a ``random.Random``.  Each call reads one 32-bit word,
+        keeps its top ``q.bit_length()`` bits and reads again while they
+        reach q; a round here reads one word per entry still missing and
+        keeps those below q, so it reads the same words and no more."""
+        k, drawn, need = self.order.bit_length(), [np.zeros(0, dtype=np.uint32)], n * n
+        while need:
+            words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            top = np.frombuffer(words, dtype="<u4") >> (32 - k)
+            drawn.append(top[top < self.order])
+            need -= len(drawn[-1])
+        return np.concatenate(drawn).astype(self.dtype).reshape(n, n)
 
     # -- identity ----------------------------------------------------------
 

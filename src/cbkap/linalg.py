@@ -8,10 +8,12 @@ computation is exact Gaussian elimination over the field.
 
 A basis keeps its raw matrices verbatim next to their span in reduced
 row-echelon form, stored only on the coordinates some basis matrix uses.
-Sifting, membership and insertion are each a fixed number of whole-array
-field operations (``GF2m.dot``), O(dim * |support|) work per vector with
-no per-row loop; the closure and the membership solver sift whole stacks
-of products at once through the same echelon code.  Coefficients over the
+Sifting and membership are each a fixed number of whole-array field
+operations (``GF2m.dot``), and an insertion is one ``GF2m.pivot`` step,
+the same rank-1 elimination ``GF2m.solve`` runs per column: O(dim *
+|support|) work per vector with no per-row loop.  The closure and the
+membership solver sift whole stacks of products at once through the same
+echelon code.  Coefficients over the
 raw matrices are solved for when asked for (one ``GF2m.solve`` per call);
 no change-of-basis transform is stored.  The closure keeps the braid word
 of each generator plus one recipe per basis element; together they give a
@@ -85,13 +87,16 @@ class WitnessedBasis:
     stored matrix uses: a residual is zero off it, so its first nonzero
     there is its pivot, work per vector is O(dim * |support|), and a
     matrix nonzero off it is outside the span.  The rows are the first dim
-    rows of one preallocated array, which doubles when full and is re-laid
-    when the support widens.  :meth:`add_block` sifts a whole
-    stack with one ``dot`` (cut into blocks of at most ``field.DOT_BLOCK``
-    log sums) and then inserts its vectors in order, clearing each new
-    pivot column from the old rows with one rank-1 update and from the
-    rest of the stack with another; ``add`` is a one-matrix block, so the
-    result equals one ``add`` per matrix.
+    rows of one preallocated array, which doubles until a stack's
+    residuals fit under them and is re-laid when the support widens.
+    :meth:`add_block` sifts a whole stack with one ``dot`` (cut into
+    blocks of at most ``field.DOT_BLOCK`` log sums) and writes the nonzero
+    residuals into the rows under the echelon rows.  Each insertion is
+    then one ``GF2m.pivot`` over the echelon rows and the remaining
+    residuals together, which scales the new row and clears its pivot
+    column from all the others; residuals that turn zero are dropped.
+    ``add`` is a one-matrix block, so the result equals one ``add`` per
+    matrix.
 
     Stores no witness words: :class:`AlgebraClosure` keeps the generator
     words and recipes that give one for each element.  The name is kept
@@ -149,26 +154,28 @@ class WitnessedBasis:
             self._widen(vecs.any(axis=0))
         res, _ = self._reduce(vecs)
         grew = np.zeros(len(vecs), dtype=bool)
-        # only the nonzero residuals are kept, with their indices in the stack
+        # the nonzero residuals, with their indices in the stack, go under
+        # the echelon rows: rows [d, top) of the buffer
         live = res.any(axis=1).nonzero()[0]
-        res = res[live]
-        while live.size:
-            i, d = live[0], self.dim
-            if d == len(self._pivbuf):  # full: double the capacity
-                self._buf = np.pad(self._buf, ((0, d), (0, 0)))
-                self._pivbuf = np.pad(self._pivbuf, (0, d))
-            pos = res[0].nonzero()[0][0]
-            row = fld.mul_arr(res[0], fld.inv(int(res[0, pos])))
-            # clear the new pivot column from the old rows and the later vectors
-            self._buf[:d] ^= fld.mul_arr(self._buf[:d, pos, None], row)
-            self._buf[d], self._pivbuf[d] = row, self._support[pos]
-            self.mats.append(vecs[i].reshape(self.n, self.n))
-            grew[i] = True
-            res, live = res[1:], live[1:]
-            if live.size:
-                res ^= fld.mul_arr(res[:, pos, None], row)
-                keep = res.any(axis=1)
-                res, live = res[keep], live[keep]
+        d, top = self.dim, self.dim + live.size
+        while len(self._pivbuf) < top:  # double the capacity until they fit
+            self._buf = np.concatenate([self._buf, np.zeros_like(self._buf)])
+            self._pivbuf = np.concatenate([self._pivbuf, np.zeros_like(self._pivbuf)])
+        self._buf[d:top] = res[live]
+        while d < top:
+            # one pivot step clears the new pivot column from the old rows
+            # and from the later residuals, and scales row d to the new row
+            pos = self._buf[d].nonzero()[0][0]
+            fld.pivot(self._buf[:top], d, self._buf[:top, pos].copy())
+            self._pivbuf[d] = self._support[pos]
+            self.mats.append(vecs[live[0]].reshape(self.n, self.n))
+            grew[live[0]] = True
+            d, live = d + 1, live[1:]
+            keep = self._buf[d:top].any(axis=1)
+            if not keep.all():  # drop the residuals that turned zero
+                live = live[keep]
+                self._buf[d : d + live.size] = self._buf[d:top][keep]
+                top = d + live.size
         return grew
 
     def add(self, mat: np.ndarray) -> bool:

@@ -73,13 +73,25 @@ __all__ = [
 MAX_WORD_LETTERS = 1 << 17
 
 
+def _check_generators(mats, n: int, field: GF2m, what: str) -> None:
+    """Raise ValueError unless every matrix is an invertible n x n integer
+    matrix of field elements: ``astype`` would wrap any other entry."""
+    for m in mats:
+        m = np.asarray(m)
+        if m.shape != (n, n) or m.dtype.kind not in "iu" or not ((0 <= m) & (m < field.order)).all():
+            raise ValueError(f"{what} generators must be {n} x {n} matrices of elements of {field}")
+        if not field.is_invertible(m):
+            raise ValueError(f"{what} generators must be invertible")
+
+
 @dataclass
 class InstancePublic:
     """What Alice (and the adversary) sees: evaluation parameters, the A
     generator braid words, and the C generator matrices, neither list
-    empty.  ``a_perms`` holds the generators' permutation parts, computed
-    once here, which also checks their letter ranges; each word's length
-    is capped at MAX_WORD_LETTERS."""
+    empty; each C generator is an invertible n x n matrix of field
+    elements.  ``a_perms`` holds the generators' permutation parts,
+    computed once here, which also checks their letter ranges; each
+    word's length is capped at MAX_WORD_LETTERS."""
 
     params: EvalParams
     a_gens: list[BraidWord]
@@ -93,10 +105,7 @@ class InstancePublic:
             if w._length > MAX_WORD_LETTERS:
                 raise ValueError(f"braid word longer than {MAX_WORD_LETTERS} letters")
         self.a_perms = [word_perm(w, self.params.n) for w in self.a_gens]
-        fld = self.params.field
-        for c in self.c_gens:
-            if not fld.is_invertible(c):
-                raise ValueError("C generators must be invertible")
+        _check_generators(self.c_gens, self.params.n, self.params.field, "C")
 
     @cached_property
     def c_algebra(self) -> list[np.ndarray]:
@@ -116,7 +125,9 @@ class InstancePublic:
 class InstancePrivate:
     """Bob's side: the B generator braid words and the D generator
     matrices (D = C unless the generator was asked for an override),
-    neither list empty, over the field of the public parameters."""
+    neither list empty, over the field of the public parameters; the D
+    generators are invertible square matrices of field elements, all of
+    one size."""
 
     b_gens: list[BraidWord]
     d_gens: list[np.ndarray]
@@ -125,6 +136,7 @@ class InstancePrivate:
     def __post_init__(self):
         if not (self.b_gens and self.d_gens):
             raise ValueError("need at least one B and one D generator")
+        _check_generators(self.d_gens, len(np.atleast_1d(self.d_gens[0])), self.field, "D")
 
     @cached_property
     def d_algebra(self) -> list[np.ndarray]:

@@ -464,6 +464,31 @@ def test_out_dir_on_a_regular_file_exits_2(tmp_path, capsys, command, under):
     assert blocker.read_bytes() == b"a regular file"
 
 
+def test_bad_scale_generators_in_files_exit_2(tmp_path, capsys):
+    # a C generator of the wrong size, and a singular D, load as a format
+    # error and exit 2 (the entries of a file matrix are checked already)
+    pub_file, priv_file = gen_small(tmp_path)
+    params = formats.load_instance_public(pub_file).params
+    doc = json.loads(pub_file.read_text())
+    doc["payload"]["c_gens"].append([1, 0, 0, 1])
+    bad_pub = tmp_path / "bad_public.json"
+    bad_pub.write_text(json.dumps(doc))
+    doc = json.loads(priv_file.read_text())
+    doc["payload"]["d_gens"][0] = [0] * 64
+    bad_priv = tmp_path / "bad_private.json"
+    bad_priv.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="matrix must be"):
+        formats.load_instance_public(bad_pub)
+    with pytest.raises(FormatError, match="invertible"):
+        formats.load_instance_private(bad_priv, params)
+    for pub, priv in ((bad_pub, priv_file), (pub_file, bad_priv)):
+        capsys.readouterr()
+        assert run("protocol", "--public", pub, "--private", priv,
+                   "--seed", 2, "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+
 def test_transcript_without_bob_is_refused(tmp_path, capsys):
     # a transcript holds both messages: a null or missing "bob" is a
     # format error (exit 2), for the loader and for the attack

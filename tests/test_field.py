@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,12 +172,13 @@ def test_mat_mul_shape_mismatch():
 
 
 @pytest.mark.parametrize(
-    "degree, log_dtype", [(13, np.uint16), (14, np.uint16), (15, np.int32), (16, np.int32)]
+    "degree, log_dtype", [(13, np.uint16), (14, np.int32), (15, np.int32), (16, np.int32)]
 )
 @pytest.mark.parametrize("budget", [field.DOT_BLOCK, 5])
 def test_array_products_at_the_log_dtype_boundary(degree, log_dtype, budget, monkeypatch):
-    # a sum of two logs reaches 4(q-1) (two zeros), 65532 at m=14, the
-    # largest that uint16 holds; the lowered budget splits every dot
+    # a pivot step's sum of two logs and an inverse log reaches 7(q-1)
+    # (two zeros over a pivot of 1), 57337 at m=13, within uint16; at m=14
+    # it would not be; the lowered budget splits every dot
     monkeypatch.setattr(field, "DOT_BLOCK", budget)
     fld = GF2m(degree)
     assert fld._log_np.dtype == log_dtype
@@ -209,6 +211,52 @@ def test_array_products_at_the_log_dtype_boundary(degree, log_dtype, budget, mon
     for k in range(3):
         assert np.array_equal(got[k], scalar_mat_mul(a, b[k]))
         assert np.array_equal(fld.mat_mul(a, b[k]), got[k])
+    for pv in (1, special[2], special[3]):
+        block = draw(4, 6)
+        block[1, 0], block[0, 0], block[1, 3] = pv, 0, 0
+        f = block[:, 0].copy()
+        inv = fld.inv(pv)
+        row = [slow_mul(int(v), inv, fld.modulus) for v in block[1]]
+        want = np.array([row if i == 1 else [int(v) ^ slow_mul(int(f[i]), r, fld.modulus)
+                                             for v, r in zip(block[i], row)]
+                         for i in range(4)], dtype=fld.dtype)
+        fld.pivot(block, 1, f)
+        assert np.array_equal(block, want)
+        assert not block[[0, 2, 3], 0].any() and block[1, 0] == 1
+
+
+def test_coefficients_against_a_large_stack_keep_small_temporaries():
+    # a 1-D dot is cut into runs of coefficients, as a 2-D one into row
+    # blocks: uncut, dim 962 at n=64 takes ~40 MB of log sums at a time
+    fld = GF2m(8)
+    gen = np.random.default_rng(962)
+    stack = gen.integers(0, fld.order, (962, 64, 64), dtype=fld.dtype)
+    coeffs = gen.integers(0, fld.order, 962, dtype=fld.dtype)
+    coeffs[[0, 500]] = 0
+    tracemalloc.start()
+    try:
+        got = fld.dot(coeffs, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * field.DOT_BLOCK
+    want = np.zeros((64, 64), dtype=fld.dtype)
+    for c, m in zip(coeffs, stack):
+        want ^= fld.mul_arr(m, int(c))
+    assert got.shape == (64, 64) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 8, 13, 16])
+def test_random_matrix_reads_the_randrange_stream(degree):
+    # the draw is n * n calls rng.randrange(q): same entries, and the rng
+    # left where those calls leave it, so instances and keys do not move
+    fld = GF2m(degree)
+    for n in (0, 1, 5, 20):
+        drawn, called = random.Random(degree * 100 + n), random.Random(degree * 100 + n)
+        got = fld.random_matrix(drawn, n)
+        want = [called.randrange(fld.order) for _ in range(n * n)]
+        assert got.dtype == fld.dtype and got.shape == (n, n)
+        assert got.ravel().tolist() == want and drawn.random() == called.random()
 
 
 def test_mat_inv():
@@ -225,10 +273,11 @@ def test_mat_inv():
             assert np.array_equal(fld.mat_inv(inv), m), degree
 
 
-@pytest.mark.parametrize("degree", [1, 5, 8, 16])
+@pytest.mark.parametrize("degree", [1, 2, 5, 8, 13, 14, 16])
 def test_mat_inv_matches_reference_elimination(degree, inverse_reference):
-    # one rank-1 update per column gives the inverses, and the singular
-    # cases, of the earlier swap / scale / clear elimination
+    # one pivot step per column gives the inverses, solutions, rank
+    # verdicts and singular cases of the earlier swap / scale / clear
+    # elimination, on both sides of the log dtype boundary (13 | 14)
     fld = GF2m(degree)
     rng = random.Random(degree)
     seen = set()
@@ -256,6 +305,10 @@ def test_mat_inv_matches_reference_elimination(degree, inverse_reference):
             got = fld.mat_inv(m)
             assert got.dtype == fld.dtype
             assert np.array_equal(got, want), (degree, n)
+            assert fld.is_invertible(m)
+            b = np.array([rng.randrange(fld.order) for _ in range(3 * n)], dtype=fld.dtype)
+            b = b.reshape(n, 3)
+            assert np.array_equal(fld.solve(m, b), fld.mat_mul(want, b)), (degree, n)
             seen.add("invertible")
     assert seen == {"singular", "invertible"}
 

@@ -252,6 +252,58 @@ def test_stacked_basis_matches_sequential_reference(sequential_basis, monkeypatc
         assert widened_later and off_probes and stacked_outside
 
 
+def assert_same_basis(a, b):
+    assert a.dim == b.dim
+    assert all(np.array_equal(x, y) for x, y in zip(a.mats, b.mats, strict=True))
+    assert np.array_equal(a._pivots, b._pivots) and np.array_equal(a._support, b._support)
+    assert np.array_equal(a._buf[: a.dim], b._buf[: b.dim])
+
+
+@pytest.mark.parametrize("degree", [1, 2, 8])
+def test_add_block_equals_one_add_per_matrix(degree, sequential_basis):
+    # each insertion is one pivot step over the echelon rows and the
+    # residuals under them; stacks built to hit every path of that loop
+    fld = GF2m(degree)
+    rng = random.Random(400 + degree)
+    n = 3
+
+    def rand():
+        return fld.random_matrix(rng, n)
+
+    def on(entries):
+        m = fld.zeros(n)
+        for i, j in entries:
+            m[i, j] = rng.randrange(1, fld.order)
+        return m
+
+    a, b, c = rand(), rand(), rand()
+    scaled = fld.mul_vec(a, rng.randrange(1, fld.order))
+    stacks = {
+        "zero rows": [fld.zeros(n), a, fld.zeros(n), b],
+        "duplicate rows": [a, a.copy(), b, a.copy(), b.copy()],
+        # nonzero against the prefilled basis, zero once a and b are in
+        "turn zero mid-stack": [a, b, a ^ b, scaled, c, fld.mul_vec(b ^ c, 1)],
+        # each a new entry of the support, after rows that do not use it
+        "support widens mid-stack": [on([(0, 0)]), on([(0, 0), (1, 2)]), on([(2, 1)]), on([(1, 1), (2, 2)])],
+        # more independent residuals than the capacity of n rows
+        "capacity growth": [rand() for _ in range(n * n + 2)],
+    }
+    for name, stack in stacks.items():
+        for prefill in ([], [fld.identity(n)], [on([(0, 0)]), on([(1, 1)])]):
+            blocked, single = WitnessedBasis(fld, n), WitnessedBasis(fld, n)
+            ref = sequential_basis(fld, n)
+            for m in prefill:
+                blocked.add(m), single.add(m), ref.add(m)
+            grew = blocked.add_block(np.stack(stack))
+            assert grew.tolist() == [single.add(m) for m in stack] == [ref.add(m) for m in stack], name
+            assert_same_basis(blocked, single)
+            assert list(blocked._pivots) == ref.pivots
+            probe = ref.combine([rng.randrange(fld.order) for _ in range(ref.dim)])
+            assert np.array_equal(blocked.express(probe), ref.express(probe))
+    # the capacity doubled past n rows in one stack
+    assert len(blocked._pivbuf) >= n * n > n and blocked.dim == n * n
+
+
 def test_solve_membership_matches_sequential_kernel(sequential_basis, kernel_reference, monkeypatch):
     # the lowered budget splits the stacked products and the sifts
     monkeypatch.setattr(field, "DOT_BLOCK", 40)

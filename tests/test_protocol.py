@@ -10,6 +10,8 @@ from cbkap.linalg import algebra_closure
 from cbkap.perm import Perm
 from cbkap.protocol import (
     PRODUCT_FACTORS,
+    InstancePrivate,
+    InstancePublic,
     PartySecret,
     SharedKey,
     alice_round,
@@ -39,13 +41,50 @@ def test_ttp_validation(small_field):
 
 
 def test_generation_checks_kappa_once(monkeypatch):
-    # kappa is invertible by construction, so only InstancePublic checks it
+    # kappa is invertible by construction, so only the constructors check
+    # it: InstancePublic once as C, and InstancePrivate once as D
     field = GF2m(8)
     checked = []
     real = GF2m.is_invertible
     monkeypatch.setattr(GF2m, "is_invertible", lambda self, a: checked.append(a) or real(self, a))
-    pub, _, _ = ttp_generate(8, field, gen_count=2, word_len=20, rng=random.Random(3))
-    assert sum(m is pub.c_gens[0] for m in checked) == 1
+    pub, priv, _ = ttp_generate(8, field, gen_count=2, word_len=20, rng=random.Random(3))
+    assert priv.d_gens[0] is pub.c_gens[0]
+    assert sum(m is pub.c_gens[0] for m in checked) == 2
+
+
+def test_scale_generators_must_be_invertible_square_field_matrices():
+    # astype would wrap an entry outside [0, 2^m), and a matrix of another
+    # size would span an algebra of that size; a singular D spans a
+    # degenerate one (a zero D gave d_algebra dim 1)
+    field = GF2m(8)
+    pub, priv, _ = ttp_generate(8, field, gen_count=2, word_len=20, rng=random.Random(5))
+    kappa = pub.c_gens[0]
+    bad = {
+        "negative entry": kappa.astype(np.int64) - 1,
+        "entry past the field": kappa.astype(np.int64) + 256,
+        "wrong size": field.identity(4),
+        "not square": field.zeros(8, 7),
+        "floats": field.identity(8).astype(float),
+        "one row": field.identity(8)[0],
+    }
+    for name, m in bad.items():
+        with pytest.raises(ValueError, match="matrices of elements"):
+            InstancePublic(pub.params, pub.a_gens, [kappa, m])
+        with pytest.raises(ValueError, match="matrices of elements"):
+            InstancePrivate(priv.b_gens, [kappa, m], field)
+    singular = field.identity(8)
+    singular[3] = 0
+    for m in (field.zeros(8), singular):
+        for make in (lambda gens: InstancePublic(pub.params, pub.a_gens, gens),
+                     lambda gens: InstancePrivate(priv.b_gens, gens, field)):
+            with pytest.raises(ValueError, match="invertible"):
+                make([kappa, m])
+    # D generators are checked against each other's size, with no n to hand
+    with pytest.raises(ValueError, match="8 x 8"):
+        InstancePrivate(priv.b_gens, [kappa, field.identity(5)], field)
+    # any integer dtype of field elements is accepted
+    InstancePublic(pub.params, pub.a_gens, [kappa.astype(np.int64)])
+    assert InstancePrivate(priv.b_gens, [kappa.astype(np.int32)], field).d_gens
 
 
 def test_ttp_shapes(small_instance, small_field):
