@@ -30,6 +30,12 @@ calls (``CALLS``) of:
   re-inserted in order into a fresh basis, for the dim-26 basis
   collected at ``braid_attack``'s sizes (``n12``: n=12 with 250-letter A
   generators, generation seed 12) and the dim-82 one above (``n20``);
+- ``rebuild``: ``AlgebraClosure.rebuild`` of those two closures over
+  random images of their generators (``n12`` and ``n20``), the replay
+  that stage ``recover`` runs over the twisted images.  Each image is
+  random on the entries the generators use and zero elsewhere, so the
+  replay runs on the generators' strand blocks, as ``recover``'s does
+  at ``wide_attack``'s sizes (a fully random image joins every strand);
 - one closure product, the first generator of a pure basis times a stack
   of 1, 16 and 82 of its basis elements (taken in turn), on that basis
   and on the one collected at ``braid_attack``'s sizes (n=12 with
@@ -68,7 +74,8 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLS = {"e_multiply": 40, "matrix": 500, "express": 100, "insert": 30, "product": 200, "compile": 15}
+CALLS = {"e_multiply": 40, "matrix": 500, "express": 100, "insert": 30, "rebuild": 30, "product": 200,
+         "compile": 15}
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
           tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -146,24 +153,27 @@ def measure() -> dict:
             closure = precompute_pure_basis(pub, random.Random(seed + 1)).closure
         finally:
             linalg.WitnessedBasis.add_block = add_block
-        return closure, [stack for basis, stack in calls if basis is closure.basis]
+        span = getattr(closure, "basis", closure)  # a closure that wraps its span, or is one
+        return closure, span, [stack for basis, stack in calls if basis is span]
 
     def insert(n, stacks):
         basis = linalg.WitnessedBasis(fld, n)
         for stack in stacks:
             basis.add_block(stack)
 
-    wide, wide_stacks = collected(20, 24, 20)
-    basis = wide.basis
+    wide = collected(20, 24, 20)
+    _, basis, _ = wide
     member = basis.combine([rng.randrange(fld.order) for _ in range(basis.dim)])
     timed(f"express.dim{basis.dim}", lambda: basis.express(member), CALLS["express"])
-    closures = {"n12": collected(12, 250, 12), "n20": (wide, wide_stacks)}
-    for size, (closure, stacks) in closures.items():
-        timed(f"insert.{size}", lambda: insert(closure.basis.n, stacks), CALLS["insert"])
+    closures = {"n12": collected(12, 250, 12), "n20": wide}
+    for size, (closure, span, stacks) in closures.items():
+        timed(f"insert.{size}", lambda: insert(span.n, stacks), CALLS["insert"])
+        images = [fld.random_matrix(rng, span.n) * closure._pattern for _ in closure.generators]
+        timed(f"rebuild.{size}", lambda: closure.rebuild(images), CALLS["rebuild"])
         gen = closure.generators[0][0]
         plan = linalg._block_plan(closure._pattern)
         for k in (1, 16, 82):
-            stack = np.stack([closure.basis.mats[i % closure.dim] for i in range(k)])
+            stack = np.stack([span.mats[i % span.dim] for i in range(k)])
             name = f"closure_product.{size}.k{k}"
             timed(f"{name}.dense", lambda: fld.mat_mul(gen, stack), CALLS["product"])
             timed(f"{name}.block", lambda: linalg._block_mat_mul(fld, plan, gen, stack), CALLS["product"])

@@ -187,21 +187,18 @@ class AttackStats:
 
 @dataclass
 class PureBasis:
-    """The product-closed basis V of pure-word images, plus collection
-    statistics.  Every collected pure word w^r is kept in the closure as
-    the witness of the generator it added; ``twisted`` holds its matrix
-    from (I, twist), one per closure generator, from the same stream.
-    ``enlarging`` is set once the first round has ended without success."""
+    """The product-closed span V of pure-word images, ``closure``, plus
+    collection statistics.  Every collected pure word w^r is kept in the
+    closure as the witness of the generator it added; ``twisted`` holds
+    its matrix from (I, twist), one per closure generator, from the same
+    stream.  ``enlarging`` is set once the first round has ended without
+    success."""
 
     closure: AlgebraClosure
     twist: Perm
     candidates: int = 0
     enlarging: bool = False
     twisted: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def basis(self):
-        return self.closure.basis
 
     @property
     def dim(self) -> int:
@@ -363,7 +360,7 @@ def solve_scale(
     """
     field = pub.params.field
     kappas = np.stack(pub.c_algebra)
-    kernel = solve_membership(normalized, pure.basis, field)
+    kernel = solve_membership(normalized, pure.closure, field)
     scale, _, tries = sample_invertible(field.dot(kernel, kappas), field, rng)
     return scale, tries
 
@@ -380,7 +377,7 @@ def split_pure_part(
     """
     part = field.solve(scale, residual)
     try:
-        coeffs = pure.basis.express(part)
+        coeffs = pure.closure.express(part)
     except NotInSpan as exc:
         raise AlphaPrimeOutsideV(str(exc)) from exc
     return part, coeffs
@@ -418,8 +415,7 @@ def recover_key(
     h = transcript.bob_msg.perm
     if pure.twist != h:
         raise ValueError("the pure basis was collected for another twist than Bob's permutation")
-    twisted_basis = pure.closure.rebuild(pure.twisted)
-    twisted = fld.dot(artifacts.pure_coeffs, np.stack(twisted_basis))
+    twisted = fld.dot(artifacts.pure_coeffs, pure.closure.rebuild(pure.twisted))
     mat = fld.mat_mul(fld.mat_mul(transcript.bob_msg.mat, twisted), artifacts.twisted_word)
     return MatPerm(fld.mat_mul(artifacts.scale, mat), h * transcript.alice_msg.perm)
 
@@ -459,52 +455,41 @@ def attack_run(
         stats.factor_letters = len(perm_word)
 
         normalized = None  # residual^-1 . (C basis): the same at every try
-
-        def linear_steps() -> AttackArtifacts | tuple[str, Exception]:
-            """Scale and split against the current V: the artifacts, or
-            the failing stage and its error while V is too small."""
-            nonlocal normalized
-            with stats.stage("scale"):
-                if normalized is None:
-                    normalized = fld.mat_mul(residual_inv, np.stack(pub.c_algebra))
-                try:
-                    scale, tries = solve_scale(normalized, pub, pure, rng_samples)
-                except (NoSolution, InvertibleSampleFailed) as exc:
-                    return "scale", exc
-            stats.scale_tries += tries
-            with stats.stage("split"):
-                try:
-                    pure_part, pure_coeffs = split_pure_part(scale, residual, pure, fld)
-                except AlphaPrimeOutsideV as exc:
-                    return "split", exc
-            return AttackArtifacts(perm_word, residual, scale, pure_part, pure_coeffs, twisted_word)
-
         # V only grows, so an unchanged dim means an unchanged V: a try
         # there after a settled failure would fail again
-        outcome = settled = None
+        failure = settled = None
         while True:
             with stats.stage("precompute", PureElementSearchExhausted):
                 grew = extend_pure_basis(pub, pure, rng_candidates, config) > 0
             if pure.dim != settled:
-                outcome = linear_steps()
-                if isinstance(outcome, AttackArtifacts):
+                try:
+                    with stats.stage("scale"):
+                        if normalized is None:
+                            normalized = fld.mat_mul(residual_inv, np.stack(pub.c_algebra))
+                        scale, tries = solve_scale(normalized, pub, pure, rng_samples)
+                    stats.scale_tries += tries
+                    with stats.stage("split"):
+                        pure_part, pure_coeffs = split_pure_part(scale, residual, pure, fld)
                     break
+                except (NoSolution, InvertibleSampleFailed, AlphaPrimeOutsideV) as exc:
+                    failure = exc
                 # a failed sampling can pass on a resample; the other
                 # failures settle this V
-                settled = None if isinstance(outcome[1], InvertibleSampleFailed) else pure.dim
+                settled = None if isinstance(failure, InvertibleSampleFailed) else pure.dim
             if grew:
                 continue
             if stats.enlargements == config.enlargement_rounds:
-                stage, exc = outcome
-                raise AttackFailed(stage, str(exc), stats) from exc
+                stage = "split" if isinstance(failure, AlphaPrimeOutsideV) else "scale"
+                raise AttackFailed(stage, str(failure), stats) from failure
             stats.enlargements += 1
             pure.enlarging = True
 
+        artifacts = AttackArtifacts(perm_word, residual, scale, pure_part, pure_coeffs, twisted_word)
         with stats.stage("audit"):
-            if not verify_reconstruction(pub, transcript.alice_msg, outcome):
+            if not verify_reconstruction(pub, transcript.alice_msg, artifacts):
                 raise AttackFailed("audit", "reconstruction identity does not hold", stats)
         with stats.stage("recover"):
-            key = recover_key(pub, transcript, pure, outcome)
+            key = recover_key(pub, transcript, pure, artifacts)
     finally:
         stats.dim_v, stats.candidates = pure.dim, pure.candidates
         stats.total_seconds = time.perf_counter() - t_start

@@ -15,9 +15,10 @@ the same rank-1 elimination ``GF2m.solve`` runs per column: O(dim *
 membership solver sift whole stacks of products at once through the same
 echelon code.  Coefficients over the
 raw matrices are solved for when asked for (one ``GF2m.solve`` per call);
-no change-of-basis transform is stored.  The closure keeps the braid word
-of each generator plus one recipe per basis element; together they give a
-pure word for every basis element without storing it.
+no change-of-basis transform is stored.  The closure is such a basis
+that also keeps the braid word of each generator plus one recipe per
+basis element; together they give a pure word for every basis element
+without storing it.
 
 Closure products run on the strand blocks of the generators: every
 matrix of the algebra is block-diagonal under the partition of the
@@ -98,10 +99,9 @@ class WitnessedBasis:
     ``add`` is a one-matrix block, so the result equals one ``add`` per
     matrix.
 
-    Stores no witness words: :class:`AlgebraClosure` keeps the generator
-    words and recipes that give one for each element.  The name is kept
-    because the benchmark (``perfbench/spans.py``) wraps this class by
-    name.
+    Stores no witness words.  Its subclass :class:`AlgebraClosure`, the
+    span the protocol and the attack hold, keeps the generator words and
+    recipes that give one for each element.
     """
 
     def __init__(self, field: GF2m, n: int):
@@ -251,8 +251,9 @@ def _block_mat_mul(field: GF2m, plan: tuple[np.ndarray, ...] | None,
     return res.reshape(stack.shape)
 
 
-class AlgebraClosure:
-    """A basis kept closed under products with its generators.
+class AlgebraClosure(WitnessedBasis):
+    """A basis kept closed under products with its generators: the span
+    itself, with the generators and recipes that formed it.
 
     Contains the identity and every added generator, and multiplies each
     basis element on the left by each productive generator until no
@@ -282,24 +283,19 @@ class AlgebraClosure:
     """
 
     def __init__(self, field: GF2m, n: int):
-        self.basis = WitnessedBasis(field, n)
+        super().__init__(field, n)
         self.generators: list[tuple[np.ndarray, BraidWord | None]] = []
         # per basis element: ("one",) | ("gen", gi) | ("gb", gi, bi)
-        self.recipes: list[tuple] = []
+        self.recipes: list[tuple] = [("one",)]
         self._done: list[int] = []  # per generator: basis size already multiplied
         self._pattern = np.zeros((n, n), dtype=bool)  # the entries some generator uses
         self._plan = None  # set by the first generator, which uses a new entry
-        self.basis.add(field.identity(n))
-        self.recipes.append(("one",))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
+        self.add(field.identity(n))
 
     def add_generator(self, mat: np.ndarray, witness: BraidWord | None = None) -> bool:
         """Add a generator, with its optional witness word, and restore
         closure; True if the span grew."""
-        if not self.basis.add(mat):
+        if not self.add(mat):
             return False
         used = mat != 0
         if (used & ~self._pattern).any():
@@ -321,74 +317,74 @@ class AlgebraClosure:
         is ("gb", 0, m-2+p), as in a drain of one power per pass.  The
         powers that grow the span are a prefix of each pass: once a power
         lies in the span of the lower ones, so does every higher one."""
-        basis = self.basis
         while True:
-            m = basis.dim
-            powers = _block_mat_mul(basis.field, self._plan, basis.mats[m - 1], np.stack(basis.mats[1:m]))
-            grew = basis.add_block(powers)
+            m = self.dim
+            powers = _block_mat_mul(self.field, self._plan, self.mats[m - 1], np.stack(self.mats[1:m]))
+            grew = self.add_block(powers)
             self.recipes += [("gb", 0, m - 1 + int(i)) for i in np.flatnonzero(grew)]
             if not grew.all():
                 break
-        self._done[0] = basis.dim
+        self._done[0] = self.dim
 
     def _drain(self) -> None:
-        basis = self.basis
         progress = True
         while progress:
             progress = False
             for gi, (gmat, _) in enumerate(self.generators):
-                start, size = self._done[gi], basis.dim
+                start, size = self._done[gi], self.dim
                 if start >= size:
                     continue
                 progress = True
-                products = _block_mat_mul(basis.field, self._plan, gmat, np.stack(basis.mats[start:size]))
-                grew = basis.add_block(products)
+                products = _block_mat_mul(self.field, self._plan, gmat, np.stack(self.mats[start:size]))
+                grew = self.add_block(products)
                 self.recipes += [("gb", gi, start + int(bi)) for bi in np.flatnonzero(grew)]
                 self._done[gi] = size
 
-    def rebuild(self, gen_images: Sequence[np.ndarray]) -> list[np.ndarray]:
+    def rebuild(self, gen_images: Sequence[np.ndarray]) -> np.ndarray:
         """Replay the recipes with substitute generator matrices.
 
         With gen_images[i] the twisted image of generator i, returns the
-        twisted image of every basis element, in basis order.  A run of
-        products by one generator whose factors all come before the run
-        (``_drain`` emits one per block) is one stacked block product,
-        under the strand partition of the images.
+        twisted image of every basis element, in basis order, as one
+        (dim, n, n) array.  A run of products by one generator whose
+        factors all come before the run (``_drain`` emits one per block)
+        is one stacked block product, under the strand partition of the
+        images.
         """
-        fld, n = self.basis.field, self.basis.n
+        fld, n = self.field, self.n
         images = np.array(gen_images, dtype=fld.dtype).reshape(-1, n, n)
         plan = _block_plan(images.any(axis=0))
         recipes = self.recipes
-        out: list[np.ndarray] = []
+        out = np.empty((len(recipes), n, n), dtype=fld.dtype)
         k = 0
         while k < len(recipes):
             kind = recipes[k][0]
             if kind == "one":
-                out.append(fld.identity(n))
+                out[k] = fld.identity(n)
                 k += 1
             elif kind == "gen":
-                out.append(gen_images[recipes[k][1]])
+                out[k] = images[recipes[k][1]]
                 k += 1
             else:
                 gi, end = recipes[k][1], k + 1
                 while end < len(recipes) and recipes[end][:2] == ("gb", gi) and recipes[end][2] < k:
                     end += 1
-                factors = np.stack([out[r[2]] for r in recipes[k:end]])
-                out.extend(_block_mat_mul(fld, plan, gen_images[gi], factors))
+                factors = out[[r[2] for r in recipes[k:end]]]
+                out[k:end] = _block_mat_mul(fld, plan, images[gi], factors)
                 k = end
         return out
 
 
-def algebra_closure(gens: Iterable[np.ndarray], field: GF2m) -> WitnessedBasis:
-    """Basis of the smallest subspace containing the identity and the
-    generators that is closed under matrix multiplication."""
+def algebra_closure(gens: Iterable[np.ndarray], field: GF2m) -> AlgebraClosure:
+    """The closure of the smallest subspace containing the identity and
+    the generators that is closed under matrix multiplication; its
+    ``mats`` are a basis of it."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     closure = AlgebraClosure(field, gens[0].shape[0])
     for mat in gens:
         closure.add_generator(mat)
-    return closure.basis
+    return closure
 
 
 def solve_membership(products: np.ndarray, V: WitnessedBasis, field: GF2m) -> np.ndarray:

@@ -230,12 +230,12 @@ def reference_mat_inv(field, a):
 def sequential_rebuild(closure, gen_images):
     """Reference for AlgebraClosure.rebuild: the earlier replay, one
     product per recipe."""
-    fld = closure.basis.field
+    fld = closure.field
     out = []
     for recipe in closure.recipes:
         kind = recipe[0]
         if kind == "one":
-            out.append(fld.identity(closure.basis.n))
+            out.append(fld.identity(closure.n))
         elif kind == "gen":
             out.append(gen_images[recipe[1]])
         else:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import cbkap.attack as attack_mod
 from cbkap.attack import (
+    AlphaPrimeOutsideV,
     AttackConfig,
     AttackFailed,
     GNotExpressible,
@@ -64,8 +65,8 @@ def test_pure_basis_witnesses_are_pure(small_instance, basis_words):
     pure = precompute_pure_basis(pub, random.Random(0))
     assert pure.dim >= 2
     assert pure.candidates >= 1
-    basis = pure.basis
-    witnesses = basis_words(pure.closure)
+    basis = pure.closure
+    witnesses = basis_words(basis)
     assert len(witnesses) == basis.dim
     for mat, witness in zip(basis.mats, witnesses):
         assert word_perm(witness, pub.params.n).is_identity()
@@ -217,7 +218,7 @@ def test_residual_normalizes_secret_into_span(small_instance, small_field):
             pub, transcript.alice_msg, Perm.identity(pub.params.n)
         )
         probe = small_field.mat_mul(residual_inv, asec.matrix)
-        hits += in_span(pure.basis, probe)
+        hits += in_span(pure.closure, probe)
     assert hits >= 19
 
 
@@ -233,7 +234,7 @@ def test_solve_scale_postconditions(small_instance, small_field):
     assert small_field.is_invertible(scale)
     kappas = algebra_closure(pub.c_gens, small_field)
     assert in_span(kappas, scale)
-    assert in_span(pure.basis, small_field.mat_mul(residual_inv, scale))
+    assert in_span(pure.closure, small_field.mat_mul(residual_inv, scale))
     # the instance caches its C-algebra basis; a second call draws the same
     assert pub.c_algebra is pub.c_algebra
     assert all(np.array_equal(a, b) for a, b in zip(pub.c_algebra, kappas.mats, strict=True))
@@ -254,13 +255,13 @@ def test_split_pure_part_and_reconstruction(small_instance, small_field):
     assert np.array_equal(
         part, small_field.mat_mul(small_field.mat_inv(scale), residual)
     )
-    assert np.array_equal(pure.basis.combine(pcoeffs), part)
+    assert np.array_equal(pure.closure.combine(pcoeffs), part)
     artifacts = AttackArtifacts(word, residual, scale, part, pcoeffs, twisted)
     assert verify_reconstruction(pub, transcript.alice_msg, artifacts)
     # degenerate split: scale = residual makes the pure part the identity
     ident, icoeffs = split_pure_part(residual, residual, pure, small_field)
     assert np.array_equal(ident, small_field.identity(pub.params.n))
-    assert np.array_equal(pure.basis.combine(icoeffs), ident)
+    assert np.array_equal(pure.closure.combine(icoeffs), ident)
 
 
 def test_attack_recovers_exact_key(small_instance):
@@ -605,6 +606,29 @@ def test_attack_failure_reports_stage(small_instance, monkeypatch):
     with pytest.raises(AttackFailed) as err:
         attack_run(pub, transcript, random.Random(29))
     assert (err.value.stats.candidates, err.value.stats.enlargements) == (0, 3)
+
+
+@pytest.mark.parametrize("step, error, stage", [
+    ("solve_scale", NoSolution, "scale"),
+    ("solve_scale", InvertibleSampleFailed, "scale"),
+    ("split_pure_part", AlphaPrimeOutsideV, "split"),
+])
+def test_last_linear_failure_names_its_stage(small_instance, monkeypatch, step, error, stage):
+    # scale and split fail in one try; the error's type names the stage
+    pub, priv, _ = small_instance
+    _, transcript, _ = fresh_exchange(pub, priv, 32)
+
+    def failing(*args):
+        raise error("forced")
+
+    monkeypatch.setattr(attack_mod, step, failing)
+    with pytest.raises(AttackFailed) as err:
+        attack_run(pub, transcript, random.Random(33), AttackConfig(enlargement_rounds=0))
+    stats = err.value.stats
+    assert err.value.stage == stats.failed_stage == stage
+    assert isinstance(err.value.__cause__, error)
+    assert stats.scale_seconds > 0 and (stats.split_seconds > 0) == (stage == "split")
+    assert (stats.scale_tries > 0) == (stage == "split")
 
 
 def test_attack_failed_audit_counts_its_time(small_instance, monkeypatch):

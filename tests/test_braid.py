@@ -221,11 +221,12 @@ def test_e_multiply_matches_reference_engine(reference_engine):
 
 def test_letter_programs_follow_the_strand_count(reference_engine):
     # one leaf object, shared by words streamed at alternating strand
-    # counts: its program is compiled for the count it streams at
+    # counts: its program is compiled for the count it streams at, in
+    # bytes up to 128 strands and in array("H") past them
     rng = random.Random(91)
     fld = GF2m(8)
     leaf = random_word(5, 40, rng)
-    for n in (6, 9, 6, 12, 9):
+    for n in (6, 9, 6, 12, 9, 129, 200, 9):
         params = params_for(fld, n, rng)
         w = BraidWord.concat(random_word(n, 5, rng), leaf, leaf.inverse().power(2), leaf)
         for states in ([MatPerm(fld.random_matrix(rng, n), Perm.random(n, rng))],

@@ -347,6 +347,7 @@ def test_solve_membership_matches_sequential_kernel(sequential_basis, kernel_ref
 def test_algebra_closure_identity_only():
     fld = GF2m(3)
     basis = algebra_closure([fld.identity(5)], fld)
+    assert isinstance(basis, AlgebraClosure) and isinstance(basis, WitnessedBasis)
     assert basis.dim == 1
 
 
@@ -406,10 +407,10 @@ def structured_gens(field, n, rng, kind):
 def assert_drain_matches_reference(closure, gens, drain_reference):
     """The block drain keeps the basis, pivots and recipes of the drain
     that formed and sifted in one product at a time."""
-    basis, recipes = drain_reference(gens, closure.basis.field, closure.basis.n)
+    basis, recipes = drain_reference(gens, closure.field, closure.n)
     assert closure.recipes == recipes
-    assert list(closure.basis._pivots) == basis.pivots
-    assert all(np.array_equal(a, b) for a, b in zip(closure.basis.mats, basis.mats, strict=True))
+    assert list(closure._pivots) == basis.pivots
+    assert all(np.array_equal(a, b) for a, b in zip(closure.mats, basis.mats, strict=True))
 
 
 @pytest.mark.parametrize("degree", [1, 8, 16])
@@ -426,10 +427,9 @@ def test_one_sided_closure_matches_two_sided_reference(
         closure = AlgebraClosure(fld, n)
         for mat in gens:
             closure.add_generator(mat)
-        one = closure.basis
         two = two_sided_reference(gens, fld, n)
-        assert one.dim == two.dim
-        assert in_span(two, np.stack(one.mats)) and in_span(one, np.stack(two.mats))
+        assert closure.dim == two.dim
+        assert in_span(two, np.stack(closure.mats)) and in_span(closure, np.stack(two.mats))
         assert_drain_matches_reference(closure, gens, drain_reference)
 
 
@@ -445,12 +445,12 @@ def test_one_sided_closure_matches_two_sided_on_attack_sized_pure_images(
         gens = [mat for mat, _ in pure.closure.generators]
         two = two_sided_reference(gens, fld, n)
         assert pure.dim == two.dim > len(gens) + 1
-        assert in_span(two, np.stack(pure.basis.mats))
-        assert in_span(pure.basis, np.stack(two.mats))
+        assert in_span(two, np.stack(pure.closure.mats))
+        assert in_span(pure.closure, np.stack(two.mats))
         assert_drain_matches_reference(pure.closure, gens, drain_reference)
         # the echelon rows are stored only as wide as the support, which at
         # n=20 is well short of the n^2 coordinates
-        basis = pure.basis
+        basis = pure.closure
         support = np.flatnonzero(np.any(basis.mats, axis=0))
         assert np.array_equal(basis._support, support)
         assert basis._buf.shape[1] == len(support)
@@ -472,6 +472,7 @@ def test_batched_rebuild_matches_sequential_replay(kind, rebuild_reference, monk
             for images in ([m for m, _ in closure.generators],
                            [fld.random_matrix(rng, n) for _ in closure.generators]):
                 got = closure.rebuild(images)
+                assert got.shape == (closure.dim, n, n) and got.dtype == fld.dtype
                 want = rebuild_reference(closure, images)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
@@ -569,7 +570,7 @@ def test_express_matches_inverse_of_pivot_columns():
     for n, word_len in ((12, 250), (20, 24)):
         fld = GF2m(8)
         pub, _, _ = ttp_generate(n, fld, 8, word_len, rng=random.Random(n))
-        bases += [precompute_pure_basis(pub, random.Random(n + 1)).basis,
+        bases += [precompute_pure_basis(pub, random.Random(n + 1)).closure,
                   algebra_closure(pub.c_gens, fld)]
     for basis in bases:
         fld, n, dim = basis.field, basis.n, basis.dim
@@ -600,7 +601,7 @@ def test_batched_rebuild_on_attack_sized_closures(rebuild_reference, monkeypatch
         # collected with no twist, the twisted images are the generators,
         # which give the basis back
         got = pure.closure.rebuild(pure.twisted)
-        assert all(np.array_equal(a, b) for a, b in zip(got, pure.basis.mats, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(got, pure.closure.mats, strict=True))
         # one stacked product per run the drain sifted in, covering every
         # product recipe; the images at n=20 leave strands apart, so their
         # products are block products
@@ -630,11 +631,10 @@ def test_witness_soundness_through_closure(basis_words):
     fld = GF2m(5)
     rng = random.Random(5)
     params, closure = make_pure_closure(fld, 6, rng)
-    basis = closure.basis
-    assert basis.dim >= 3
+    assert closure.dim >= 3
     witnesses = basis_words(closure)
-    assert len(witnesses) == basis.dim
-    for mat, witness in zip(basis.mats, witnesses):
+    assert len(witnesses) == closure.dim
+    for mat, witness in zip(closure.mats, witnesses):
         got = word_eval_pair(witness, params)
         assert got.perm.is_identity()
         assert np.array_equal(got.mat, mat)
